@@ -14,7 +14,7 @@ from .errors import (
 from .filters import KernelSpec, StrideMode, apply_filter, median_filter_overlap, nomf, patch_majority
 from .frames import (
     BinaryFrame,
-    Event,
+    EventArray,
     FrameConfig,
     aggregate_frames,
     is_empty,

@@ -431,12 +431,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidParamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ImfsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

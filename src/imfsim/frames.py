@@ -8,6 +8,7 @@ with microsecond integer timestamps (non-decreasing), pixel coordinates, and
 polarity encoded as 0 (off, parsed to -1) or 1 (on, parsed to +1).  Lines whose
 first non-blank character is '#' are comments; blank lines are skipped.
 Anything else either parses or raises an error that names the 1-based line.
+A parsed stream is an EventArray: one numpy column per field.
 
 Frames are binary images stored as (height, width) uint8 arrays of {0,1} and
 serialized as binary PBM (P4): rows packed MSB-first, each row padded to a
@@ -22,9 +23,10 @@ times t_f is always the offset from the stream start.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Iterable, TextIO, Union
 
 import numpy as np
 
@@ -40,18 +42,54 @@ MAX_FRAME_WIDTH = 320
 MAX_FRAME_HEIGHT = 240
 
 
-@dataclass(frozen=True)
-class Event:
-    t: int          # microseconds
-    x: int
-    y: int
-    polarity: int   # -1 or +1
+class EventArray:
+    """An event stream as four equal-length int64 columns.
 
-    def __post_init__(self):
-        if self.t < 0 or self.x < 0 or self.y < 0:
-            raise InvalidParamsError(f"negative event field: {self}")
-        if self.polarity not in (-1, 1):
-            raise InvalidParamsError(f"polarity must be -1 or +1, got {self.polarity}")
+    `t` is the timestamp in microseconds, `x` and `y` the pixel, `polarity`
+    -1 (off) or +1 (on).  Index i across the columns is the i-th event in
+    stream order.
+    """
+
+    __slots__ = ("t", "x", "y", "polarity")
+
+    def __init__(self, t, x, y, polarity):
+        cols = [_int_column(name, values) for name, values in
+                (("t", t), ("x", x), ("y", y), ("polarity", polarity))]
+        if len({c.size for c in cols}) > 1:
+            raise InvalidParamsError(
+                f"event columns differ in length: {[c.size for c in cols]}"
+            )
+        self.t, self.x, self.y, self.polarity = cols
+        if (self.t < 0).any() or (self.x < 0).any() or (self.y < 0).any():
+            raise InvalidParamsError("negative event field")
+        if (np.abs(self.polarity) != 1).any():
+            raise InvalidParamsError("polarity must be -1 or +1")
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventArray):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip((self.t, self.x, self.y, self.polarity),
+                            (other.t, other.x, other.y, other.polarity))
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EventArray({len(self)} events)"
+
+
+def _int_column(name: str, values) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise InvalidParamsError(
+            f"event column {name} must be 1-d integers, got {arr.dtype} shape {arr.shape}"
+        )
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -139,19 +177,52 @@ def is_empty(frame: BinaryFrame) -> bool:
 # event stream parsing / writing
 # ---------------------------------------------------------------------------
 
-def _iter_lines(source: Union[str, Path, TextIO, Iterable[str]]) -> Iterator[str]:
+# np.fromstring saturates a value beyond int64 at its maximum, as strtoll does.
+_INT64_MAX = np.iinfo(np.int64).max
+_WRITE_CHUNK = 1 << 20    # events formatted per write
+
+
+def parse_event_stream(source: Union[str, Path, TextIO, Iterable[str]]) -> EventArray:
+    """Parse an event text stream; every line yields an event or a located error.
+
+    A path whose file is in canonical form (only `t,x,y,p` lines of digits,
+    each ending in a newline) is parsed as whole columns.  Anything else, and
+    every TextIO or iterable of lines, goes through the line-by-line parser,
+    which alone raises the located errors.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as fh:
-            yield from fh
-    else:
-        yield from source
+        events = _parse_canonical(Path(source).read_bytes())
+        if events is not None:
+            return events
+        with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
+            return _parse_lines(fh)
+    return _parse_lines(source)
 
 
-def parse_event_stream(source: Union[str, Path, TextIO, Iterable[str]]) -> list[Event]:
-    """Parse an event text stream; every line yields an Event or a located error."""
-    events: list[Event] = []
+def _parse_canonical(data: bytes) -> EventArray | None:
+    """The events of a canonical, valid file; None for anything else."""
+    seps = data.translate(None, b"0123456789")
+    # the separators alone must read ",,,\n" per line; this also rejects every other byte
+    if not data.endswith(b"\n") or seps != b",,,\n" * (len(seps) // 4):
+        return None
+    fields = data.replace(b"\n", b",")
+    if fields.startswith(b",") or b",," in fields:  # an empty field
+        return None
+    values = np.fromstring(fields, dtype=np.int64, sep=",")
+    if values.size != len(seps) or (values == _INT64_MAX).any():
+        return None
+    t, x, y, p = values.reshape(-1, 4).T
+    if (p > 1).any() or (np.diff(t) < 0).any():
+        return None
+    return EventArray(t, x, y, 2 * p - 1)
+
+
+def _parse_lines(lines: Iterable[str]) -> EventArray:
+    columns = tuple(array("q") for _ in range(4))
     last_t = None
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
+    for line_no, raw in enumerate(lines, start=1):
+        if not raw.isascii():
+            raise MalformedLineError(line_no, "non-ASCII character")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -169,43 +240,76 @@ def parse_event_stream(source: Union[str, Path, TextIO, Iterable[str]]) -> list[
         if last_t is not None and t < last_t:
             raise NonMonotonicTimestampError(line_no)
         last_t = t
-        events.append(Event(t=t, x=x, y=y, polarity=1 if pol else -1))
-    return events
+        try:
+            for col, value in zip(columns, (t, x, y, 1 if pol else -1)):
+                col.append(value)
+        except OverflowError:
+            raise MalformedLineError(line_no, "field exceeds 64 bits") from None
+    return EventArray(*(np.frombuffer(col, dtype=np.int64) for col in columns))
 
 
-def write_event_stream(events: Sequence[Event], path: Union[str, Path]) -> None:
-    """Write events in the same text format parse_event_stream reads."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for ev in events:
-            fh.write(f"{ev.t},{ev.x},{ev.y},{1 if ev.polarity > 0 else 0}\n")
+def write_event_stream(events: EventArray, path: Union[str, Path]) -> None:
+    """Write events in the canonical text format parse_event_stream reads."""
+    with open(path, "wb") as fh:
+        for lo in range(0, len(events), _WRITE_CHUNK):
+            fh.write(_format_rows(events, slice(lo, lo + _WRITE_CHUNK)))
+
+
+def _format_rows(events: EventArray, rows: slice) -> bytes:
+    """One `t,x,y,p` line per selected event, built as one byte matrix.
+
+    Each number is written right-aligned in a field as wide as the column's
+    widest value; the leading pad bytes are 0 and are dropped at the end.
+    """
+    numbers = [events.t[rows], events.x[rows], events.y[rows]]
+    widths = [len(str(int(col.max()))) for col in numbers]
+    buf = np.zeros((numbers[0].size, sum(widths) + 5), dtype=np.uint8)
+    start = 0
+    for col, width in zip(numbers, widths):
+        _put_digits(buf[:, start : start + width], col)
+        buf[:, start + width] = ord(",")
+        start += width + 1
+    buf[:, start] = ord("0") + (events.polarity[rows] > 0)
+    buf[:, start + 1] = ord("\n")
+    return buf[buf != 0].tobytes()
+
+
+def _put_digits(field: np.ndarray, values: np.ndarray) -> None:
+    """Decimal digits of non-negative `values`, right-aligned in `field`."""
+    values = values.astype(np.min_scalar_type(values.max()))  # narrow ints divide faster
+    for k in range(field.shape[1]):
+        rest, digit = np.divmod(values, 10)
+        digit = digit.astype(np.uint8) + np.uint8(ord("0"))
+        if k:
+            digit[values == 0] = 0  # leading zeros become pad bytes
+        field[:, -1 - k] = digit
+        values = rest
 
 
 # ---------------------------------------------------------------------------
 # accumulation
 # ---------------------------------------------------------------------------
 
-def aggregate_frames(events: Sequence[Event], cfg: FrameConfig) -> list[BinaryFrame]:
+def aggregate_frames(events: EventArray, cfg: FrameConfig) -> list[BinaryFrame]:
     """OR-accumulate events into t_f windows anchored at the first event.
 
     Both polarities mark the pixel.  An event exactly on a window boundary
     belongs to the later window.  Raises OutOfBoundsError if an event lies
     outside the configured sensor.
     """
-    if not events:
+    if not len(events):
         return []
-    for ev in events:
-        if ev.x >= cfg.sensor_width or ev.y >= cfg.sensor_height:
-            raise OutOfBoundsError(
-                f"event {ev} outside {cfg.sensor_width}x{cfg.sensor_height} sensor"
-            )
-    t0 = events[0].t
-    n_frames = (events[-1].t - t0) // cfg.t_f + 1
+    outside = (events.x >= cfg.sensor_width) | (events.y >= cfg.sensor_height)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutOfBoundsError(
+            f"event t={events.t[i]},x={events.x[i]},y={events.y[i]} outside "
+            f"{cfg.sensor_width}x{cfg.sensor_height} sensor"
+        )
+    t0 = int(events.t[0])
+    n_frames = (int(events.t[-1]) - t0) // cfg.t_f + 1
     stack = np.zeros((n_frames, cfg.sensor_height, cfg.sensor_width), dtype=np.uint8)
-    ts = np.fromiter((ev.t for ev in events), dtype=np.int64, count=len(events))
-    xs = np.fromiter((ev.x for ev in events), dtype=np.intp, count=len(events))
-    ys = np.fromiter((ev.y for ev in events), dtype=np.intp, count=len(events))
-    ks = (ts - t0) // cfg.t_f
-    stack[ks, ys, xs] = 1
+    stack[(events.t - t0) // cfg.t_f, events.y, events.x] = 1
     return [BinaryFrame(stack[k]) for k in range(n_frames)]
 
 
@@ -242,9 +346,18 @@ def read_pbm(path: Union[str, Path]) -> BinaryFrame:
             i = j
     if len(tokens) != 3 or tokens[0] != b"P4":
         raise InvalidParamsError(f"not a binary PBM file: {path}")
+    if not (tokens[1].isdigit() and tokens[2].isdigit()):
+        raise InvalidParamsError(f"PBM width and height must be integers in {path}")
     width, height = int(tokens[1]), int(tokens[2])
+    if width < 1 or height < 1:
+        raise InvalidParamsError(f"PBM frame {width}x{height} is empty in {path}")
     i += 1  # single whitespace byte after the header
     row_bytes = (width + 7) // 8
+    if len(data) - i < height * row_bytes:
+        raise InvalidParamsError(
+            f"truncated PBM body in {path}: {width}x{height} needs "
+            f"{height * row_bytes} bytes, got {max(len(data) - i, 0)}"
+        )
     raw = np.frombuffer(data, dtype=np.uint8, count=height * row_bytes, offset=i)
     bits = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width]
     return BinaryFrame(bits)

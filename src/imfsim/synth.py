@@ -18,8 +18,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidParamsError
-from .frames import BinaryFrame, Event
+from .errors import DimensionMismatchError, InvalidParamsError
+from .frames import BinaryFrame, EventArray
 
 # (height, width) per class, near/mid/far distance bands
 OBJECT_SIZES: dict[str, tuple[tuple[int, int], ...]] = {
@@ -151,16 +151,17 @@ def read_box_csv(path: Union[str, Path]) -> list[GroundTruthBox]:
     return out
 
 
-def frames_to_events(frames: list[BinaryFrame], t_f: int = 66_000) -> list[Event]:
-    """One +1 event per on pixel at its frame's epoch.
+def frames_to_events(frames: list[BinaryFrame], t_f: int = 66_000) -> EventArray:
+    """One +1 event per on pixel at its frame's epoch, frame by frame in
+    row-major order.
 
     Re-accumulating with the same t_f reproduces the frames exactly when the
     first and last frames are nonempty (the accumulator anchors at the first
     event and stops at the last).
     """
-    events: list[Event] = []
-    for k, frame in enumerate(frames):
-        t = k * t_f
-        rs, cs = np.nonzero(frame.pixels)
-        events.extend(Event(t=t, x=int(c), y=int(r), polarity=1) for r, c in zip(rs, cs))
-    return events
+    if len({f.pixels.shape for f in frames}) > 1:
+        raise DimensionMismatchError("frames of one recording must share one size")
+    if not frames:
+        return EventArray([], [], [], [])
+    ks, ys, xs = np.nonzero(np.stack([f.pixels for f in frames]))
+    return EventArray(ks * t_f, xs, ys, np.ones_like(ks))

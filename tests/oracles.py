@@ -152,16 +152,37 @@ def lottery_naive(shape, i_s, sigma_rel, v_trip, sigma_v, seed):
     return cur, vtr
 
 
-def aggregate_naive(events, t_f, width, height):
+def aggregate_naive(t, x, y, t_f, width, height):
     """Per-event scatter into half-open t_f windows anchored at the first event."""
-    if not events:
+    if not len(t):
         return []
-    t0 = events[0].t
-    n_frames = (events[-1].t - t0) // t_f + 1
+    t0 = int(t[0])
+    n_frames = (int(t[-1]) - t0) // t_f + 1
     frames = [np.zeros((height, width), dtype=np.uint8) for _ in range(n_frames)]
-    for ev in events:
-        frames[(ev.t - t0) // t_f][ev.y, ev.x] = 1
+    for ti, xi, yi in zip(t, x, y):
+        frames[(int(ti) - t0) // t_f][yi, xi] = 1
     return frames
+
+
+def frames_to_events_naive(frames, t_f):
+    """(t, x, y, polarity) columns: one +1 event per on pixel, frame by frame
+    in row-major order, stamped with its frame's epoch."""
+    t, x, y, p = [], [], [], []
+    for k, px in enumerate(frames):
+        rs, cs = np.nonzero(px)
+        for r, c in zip(rs, cs):
+            t.append(k * t_f)
+            x.append(int(c))
+            y.append(int(r))
+            p.append(1)
+    return t, x, y, p
+
+
+def write_events_naive(t, x, y, polarity, path):
+    """One f-string line per event: t,x,y,p with p = 1 for on, 0 for off."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for ti, xi, yi, pi in zip(t, x, y, polarity):
+            fh.write(f"{ti},{xi},{yi},{1 if pi > 0 else 0}\n")
 
 
 def crop_padded_naive(px, cx, cy, side):

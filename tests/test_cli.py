@@ -144,6 +144,34 @@ def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, data, argv, expect",
+    [
+        ("events.txt", b"1000,1,1,1\n2000,a,1,1\n", ["denoise", "--events", "{input}"],
+         "malformed event line 2: non-integer field"),
+        ("events.txt", b"1000,1,1,1\n2000,\xe9,1,1\n", ["denoise", "--events", "{input}"],
+         "malformed event line 2: non-ASCII"),
+        ("events.txt", b"1000,1,1,1\n999,1,1,1\n", ["denoise", "--events", "{input}"],
+         "timestamp decreases at event line 2"),
+        ("events.txt", b"1000,1,1,1\n2000,240,1,1\n", ["denoise", "--events", "{input}"],
+         "t=2000,x=240,y=1 outside 240x180"),
+        ("run.cfg", b"n = 7\n", ["simulate", "--frames", "{traffic}", "--config", "{input}"],
+         "rows 180 not divisible by n=7"),
+        ("frames/frame_00000.pbm", b"P4\n240 180\n\x00\x00", ["denoise", "--frames", "{dir}"],
+         "truncated PBM body"),
+    ],
+    ids=["malformed", "non-ascii", "decreasing", "out-of-bounds", "kernel-vs-rows",
+         "truncated-pbm"],
+)
+def test_bad_input_exits_2(traffic_dir, tmp_path, capsys, name, data, argv, expect):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+    subs = {"{input}": path, "{dir}": path.parent, "{traffic}": traffic_dir / "frames"}
+    assert run_cli(*(subs.get(a, a) for a in argv), "--out", tmp_path / "out") == 2
+    assert expect in capsys.readouterr().err
+
+
 def test_empty_frames_dir_is_invalid(tmp_path, capsys):
     (tmp_path / "frames").mkdir()
     rc = run_cli("denoise", "--frames", tmp_path / "frames", "--out", tmp_path / "out")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from imfsim.errors import InvalidParamsError
-from imfsim.frames import FrameConfig, aggregate_frames
+import oracles
+from imfsim.errors import DimensionMismatchError, InvalidParamsError
+from imfsim.frames import BinaryFrame, EventArray, FrameConfig, aggregate_frames
 from imfsim.synth import (
     OBJECT_SIZES,
     GroundTruthBox,
@@ -67,8 +68,8 @@ def test_box_csv_round_trip(tmp_path):
 def test_frames_to_events_round_trip():
     frames, _ = traffic_dataset(n_frames=12, seed=2)
     events = frames_to_events(frames, t_f=66_000)
-    assert all(ev.polarity == 1 for ev in events)
-    assert all(ev.t == (ev.t // 66_000) * 66_000 for ev in events)
+    assert (events.polarity == 1).all()
+    assert (events.t == (events.t // 66_000) * 66_000).all()
     rebuilt = aggregate_frames(
         events, FrameConfig(t_f=66_000, sensor_width=240, sensor_height=180)
     )
@@ -77,6 +78,19 @@ def test_frames_to_events_round_trip():
     for got, want in zip(rebuilt, frames):
         assert got == want
     assert all(f.popcount() == 0 for f in frames[len(rebuilt) :])
+
+
+def test_frames_to_events_matches_naive_loop():
+    frames, _ = traffic_dataset(n_frames=12, seed=2)
+    want = oracles.frames_to_events_naive([f.pixels for f in frames], 1000)
+    assert frames_to_events(frames, t_f=1000) == EventArray(*want)
+
+
+def test_frames_to_events_edge_cases():
+    assert len(frames_to_events([], t_f=10)) == 0
+    assert len(frames_to_events([BinaryFrame.zeros(4, 3)], t_f=10)) == 0
+    with pytest.raises(DimensionMismatchError):
+        frames_to_events([BinaryFrame.zeros(4, 3), BinaryFrame.zeros(3, 4)])
 
 
 def test_synth_validation():

@@ -67,6 +67,7 @@ from .sram_macro import (
     MacroGeometry,
     MacroState,
     ber_pattern_sweep,
+    ber_supply_sweep,
     calibrate_current_sigma,
     check_tg_criterion,
     clear_memory,

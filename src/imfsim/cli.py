@@ -43,7 +43,7 @@ from .sram_macro import (
     DEFAULT_GEOMETRY,
     DeviceParams,
     MacroGeometry,
-    ber_pattern_sweep,
+    ber_supply_sweep,
     filter_in_memory,
     init_macro,
     load_frame,
@@ -147,29 +147,17 @@ def cmd_characterize(args) -> int:
     ks = [int(k) for k in args.k.split(",")]
     patterns = "all" if args.patterns == "all" else int(args.patterns or cfg.patterns)
     trials = args.trials or cfg.trials
-    rows = []
-    for vdd in vdds:
-        device = DeviceParams(
-            vdd=vdd,
-            temperature=cfg.temperature,
-            corner=cfg.corner,
-            c_bl=cfg.c_bl,
-            c_wl=cfg.c_wl,
-            delta_c=cfg.delta_c,
-            v_trip_nominal=cfg.v_trip,
-            i_s_nominal=cfg.i_s,
-            r_tg=cfg.r_tg,
-        )
-        variation = variation_at_device(cfg.variation(), device)
-        for k in ks:
-            stat = ber_pattern_sweep(
-                cfg.n, k, device, variation, trials=trials, patterns=patterns
-            )
-            for ps in stat.pattern_stats:
-                rows.append(
-                    (vdd, cfg.temperature, cfg.corner, cfg.n, k,
-                     ps.pattern_id, ps.trials, ps.ber)
-                )
+    devices = [cfg.device(vdd=vdd) for vdd in vdds]
+    stats = ber_supply_sweep(
+        cfg.n, ks, [(d, variation_at_device(cfg.variation(), d)) for d in devices],
+        trials=trials, patterns=patterns,
+    )
+    rows = [
+        (vdd, cfg.temperature, cfg.corner, cfg.n, stat.k, ps.pattern_id, ps.trials, ps.ber)
+        for vdd, per_k in zip(vdds, stats)
+        for stat in per_k
+        for ps in stat.pattern_stats
+    ]
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "characterize.csv",

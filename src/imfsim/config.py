@@ -77,9 +77,15 @@ class RunConfig:
     salt_p: float = 0.01
     max_objects: int = 3
 
-    def device(self) -> DeviceParams:
+    def device(self, vdd: float | None = None) -> DeviceParams:
+        """The configured operating point, optionally at another supply.
+
+        Trip point and current left unset in the config are derived at the
+        supply actually used, so device(vdd=1.2) equals DeviceParams(vdd=1.2)
+        under the defaults.
+        """
         return DeviceParams(
-            vdd=self.vdd,
+            vdd=self.vdd if vdd is None else vdd,
             temperature=self.temperature,
             corner=self.corner,
             c_bl=self.c_bl,

@@ -17,11 +17,12 @@ class MalformedLineError(ImfsimError):
 
 
 class NonMonotonicTimestampError(ImfsimError):
-    """Event timestamps must be non-decreasing. Carries the offending line number."""
+    """Event timestamps must be non-decreasing. Carries the offending 1-based
+    line number, or event index for events already in memory."""
 
-    def __init__(self, line_no: int):
+    def __init__(self, line_no: int, where: str = "event line"):
         self.line_no = line_no
-        super().__init__(f"timestamp decreases at event line {line_no}")
+        super().__init__(f"timestamp decreases at {where} {line_no}")
 
 
 class OutOfBoundsError(ImfsimError):

@@ -294,11 +294,15 @@ def aggregate_frames(events: EventArray, cfg: FrameConfig) -> list[BinaryFrame]:
     """OR-accumulate events into t_f windows anchored at the first event.
 
     Both polarities mark the pixel.  An event exactly on a window boundary
-    belongs to the later window.  Raises OutOfBoundsError if an event lies
-    outside the configured sensor.
+    belongs to the later window.  Raises NonMonotonicTimestampError, naming
+    the 1-based event index, if a timestamp decreases, and OutOfBoundsError
+    if an event lies outside the configured sensor.
     """
     if not len(events):
         return []
+    decreasing = events.t[1:] < events.t[:-1]
+    if decreasing.any():
+        raise NonMonotonicTimestampError(int(np.argmax(decreasing)) + 2, "event")
     outside = (events.x >= cfg.sensor_width) | (events.y >= cfg.sensor_height)
     if outside.any():
         i = int(np.argmax(outside))

@@ -19,14 +19,19 @@ C_BLB = C_BL * (1 + delta_c) models deliberate or parasitic imbalance.
 Outcome is 1 iff dt > 0.  Uniform patches have no race; they keep their value
 and report dt = +/-inf.
 
-Mismatch sampling: each cell draws a discharge current from
-Normal(i_s_nominal, sigma_i_over_mu * i_s_nominal), truncated at +/-4 sigma
-(implemented as a clip so the draw count is fixed) and floored at a tiny
-positive value, then a trip point from Normal(v_trip_nominal, sigma_vtrip).
-Currents for the whole array are drawn first, then trip points, row-major,
-from one numpy default_rng stream, so an independent re-implementation with
-the same seed reproduces the lottery bit for bit.  Monte-Carlo trials reseed
-with rng_seed + trial_index.
+Mismatch sampling: a lottery is two standard-normal draws from one numpy
+default_rng(seed) stream, currents for the whole array first, then trip
+points, row-major.  They are scaled at use: a cell's discharge current is
+i_s_nominal + sigma_i * z with sigma_i = sigma_i_over_mu * i_s_nominal,
+truncated at +/-4 sigma (a clip, so the draw count is fixed) and floored at
+a tiny positive value; its trip point is v_trip_nominal + sigma_vtrip * z'.  On numpy's Generator this is bitwise
+the same stream as Normal(mean, sigma) draws, so an independent
+re-implementation with the same seed reproduces the lottery bit for bit.
+Monte-Carlo trials reseed with rng_seed + trial_index.  The seed does not
+depend on the supply, so a sweep over several supplies draws each lottery
+once and rescales it per supply.  Calibration draws each frame once: without
+the floor a patch's race is linear in sigma (see _LinearRaces), so image BER
+is a step function of sigma and each bisection step is a lookup.
 
 Supply, temperature and corner enter through a square-law overdrive model:
 V_T = 0.35 V at TT / 27 C, falling 1 mV/C and shifted +/-50 mV at SS/FF;
@@ -46,6 +51,8 @@ columns pass through untouched and are excluded from flip accounting.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterable, Literal, Sequence
@@ -229,19 +236,62 @@ class CalibrationResult:
 # lottery sampling and state construction
 # ---------------------------------------------------------------------------
 
+# One-entry memo of standard draws, set only inside _shared_draws().  It is a
+# context variable, not a parameter, because sample_cell_lottery keeps the
+# signature that its callers and tracing wrappers rely on.
+_draw_memo: ContextVar[dict | None] = ContextVar("_draw_memo", default=None)
+
+
+@contextmanager
+def _shared_draws():
+    """Within the block, a lottery drawn again with the same shape and seed
+    reuses the last standard draws instead of redrawing them."""
+    token = _draw_memo.set({})
+    try:
+        yield
+    finally:
+        _draw_memo.reset(token)
+
+
+def _standard_draws(shape: tuple[int, ...], seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard-normal current draws, then trip-point draws, from
+    default_rng(seed).  Fresh draws are writable; memoised ones are read-only."""
+    memo = _draw_memo.get()
+    if memo is not None and memo.get("key") == (shape, seed):
+        return memo["z"]
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(shape), rng.standard_normal(shape)
+    if memo is not None:
+        for a in z:
+            a.flags.writeable = False
+        memo.update(key=(shape, seed), z=z)
+    return z
+
+
+def _scaled(z: np.ndarray, scale: float, loc: float) -> np.ndarray:
+    """loc + scale * z, in place when z is writable."""
+    out = np.multiply(z, scale, out=z if z.flags.writeable else None)
+    out += loc
+    return out
+
+
+def _scale_vtrips(z: np.ndarray, device: DeviceParams, variation: CellVariation) -> np.ndarray:
+    vtrips = _scaled(z, variation.sigma_vtrip, device.v_trip_nominal)
+    return np.maximum(vtrips, _VTRIP_FLOOR, out=vtrips)
+
+
 def sample_cell_lottery(
     shape: tuple[int, ...], device: DeviceParams, variation: CellVariation, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw per-cell currents then trip points from one default_rng(seed) stream."""
-    rng = np.random.default_rng(seed)
+    """Per-cell currents and trip points: the standard draws of default_rng(seed),
+    scaled to the device and variation."""
+    z_i, z_v = _standard_draws(tuple(int(d) for d in shape), seed)
     i_s = device.i_s_nominal
     sigma_i = variation.sigma_i_over_mu * i_s
-    currents = rng.normal(i_s, sigma_i, size=shape)
+    currents = _scaled(z_i, sigma_i, i_s)
     np.clip(currents, i_s - 4.0 * sigma_i, i_s + 4.0 * sigma_i, out=currents)
     np.maximum(currents, _CURRENT_FLOOR, out=currents)
-    vtrips = rng.normal(device.v_trip_nominal, variation.sigma_vtrip, size=shape)
-    np.maximum(vtrips, _VTRIP_FLOOR, out=vtrips)
-    return currents, vtrips
+    return currents, _scale_vtrips(z_v, device, variation)
 
 
 def init_macro(
@@ -268,16 +318,25 @@ def clear_memory(state: MacroState) -> int:
 
 
 def write_events(state: MacroState, pixels: Iterable[tuple[int, int]]) -> int:
-    """Set (row, col) cells to 1, one cycle per listed pixel (duplicates idempotent)."""
-    cycles = 0
+    """Set (row, col) cells to 1, one cycle per listed pixel (duplicates idempotent).
+
+    Nothing is written if any pixel lies outside the array; the error names
+    the first such pixel.
+    """
+    rc = np.asarray(pixels if isinstance(pixels, np.ndarray) else list(pixels), dtype=np.int64)
+    if rc.size == 0:
+        rc = rc.reshape(0, 2)
+    if rc.ndim != 2 or rc.shape[1] != 2:
+        raise InvalidParamsError(f"pixels must be (row, col) pairs, got shape {rc.shape}")
     rows, cols = state.geometry.rows, state.geometry.cols
-    for r, c in pixels:
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise OutOfBoundsError(f"pixel ({r}, {c}) outside {rows}x{cols} array")
-        state.bits[r, c] = 1
-        cycles += 1
-    state.cycle_count += cycles
-    return cycles
+    r, c = rc[:, 0], rc[:, 1]
+    outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutOfBoundsError(f"pixel ({r[i]}, {c[i]}) outside {rows}x{cols} array")
+    state.bits[r, c] = 1
+    state.cycle_count += len(rc)
+    return len(rc)
 
 
 def read_frame(state: MacroState) -> BinaryFrame:
@@ -292,14 +351,40 @@ def load_frame(state: MacroState, frame: BinaryFrame) -> int:
             f"{state.geometry.cols}x{state.geometry.rows}"
         )
     cycles = clear_memory(state)
-    rs, cs = np.nonzero(frame.pixels)
-    cycles += write_events(state, zip(rs.tolist(), cs.tolist()))
+    cycles += write_events(state, np.argwhere(frame.pixels))
     return cycles
 
 
 # ---------------------------------------------------------------------------
 # the race
 # ---------------------------------------------------------------------------
+
+def race(
+    n: int,
+    k,
+    i_bl,
+    i_blb,
+    vt_ones,
+    vt_zeros,
+    device: DeviceParams,
+):
+    """The race equation over per-patch sums: k ones, the summed currents of
+    the 0- and 1-storing cells and their summed trip points.
+
+    Returns (outcome, dt).  Uniform patches (k = 0 or n^2) keep their value;
+    their dt is NaN.
+    """
+    nn = n * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_bl = vt_ones / k                  # cells that flip if BL wins
+        v_blb = vt_zeros / (nn - k)
+        dt = n * (
+            device.c_bl * v_bl / i_bl
+            - device.c_bl * (1.0 + device.delta_c) * v_blb / i_blb
+        )
+    outcome = np.where(k == 0, 0, np.where(k == nn, 1, dt > 0)).astype(np.uint8)
+    return outcome, dt
+
 
 def resolve_patch(
     patch_bits: np.ndarray,
@@ -322,14 +407,70 @@ def resolve_patch(
         return 0, float("-inf")
     if k == n * n:
         return 1, float("inf")
-    i_blb = float(currents[ones].sum())      # 1-storing cells discharge BLB
-    i_bl = float(currents[~ones].sum())
-    v_bl = float(vtrips[ones].mean())        # cells that flip if BL wins
-    v_blb = float(vtrips[~ones].mean())
-    c_bl = device.c_bl
-    c_blb = device.c_bl * (1.0 + device.delta_c)
-    dt = n * (c_bl * v_bl / i_bl - c_blb * v_blb / i_blb)
-    return (1 if dt > 0 else 0), float(dt)
+    outcome, dt = race(
+        n, k, currents[~ones].sum(), currents[ones].sum(),
+        vtrips[ones].sum(), vtrips[~ones].sum(), device,
+    )
+    return int(outcome), float(dt)
+
+
+def _patch_grid(rows: int, cols: int, n: int) -> tuple[int, int]:
+    """(row groups, complete patches per group) of an array filtered with n x n patches."""
+    if rows % n != 0:
+        raise DimensionMismatchError(f"rows {rows} not divisible by n={n}")
+    return rows // n, cols // n
+
+
+def _pairwise(terms: list[np.ndarray]) -> np.ndarray:
+    """Sum two or more same-shape arrays in the order numpy's pairwise
+    summation adds a contiguous run of len(terms) values."""
+    m = len(terms)
+    if m < 8:
+        acc = terms[0] + terms[1]
+        for t in terms[2:]:
+            acc += t
+        return acc
+    if m <= 128:
+        r = list(terms[:8])
+        for i in range(8, m - m % 8, 8):
+            r = [r[j] + terms[i + j] for j in range(8)]
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in terms[m - m % 8:]:
+            acc += t
+        return acc
+    half = m // 2
+    half -= half % 8
+    return _pairwise(terms[:half]) + _pairwise(terms[half:])
+
+
+def patch_sums(a: np.ndarray, n: int) -> np.ndarray:
+    """Sum of a (rows, cols) array over each complete n x n patch,
+    shape (rows // n, cols // n); rows must be a multiple of n.
+
+    Bitwise equal to a[:, :used].reshape(groups, n, per_group, n)
+    .sum(axis=(1, 3)) on a C-contiguous copy, because it adds in numpy's own
+    order: each patch row is a contiguous run of n values, summed pairwise,
+    and the row sums are added top to bottom.  With one patch per group the
+    whole patch is one contiguous run of n^2 values.
+    """
+    rows, cols = a.shape
+    per_group = cols // n
+    if per_group == 1:
+        return _pairwise([a[i::n, j:j + 1] for i in range(n) for j in range(n)])
+    runs = a[:, :per_group * n].reshape(rows, per_group, n)
+    row_sums = _pairwise([runs[:, :, j] for j in range(n)]).reshape(rows // n, n, per_group)
+    acc = row_sums[:, 0] + row_sums[:, 1]
+    for i in range(2, n):
+        acc += row_sums[:, i]
+    return acc
+
+
+def _split_sums(values: np.ndarray, ones: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-patch sums of `values` over the 1-storing cells and over the 0-storing cells."""
+    part = values * ones
+    on_ones = patch_sums(part, n)
+    np.subtract(values, part, out=part)
+    return on_ones, patch_sums(part, n)
 
 
 def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterReport:
@@ -341,47 +482,31 @@ def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterR
     region.  Leftover columns (cols % n) are untouched and not counted.
     """
     spec = KernelSpec(n)
-    rows, cols = state.geometry.rows, state.geometry.cols
-    if rows % n != 0:
-        raise DimensionMismatchError(f"rows {rows} not divisible by n={n}")
-    groups, per_group = rows // n, cols // n
+    groups, per_group = _patch_grid(state.geometry.rows, state.geometry.cols, n)
     used = per_group * n
     nn = n * n
 
-    bits = state.bits[:, :used].reshape(groups, n, per_group, n)
-    cur = state.cell_current[:, :used].reshape(groups, n, per_group, n)
-    vtr = state.cell_vtrip[:, :used].reshape(groups, n, per_group, n)
-    ones = bits.astype(bool)
+    ones = state.bits != 0
+    k = patch_sums(ones.astype(np.intp), n)
+    i_blb, i_bl = _split_sums(state.cell_current, ones, n)
+    vt_ones, vt_zeros = _split_sums(state.cell_vtrip, ones, n)
+    outcome, _ = race(n, k, i_bl, i_blb, vt_ones, vt_zeros, device)
+    ideal = k >= spec.threshold
 
-    k = ones.sum(axis=(1, 3))
-    i_blb = np.where(ones, cur, 0.0).sum(axis=(1, 3))
-    i_bl = np.where(ones, 0.0, cur).sum(axis=(1, 3))
-    sum_vt_ones = np.where(ones, vtr, 0.0).sum(axis=(1, 3))
-    sum_vt_zeros = np.where(ones, 0.0, vtr).sum(axis=(1, 3))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_bl = sum_vt_ones / k
-        v_blb = sum_vt_zeros / (nn - k)
-        dt = n * (
-            device.c_bl * v_bl / i_bl
-            - device.c_bl * (1.0 + device.delta_c) * v_blb / i_blb
-        )
-    outcome = np.where(k == 0, 0, np.where(k == nn, 1, dt > 0)).astype(np.uint8)
-    ideal = (k >= spec.threshold).astype(np.uint8)
-
-    pre = state.bits[:, :used].copy()
-    out_px = outcome.repeat(n, axis=0).repeat(n, axis=1)
-    state.bits[:, :used] = out_px
-    ideal_px = ideal.repeat(n, axis=0).repeat(n, axis=1)
-    flips_intended = int(np.count_nonzero(pre != ideal_px))
-    flips_unintended = int(np.count_nonzero(out_px != ideal_px))
+    flips_intended = int(np.where(ideal, nn - k, k).sum())
+    flips_unintended = nn * int(np.count_nonzero(outcome != ideal))
+    for i in range(n):
+        for j in range(n):
+            state.bits[i::n, j:used:n] = outcome
 
     # Swing bookkeeping: the winning line discharges fully; the losing line got
     # beta * minority/majority of the way before the race ended.
     minority = np.minimum(k, nn - k)
     majority = np.maximum(k, nn - k)
     frac = device.beta * minority / majority
-    rho = np.where(outcome == 1, frac, 1.0)
-    lam = np.where(outcome == 1, 1.0, frac)
+    won = outcome == 1
+    rho = np.where(won, frac, 1.0)
+    lam = np.where(won, 1.0, frac)
     rho_lambda = list(zip(rho.mean(axis=1).tolist(), lam.mean(axis=1).tolist()))
 
     cycles = 2 * groups
@@ -477,6 +602,80 @@ def _sample_pattern_ids(n: int, k: int, m: int, seed: int) -> list[int]:
     return sorted(out)
 
 
+def _pattern_ids(
+    n: int, k: int, patterns: Literal["all"] | int | Sequence[int], seed: int
+) -> list[int]:
+    if patterns == "all":
+        ids = _all_pattern_ids(n, k)
+    elif isinstance(patterns, int):
+        ids = _sample_pattern_ids(n, k, min(patterns, math.comb(n * n, k)), seed)
+    else:
+        ids = sorted(int(p) for p in patterns)
+    for pid in ids:
+        ones = int(pattern_to_patch(pid, n).sum())
+        if ones != k:
+            raise InvalidParamsError(f"pattern {pid} has {ones} ones, expected {k}")
+    return ids
+
+
+def ber_supply_sweep(
+    n: int,
+    ks: Sequence[int],
+    supplies: Sequence[tuple[DeviceParams, CellVariation]],
+    trials: int = 8,
+    patterns: Literal["all"] | int | Sequence[int] = 16,
+    geometry: MacroGeometry = DEFAULT_GEOMETRY,
+) -> list[list[BERStat]]:
+    """ber_pattern_sweep at every supply and every k: result[s][j] is the
+    BERStat of supplies[s] at ks[j].
+
+    `supplies` holds (device, variation) pairs, each variation already scaled
+    to its device.  The lottery seed rng_seed + pattern_index * trials + trial
+    depends on neither the supply nor k, so (pattern index, trial) is the
+    outer loop, and each lottery is drawn once and rescaled for every
+    (supply, k) that races on it.
+    """
+    for k in ks:
+        if not 0 <= k <= n * n:
+            raise InvalidParamsError(f"k={k} impossible for n={n}")
+    if trials <= 0:
+        raise InvalidParamsError("trials must be positive")
+    ids = [[_pattern_ids(n, k, patterns, var.rng_seed) for k in ks] for _, var in supplies]
+    groups, per_group = geometry.rows // n, geometry.cols // n
+    used = per_group * n
+    patches = macro_patch_count(geometry, n)
+
+    flips = [[[0] * len(pids) for pids in row] for row in ids]
+    with _shared_draws():
+        for pi in range(max((len(pids) for row in ids for pids in row), default=0)):
+            tiles = {
+                pids[pi]: np.tile(pattern_to_patch(pids[pi], n), (groups, per_group))
+                for row in ids for pids in row if pi < len(pids)
+            }
+            for t in range(trials):
+                for (device, variation), row, row_flips in zip(supplies, ids, flips):
+                    seed = variation.rng_seed + pi * trials + t
+                    for pids, pattern_flips in zip(row, row_flips):
+                        if pi < len(pids):
+                            state = init_macro(geometry, device, replace(variation, rng_seed=seed))
+                            state.bits[:, :used] = tiles[pids[pi]]
+                            pattern_flips[pi] += filter_in_memory(state, n, device).flips_unintended
+    return [
+        [
+            BERStat(
+                n=n, k=k, patches=patches, trials=trials,
+                pattern_stats=[
+                    PatternStat(pid, trials, f, f / (patches * trials))
+                    for pid, f in zip(pids, pattern_flips)
+                ],
+                ber=sum(pattern_flips) / (patches * trials * len(pids)),
+            )
+            for k, pids, pattern_flips in zip(ks, row, row_flips)
+        ]
+        for row, row_flips in zip(ids, flips)
+    ]
+
+
 def ber_pattern_sweep(
     n: int,
     k: int,
@@ -494,38 +693,7 @@ def ber_pattern_sweep(
     pattern ids.  BER is unintended flips / (patches * trials), so a fully
     wrong patch contributes n^2.
     """
-    if not 0 <= k <= n * n:
-        raise InvalidParamsError(f"k={k} impossible for n={n}")
-    if trials <= 0:
-        raise InvalidParamsError("trials must be positive")
-    if patterns == "all":
-        ids = _all_pattern_ids(n, k)
-    elif isinstance(patterns, int):
-        ids = _sample_pattern_ids(n, k, min(patterns, math.comb(n * n, k)), variation.rng_seed)
-    else:
-        ids = sorted(int(p) for p in patterns)
-    groups, per_group = geometry.rows // n, geometry.cols // n
-    used = per_group * n
-    patches = macro_patch_count(geometry, n)
-
-    stats: list[PatternStat] = []
-    total_flips = 0
-    for pi, pid in enumerate(ids):
-        patch = pattern_to_patch(pid, n)
-        if int(patch.sum()) != k:
-            raise InvalidParamsError(f"pattern {pid} has {int(patch.sum())} ones, expected {k}")
-        tiled = np.tile(patch, (groups, per_group))
-        flips = 0
-        for t in range(trials):
-            seed = variation.rng_seed + pi * trials + t
-            state = init_macro(geometry, device, replace(variation, rng_seed=seed))
-            state.bits[:, :used] = tiled
-            report = filter_in_memory(state, n, device)
-            flips += report.flips_unintended
-        total_flips += flips
-        stats.append(PatternStat(pid, trials, flips, flips / (patches * trials)))
-    agg = total_flips / (patches * trials * len(ids))
-    return BERStat(n=n, k=k, patches=patches, trials=trials, pattern_stats=stats, ber=agg)
+    return ber_supply_sweep(n, [k], [(device, variation)], trials, patterns, geometry)[0][0]
 
 
 def patch_error_trials(
@@ -553,15 +721,10 @@ def patch_error_trials(
     ones = patch.astype(bool)
     if k == 0 or k == n * n:
         return np.zeros(trials, dtype=bool)
-    i_blb = cur[:, ones].sum(axis=1)
-    i_bl = cur[:, ~ones].sum(axis=1)
-    v_bl = vtr[:, ones].mean(axis=1)
-    v_blb = vtr[:, ~ones].mean(axis=1)
-    dt = n * (
-        device.c_bl * v_bl / i_bl
-        - device.c_bl * (1.0 + device.delta_c) * v_blb / i_blb
+    outcome, _ = race(
+        n, k, cur[:, ~ones].sum(axis=1), cur[:, ones].sum(axis=1),
+        vtr[:, ones].sum(axis=1), vtr[:, ~ones].sum(axis=1), device,
     )
-    outcome = (dt > 0).astype(np.uint8)
     return outcome != expected
 
 
@@ -596,6 +759,96 @@ def measure_image_ber(
     return total_flips / total_px
 
 
+# A direct race decides its sign as f (see _LinearRaces) does whenever |f|
+# exceeds this fraction of v_bl*k + (1+delta_c)*v_blb*(n^2-k).  Its rounding,
+# and that of A and B here, stays below 1e-13 of that sum for any practical n
+# and any spread up to _LINEAR_MAX_SPREAD.
+_RACE_RTOL = 1e-10
+# Closed-form races whose tie band is relatively wider than this are not trusted.
+_MAX_TIE_BAND = 1e-6
+# Largest effective spread the closed form handles.  Clipped currents then
+# stay above 4% of i_s: never floored, and never so small that rounding of a
+# single current matters.
+_LINEAR_MAX_SPREAD = 0.24
+
+
+class _LinearRaces:
+    """Unintended flips of measure_image_ber as a function of the effective
+    spread s, from one lottery draw per frame.
+
+    Without the current floor, i_blb = i_s * (k + s*Z1) and
+    i_bl = i_s * (n^2 - k + s*Z0), where Z1 and Z0 sum clip(z, -4, 4) over the
+    1- and 0-storing cells.  A mixed patch then comes out 1 exactly when
+
+        f(s) = v_bl * (k + s*Z1) - (1 + delta_c) * v_blb * (n^2 - k + s*Z0) > 0,
+
+    which is linear in s, f = A + s*B.  So a patch is wrong (outcome !=
+    majority) on one side of s* = -A/B only.  For each frame the s* inside the
+    bisection range are kept sorted, split by the side on which the patch is
+    wrong, and the flips at s are counted with searchsorted.
+
+    flips(s) is None where the closed form could disagree with the direct
+    race: s outside s_range or above _LINEAR_MAX_SPREAD, an s* within
+    rounding of s, or a patch whose A is too small against its terms to trust.
+    """
+
+    def __init__(
+        self,
+        frames: Sequence[BinaryFrame],
+        device: DeviceParams,
+        variation: CellVariation,
+        n: int,
+        s_range: tuple[float, float],
+    ):
+        if not frames:
+            raise InvalidParamsError("need at least one frame")
+        spec = KernelSpec(n)
+        nn = self.nn = n * n
+        self.band = 0.0        # widest relative tie band of any mixed patch
+        self.constant = 0      # wrong patches whose s* lies outside s_range
+        self.up: list[np.ndarray] = []      # per frame, sorted s* of patches wrong above s*
+        self.down: list[np.ndarray] = []    # ... and of patches wrong below s*
+        self.range = s_lo, s_hi = s_range
+        window = s_lo * (1.0 - 2 * _MAX_TIE_BAND), s_hi * (1.0 + 2 * _MAX_TIE_BAND)
+        s_mid = math.sqrt(s_lo * s_hi)
+        for idx, frame in enumerate(frames):
+            _patch_grid(frame.height, frame.width, n)        # rows must be a multiple of n
+            z_i, z_v = _standard_draws(frame.pixels.shape, variation.rng_seed + idx)
+            ones = frame.pixels != 0
+            k = patch_sums(ones.astype(np.intp), n)
+            z1, z0 = _split_sums(np.clip(z_i, -4.0, 4.0), ones, n)
+            vt1, vt0 = _split_sums(_scale_vtrips(z_v, device, variation), ones, n)
+            mixed = (k > 0) & (k < nn)
+            k, z1, z0, vt1, vt0 = (a[mixed] for a in (k, z1, z0, vt1, vt0))
+            v_bl = vt1 / k
+            v_blb = (1.0 + device.delta_c) * (vt0 / (nn - k))
+            wrong_sign = np.where(k >= spec.threshold, -1.0, 1.0)   # wrong iff sign * f > 0
+            a = wrong_sign * (v_bl * k - v_blb * (nn - k))
+            b = wrong_sign * (v_bl * z1 - v_blb * z0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                band = _RACE_RTOL * (v_bl * k + v_blb * (nn - k)) / np.abs(a)
+                crit = -a / b
+            self.band = max(self.band, float(band.max(initial=0.0)))
+            moving = (crit >= window[0]) & (crit <= window[1])
+            self.constant += int(np.count_nonzero(~moving & (a + s_mid * b > 0)))
+            self.up.append(np.sort(crit[moving & (b > 0)]))
+            self.down.append(np.sort(crit[moving & (b < 0)]))
+
+    def flips(self, s: float) -> int | None:
+        if not self.range[0] < s < self.range[1] or s > _LINEAR_MAX_SPREAD:
+            return None
+        if self.band > _MAX_TIE_BAND:
+            return None
+        near = s * (1.0 - 2 * self.band), s * (1.0 + 2 * self.band)
+        wrong = self.constant
+        for up, down in zip(self.up, self.down):
+            for crit in (up, down):
+                if crit.searchsorted(near[1], "right") > crit.searchsorted(near[0], "left"):
+                    return None
+            wrong += int(up.searchsorted(s)) + len(down) - int(down.searchsorted(s))
+        return self.nn * wrong
+
+
 def calibrate_current_sigma(
     frames: Sequence[BinaryFrame],
     device_low: DeviceParams,
@@ -610,13 +863,27 @@ def calibrate_current_sigma(
     target_ber on `frames`, then report the high-supply BER on the same seeds.
 
     Image BER is monotone in the spread, so a log-space bisection suffices.
+    Each step takes the closed-form count of _LinearRaces, or a direct
+    measure_image_ber where that count could differ from it.
     """
     lo, hi = sigma_bounds
     if not 0 < lo < hi:
         raise InvalidParamsError(f"bad sigma bounds {sigma_bounds}")
 
+    def at(sigma: float) -> CellVariation:
+        return replace(variation, sigma_i_over_mu=sigma)
+
+    def effective(sigma: float) -> float:
+        return variation_at_device(at(sigma), device_low).sigma_i_over_mu
+
+    races = _LinearRaces(frames, device_low, variation, n, (effective(lo), effective(hi)))
+    total_px = sum(frame.width * frame.height for frame in frames)
+
     def ber_at(sigma: float) -> float:
-        return measure_image_ber(frames, device_low, replace(variation, sigma_i_over_mu=sigma), n)
+        flips = races.flips(effective(sigma))
+        if flips is None:
+            return measure_image_ber(frames, device_low, at(sigma), n)
+        return flips / total_px
 
     for _ in range(iters):
         mid = math.sqrt(lo * hi)
@@ -625,11 +892,10 @@ def calibrate_current_sigma(
         else:
             hi = mid
     fitted = math.sqrt(lo * hi)
-    fitted_var = replace(variation, sigma_i_over_mu=fitted)
     return CalibrationResult(
         sigma_i_over_mu=fitted,
-        ber_low_vdd=measure_image_ber(frames, device_low, fitted_var, n),
-        ber_high_vdd=measure_image_ber(frames, device_high, fitted_var, n),
+        ber_low_vdd=measure_image_ber(frames, device_low, at(fitted), n),
+        ber_high_vdd=measure_image_ber(frames, device_high, at(fitted), n),
         vdd_low=device_low.vdd,
         vdd_high=device_high.vdd,
     )

@@ -152,6 +152,85 @@ def lottery_naive(shape, i_s, sigma_rel, v_trip, sigma_v, seed):
     return cur, vtr
 
 
+def filter_in_memory_naive(bits, currents, vtrips, n, c_bl, delta_c, beta):
+    """The in-array filter as first written: masked whole-array sums, one
+    vectorized race, and pixel-level flip counts over the complete patches.
+
+    Returns (filtered bits, flips_intended, flips_unintended, rho_lambda,
+    cycles); the leftover cols % n columns pass through.
+    """
+    rows, cols = bits.shape
+    groups, per_group = rows // n, cols // n
+    used = per_group * n
+    nn = n * n
+
+    b = bits[:, :used].reshape(groups, n, per_group, n)
+    cur = currents[:, :used].reshape(groups, n, per_group, n)
+    vtr = vtrips[:, :used].reshape(groups, n, per_group, n)
+    ones = b.astype(bool)
+
+    k = ones.sum(axis=(1, 3))
+    i_blb = np.where(ones, cur, 0.0).sum(axis=(1, 3))
+    i_bl = np.where(ones, 0.0, cur).sum(axis=(1, 3))
+    sum_vt_ones = np.where(ones, vtr, 0.0).sum(axis=(1, 3))
+    sum_vt_zeros = np.where(ones, 0.0, vtr).sum(axis=(1, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_bl = sum_vt_ones / k
+        v_blb = sum_vt_zeros / (nn - k)
+        dt = n * (c_bl * v_bl / i_bl - c_bl * (1.0 + delta_c) * v_blb / i_blb)
+    outcome = np.where(k == 0, 0, np.where(k == nn, 1, dt > 0)).astype(np.uint8)
+    ideal = (k >= (nn + 1) // 2).astype(np.uint8)
+
+    out = bits.copy()
+    out_px = outcome.repeat(n, axis=0).repeat(n, axis=1)
+    out[:, :used] = out_px
+    ideal_px = ideal.repeat(n, axis=0).repeat(n, axis=1)
+    flips_intended = int(np.count_nonzero(bits[:, :used] != ideal_px))
+    flips_unintended = int(np.count_nonzero(out_px != ideal_px))
+
+    minority = np.minimum(k, nn - k)
+    majority = np.maximum(k, nn - k)
+    frac = beta * minority / majority
+    rho = np.where(outcome == 1, frac, 1.0)
+    lam = np.where(outcome == 1, 1.0, frac)
+    rho_lambda = list(zip(rho.mean(axis=1).tolist(), lam.mean(axis=1).tolist()))
+    return out, flips_intended, flips_unintended, rho_lambda, 2 * groups
+
+
+def pattern_sweep_naive(n, pattern_ids, shape, i_s, sigma_rel, v_trip, sigma_v, c_bl,
+                        delta_c, beta, trials, rng_seed):
+    """Unintended flips per pattern: every complete patch of a `shape` array
+    holds the pattern, with a fresh lottery per trial at seed
+    rng_seed + pattern_index * trials + trial."""
+    rows, cols = shape
+    used = cols // n * n
+    flips = []
+    for pi, pid in enumerate(pattern_ids):
+        patch = np.array([(pid >> i) & 1 for i in range(n * n)], dtype=np.uint8).reshape(n, n)
+        total = 0
+        for t in range(trials):
+            cur, vtr = lottery_naive(shape, i_s, sigma_rel, v_trip, sigma_v,
+                                     rng_seed + pi * trials + t)
+            bits = np.zeros(shape, dtype=np.uint8)
+            bits[:, :used] = np.tile(patch, (rows // n, cols // n))
+            total += filter_in_memory_naive(bits, cur, vtr, n, c_bl, delta_c, beta)[2]
+        flips.append(total)
+    return flips
+
+
+def bisect_sigma(ber_at, sigma_bounds, target_ber, iters):
+    """Log-space bisection for the spread whose BER first reaches target_ber,
+    evaluating ber_at(sigma) at every step."""
+    lo, hi = sigma_bounds
+    for _ in range(iters):
+        mid = math.sqrt(lo * hi)
+        if ber_at(mid) < target_ber:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
 def aggregate_naive(t, x, y, t_f, width, height):
     """Per-event scatter into half-open t_f windows anchored at the first event."""
     if not len(t):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from imfsim.config import RunConfig, load_config, parse_config_text
 from imfsim.errors import InvalidParamsError
+from imfsim.sram_macro import DeviceParams
 
 
 def test_empty_config_is_all_defaults(tmp_path):
@@ -63,3 +66,18 @@ def test_builders_wire_through():
     assert cfg.workload().pixels == 48 * 30
     assert cfg.energy_constants().dnn_energy == pytest.approx(1076.6e-9)
     assert cfg.tracker_config().confirm_hits == 3
+
+
+def test_device_at_another_supply_derives_its_own_nominals():
+    cfg = RunConfig()
+    high = cfg.device(vdd=1.2)
+    assert high == DeviceParams(vdd=1.2)
+    assert high.v_trip_nominal == pytest.approx(0.36)
+    assert high.i_s_nominal == pytest.approx(8.55e-5, rel=1e-3)
+    # replace() on the 0.7 V device would keep the 0.7 V derived nominals
+    stale = replace(cfg.device(), vdd=1.2)
+    assert stale.v_trip_nominal == pytest.approx(0.21) and stale != high
+    assert cfg.device() == cfg.device(vdd=cfg.vdd) == DeviceParams(vdd=0.7)
+    # values set in the config are kept at every supply
+    pinned = RunConfig(v_trip=0.3, i_s=2e-5).device(vdd=1.2)
+    assert pinned.v_trip_nominal == 0.3 and pinned.i_s_nominal == 2e-5

@@ -288,6 +288,19 @@ def test_aggregate_out_of_bounds_event():
         aggregate_frames(events((10, 0, 0, 1), (20, 1, 9, 1), (30, 9, 1, 1)), cfg)
 
 
+def test_aggregate_rejects_decreasing_timestamps():
+    cfg = FrameConfig(t_f=100, sensor_width=4, sensor_height=4)
+    # t = 0 after t = 100 would land in a wrapped-around window
+    with pytest.raises(NonMonotonicTimestampError, match="at event 2$") as err:
+        aggregate_frames(events((100, 0, 0, 1), (0, 1, 1, 1), (250, 2, 2, 1)), cfg)
+    assert err.value.line_no == 2
+    # a last event before the first would size the stack to zero frames
+    with pytest.raises(NonMonotonicTimestampError) as err:
+        aggregate_frames(events((10, 0, 0, 1), (0, 1, 1, 1)), cfg)
+    assert err.value.line_no == 2
+    assert len(aggregate_frames(events((10, 0, 0, 1), (10, 1, 1, 1)), cfg)) == 1
+
+
 def test_aggregate_matches_scatter_oracle():
     rng = np.random.default_rng(5)
     cfg = FrameConfig(t_f=700, sensor_width=32, sensor_height=24)

@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import imfsim.sram_macro as sram_macro
 import oracles
 from imfsim.errors import DimensionMismatchError, InvalidParamsError, OutOfBoundsError
 from imfsim.filters import KernelSpec, nomf, patch_majority
@@ -16,6 +19,7 @@ from imfsim.sram_macro import (
     GateCounts,
     MacroGeometry,
     ber_pattern_sweep,
+    ber_supply_sweep,
     calibrate_current_sigma,
     check_tg_criterion,
     clear_memory,
@@ -26,6 +30,7 @@ from imfsim.sram_macro import (
     measure_image_ber,
     pattern_to_patch,
     patch_error_trials,
+    patch_sums,
     read_frame,
     resolve_patch,
     sample_cell_lottery,
@@ -179,6 +184,17 @@ def test_write_events_cycles_bounds_and_idempotence():
         write_events(state, [(240, 0)])
     with pytest.raises(OutOfBoundsError):
         write_events(state, [(0, -1)])
+
+
+def test_write_events_names_first_outside_pixel_and_writes_nothing():
+    state = init_macro(MacroGeometry(rows=6, cols=6), DeviceParams(), NO_VARIATION)
+    with pytest.raises(OutOfBoundsError, match=r"pixel \(6, 1\) outside 6x6"):
+        write_events(state, [(1, 1), (6, 1), (2, -1)])
+    assert not state.bits.any() and state.cycle_count == 0
+    assert write_events(state, np.array([[5, 5], [0, 3], [5, 5]])) == 3
+    assert state.bits.sum() == 2 and state.cycle_count == 3
+    with pytest.raises(InvalidParamsError):
+        write_events(state, [(1, 2, 3)])
 
 
 def test_load_frame_round_trip_and_cycle_invariant():
@@ -493,3 +509,166 @@ def test_calibrate_rejects_bad_bounds():
     frames = [BinaryFrame.zeros(6, 6)]
     with pytest.raises(InvalidParamsError):
         calibrate_current_sigma(frames, d, DeviceParams(vdd=1.2), NO_VARIATION, sigma_bounds=(0.5, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the fast kernels against the code they replaced
+# ---------------------------------------------------------------------------
+
+@given(
+    n=st.sampled_from([3, 5]),
+    groups=st.integers(1, 6),
+    per_group=st.integers(1, 12),
+    extra=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_patch_sums_bitwise_equal_numpy_sum(n, groups, per_group, extra, seed):
+    rng = np.random.default_rng(seed)
+    cols = per_group * n + extra % n
+    a = rng.standard_normal((groups * n, cols)) * 10.0 ** rng.integers(-12, 3, (groups * n, cols))
+    a[rng.random(a.shape) < 0.4] = 0.0
+    used = per_group * n
+    want = np.ascontiguousarray(a[:, :used]).reshape(groups, n, per_group, n).sum(axis=(1, 3))
+    assert np.array_equal(patch_sums(a, n), want)
+
+
+@given(
+    n=st.sampled_from([3, 5]),
+    groups=st.integers(1, 5),
+    cols=st.integers(3, 40),
+    density=st.floats(0.0, 1.0),
+    sigma=st.sampled_from([0.0, 0.05, 0.3, 2.0]),
+    delta_c=st.sampled_from([0.0, 0.04, -0.2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_in_memory_matches_replaced_code(n, groups, cols, density, sigma, delta_c, seed):
+    geom = MacroGeometry(rows=groups * n, cols=max(cols, n))
+    d = DeviceParams(vdd=0.7, delta_c=delta_c)
+    state = init_macro(geom, d, CellVariation(sigma, 0.01, rng_seed=seed))
+    rng = np.random.default_rng(seed)
+    state.bits[:, :] = rng.random(state.bits.shape) < density
+    want_bits, want_int, want_un, want_rl, want_cycles = oracles.filter_in_memory_naive(
+        state.bits.copy(), state.cell_current, state.cell_vtrip, n, d.c_bl, d.delta_c, d.beta
+    )
+    report = filter_in_memory(state, n, d)
+    assert np.array_equal(state.bits, want_bits)
+    assert (report.flips_intended, report.flips_unintended) == (want_int, want_un)
+    assert report.rho_lambda == want_rl
+    assert report.cycles == want_cycles == state.cycle_count
+    assert report.valid_frame == int(want_bits.any())
+
+
+def test_supply_sweep_equals_separate_naive_sweeps():
+    geom = MacroGeometry(rows=9, cols=14)      # 14 % 3 = 2 leftover columns
+    supplies = [DeviceParams(vdd=0.7), DeviceParams(vdd=1.2, delta_c=0.02)]
+    ref = CellVariation(0.3, 0.01, rng_seed=4)
+    pairs = [(d, variation_at_device(ref, d)) for d in supplies]
+    ks = [3, 4, 5]
+    for patterns in (4, [15, 23, 30]):
+        if not isinstance(patterns, int):
+            ks = [4]
+        got = ber_supply_sweep(3, ks, pairs, trials=3, patterns=patterns, geometry=geom)
+        for (d, var), per_k in zip(pairs, got):
+            for k, stat in zip(ks, per_k):
+                assert stat == ber_pattern_sweep(3, k, d, var, trials=3, patterns=patterns,
+                                                 geometry=geom)
+                ids = [ps.pattern_id for ps in stat.pattern_stats]
+                want = oracles.pattern_sweep_naive(
+                    3, ids, (9, 14), d.i_s_nominal, var.sigma_i_over_mu, d.v_trip_nominal,
+                    var.sigma_vtrip, d.c_bl, d.delta_c, d.beta, 3, var.rng_seed,
+                )
+                assert [ps.flips for ps in stat.pattern_stats] == want
+                assert stat.ber == sum(want) / (stat.patches * 3 * len(ids))
+    assert sum(ps.flips for row in got for stat in row for ps in stat.pattern_stats) > 0
+
+
+# ---------------------------------------------------------------------------
+# closed-form calibration against the direct bisection
+# ---------------------------------------------------------------------------
+
+def _noise(count, h, w, p, seed):
+    rng = np.random.default_rng(seed)
+    return [BinaryFrame((rng.random((h, w)) < p).astype(np.uint8)) for _ in range(count)]
+
+
+def _uniform_patches(count, h, w, seed):
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(count):
+        tiles = (rng.random((h // 3, -(-w // 3))) < 0.5).astype(np.uint8)
+        frames.append(BinaryFrame(tiles.repeat(3, axis=0).repeat(3, axis=1)[:, :w]))
+    return frames
+
+
+def _direct_fit(frames, low, high, var, target, bounds, iters):
+    fitted = oracles.bisect_sigma(
+        lambda s: measure_image_ber(frames, low, replace(var, sigma_i_over_mu=s)),
+        bounds, target, iters,
+    )
+    at = replace(var, sigma_i_over_mu=fitted)
+    return fitted, measure_image_ber(frames, low, at), measure_image_ber(frames, high, at)
+
+
+@pytest.fixture
+def ber_calls(monkeypatch):
+    calls = []
+    direct = sram_macro.measure_image_ber
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].sigma_i_over_mu)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(sram_macro, "measure_image_ber", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "frames, low, var, target, bounds, closed_form",
+    [
+        (_noise(4, 30, 32, 0.4, 1), DeviceParams(vdd=0.7), CellVariation(rng_seed=3),
+         2e-3, (2e-3, 0.5), True),
+        (_noise(3, 27, 30, 0.5, 2), DeviceParams(vdd=0.7, delta_c=0.05),
+         CellVariation(sigma_vtrip=0.01, rng_seed=8), 5e-3, (2e-3, 0.5), True),
+        (_noise(3, 24, 25, 0.45, 3), DeviceParams(vdd=0.8, delta_c=-0.03),
+         CellVariation(rng_seed=1), 1e-2, (1e-3, 0.2), True),
+        # sigma_eff passes 0.25, where the current floor applies: direct steps
+        (_noise(3, 30, 30, 0.5, 4), DeviceParams(vdd=0.7), CellVariation(rng_seed=5),
+         0.2, (0.05, 3.0), False),
+        # only uniform patches: no race, BER 0 at every spread
+        (_uniform_patches(3, 30, 31, 5), DeviceParams(vdd=0.7), CellVariation(rng_seed=6),
+         2e-4, (2e-3, 0.1), True),
+        (_uniform_patches(2, 30, 30, 6), DeviceParams(vdd=0.7), CellVariation(rng_seed=6),
+         2e-4, (2e-3, 0.5), False),
+    ],
+)
+def test_closed_form_calibration_is_the_direct_bisection(
+    ber_calls, frames, low, var, target, bounds, closed_form
+):
+    high = DeviceParams(vdd=1.2, delta_c=low.delta_c)
+    fit = calibrate_current_sigma(frames, low, high, var, target_ber=target,
+                                  sigma_bounds=bounds, iters=18)
+    steps = len(ber_calls) - 2
+    assert (fit.sigma_i_over_mu, fit.ber_low_vdd, fit.ber_high_vdd) == _direct_fit(
+        frames, low, high, var, target, bounds, 18
+    )
+    assert steps == 0 if closed_form else steps > 0
+
+
+def test_linear_races_refuse_a_spread_at_a_critical_point():
+    frames = _noise(2, 30, 30, 0.45, 9)
+    d = DeviceParams(vdd=0.7)
+    races = sram_macro._LinearRaces(frames, d, CellVariation(rng_seed=2), 3, (0.01, 0.2))
+    crit = np.concatenate(races.up + races.down)
+    crit = crit[(crit > 0.02) & (crit < 0.19)]
+    assert crit.size
+    s = float(crit[crit.size // 2])
+    below, above = races.flips(s * (1 - 1e-4)), races.flips(s * (1 + 1e-4))
+    assert races.flips(s) is None
+    assert below is not None and above is not None and abs(above - below) >= 9
+    for probe in (s * (1 - 1e-4), s * (1 + 1e-4), 0.05):
+        var = replace(CellVariation(rng_seed=2), sigma_i_over_mu=probe * d.overdrive / 0.65)
+        eff = variation_at_device(var, d).sigma_i_over_mu
+        flips = races.flips(eff)
+        if flips is not None:
+            assert flips / (2 * 900) == measure_image_ber(frames, d, var)
+    assert races.flips(0.25) is None       # past the closed form's spread limit

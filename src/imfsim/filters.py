@@ -8,7 +8,9 @@ iff at least ceil(n^2/2) pixels of the window are 1.  Two stride policies:
   one majority decision is written to every pixel of the patch.  Edge tiles
   with m < n^2 present pixels use threshold ceil(m/2).
 
-Both are pure functions of the input frame.
+Both are pure functions of the input frame.  Each is written once, as a
+kernel over an (N, H, W) uint8 stack of frames; the per-frame functions call
+it on a stack of one.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import numpy as np
 
 from .errors import InvalidCountError, InvalidParamsError
 from .frames import BinaryFrame
+
+FRAME_CHUNK = 64    # frames per kernel call in filter_chunks
 
 
 @dataclass(frozen=True)
@@ -48,38 +52,57 @@ def patch_majority(count: int, spec: KernelSpec) -> int:
     return 1 if count >= spec.threshold else 0
 
 
+def median_filter_overlap_stack(stack: np.ndarray, n: int) -> np.ndarray:
+    """Stride-1 binary median with zero padding over an (N, H, W) stack of
+    {0,1} frames; the output has the input's shape."""
+    r = n // 2
+    rows = stack.astype(np.uint8 if n * n <= 255 else np.uint16)  # holds n^2 ones
+    for d in range(1, r + 1):  # horizontal window sums; pixels past the edge add 0
+        rows[:, :, d:] += stack[:, :, :-d]
+        rows[:, :, :-d] += stack[:, :, d:]
+    sums = rows.copy()
+    for d in range(1, r + 1):
+        sums[:, d:] += rows[:, :-d]
+        sums[:, :-d] += rows[:, d:]
+    return (sums >= (n * n + 1) // 2).view(np.uint8)
+
+
+def nomf_stack(stack: np.ndarray, n: int) -> np.ndarray:
+    """Non-overlapping median over an (N, H, W) stack of {0,1} frames: one
+    majority decision per disjoint n x n tile, edge tiles voting over the
+    m pixels they hold."""
+    _, h, w = stack.shape
+    sums = np.zeros((len(stack), -(-h // n), -(-w // n)),
+                    dtype=np.uint8 if n * n <= 255 else np.uint16)
+    for i in range(n):
+        for j in range(n):
+            part = stack[:, i::n, j::n]
+            sums[:, : part.shape[1], : part.shape[2]] += part
+    tile_rows = np.minimum(n, h - n * np.arange(sums.shape[1]))
+    tile_cols = np.minimum(n, w - n * np.arange(sums.shape[2]))
+    bits = (sums >= (np.outer(tile_rows, tile_cols) + 1) // 2).view(np.uint8)
+    return bits.repeat(n, axis=1).repeat(n, axis=2)[:, :h, :w]
+
+
 def median_filter_overlap(frame: BinaryFrame, spec: KernelSpec) -> BinaryFrame:
     """Stride-1 binary median with zero padding; output has the input's shape."""
-    n, r = spec.n, spec.n // 2
-    padded = np.pad(frame.pixels, r).astype(np.int32)
-    # integral image: window sums without touching each pixel n^2 times
-    s = padded.cumsum(axis=0).cumsum(axis=1)
-    s = np.pad(s, ((1, 0), (1, 0)))
-    h, w = frame.height, frame.width
-    counts = s[n : n + h, n : n + w] - s[:h, n : n + w] - s[n : n + h, :w] + s[:h, :w]
-    return BinaryFrame((counts >= spec.threshold).astype(np.uint8))
-
-
-def _tile_edges(size: int, n: int) -> np.ndarray:
-    return np.arange(0, size, n)
+    return BinaryFrame(median_filter_overlap_stack(frame.pixels[None], spec.n)[0])
 
 
 def nomf(frame: BinaryFrame, spec: KernelSpec) -> BinaryFrame:
     """Non-overlapping median: one majority decision per disjoint n x n tile."""
-    n = spec.n
-    px = frame.pixels
-    rows = _tile_edges(frame.height, n)
-    cols = _tile_edges(frame.width, n)
-    sums = np.add.reduceat(np.add.reduceat(px.astype(np.int32), rows, axis=0), cols, axis=1)
-    row_sizes = np.diff(np.append(rows, frame.height))
-    col_sizes = np.diff(np.append(cols, frame.width))
-    cells = np.outer(row_sizes, col_sizes)
-    bits = (sums >= (cells + 1) // 2).astype(np.uint8)
-    out = np.repeat(np.repeat(bits, row_sizes, axis=0), col_sizes, axis=1)
-    return BinaryFrame(out)
+    return BinaryFrame(nomf_stack(frame.pixels[None], spec.n)[0])
 
 
 def apply_filter(frame: BinaryFrame, spec: KernelSpec, mode: StrideMode) -> BinaryFrame:
     if mode is StrideMode.OVERLAP:
         return median_filter_overlap(frame, spec)
     return nomf(frame, spec)
+
+
+def filter_chunks(stack: np.ndarray, spec: KernelSpec, mode: StrideMode):
+    """Yield the filtered stack FRAME_CHUNK frames at a time, so that the
+    kernels' temporaries stay small however long the recording is."""
+    kernel = median_filter_overlap_stack if mode is StrideMode.OVERLAP else nomf_stack
+    for lo in range(0, len(stack), FRAME_CHUNK):
+        yield kernel(stack[lo : lo + FRAME_CHUNK], spec.n)

@@ -31,6 +31,7 @@ from typing import Iterable, TextIO, Union
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     InvalidParamsError,
     MalformedLineError,
     NonMonotonicTimestampError,
@@ -290,8 +291,9 @@ def _put_digits(field: np.ndarray, values: np.ndarray) -> None:
 # accumulation
 # ---------------------------------------------------------------------------
 
-def aggregate_frames(events: EventArray, cfg: FrameConfig) -> list[BinaryFrame]:
-    """OR-accumulate events into t_f windows anchored at the first event.
+def aggregate_stack(events: EventArray, cfg: FrameConfig) -> np.ndarray:
+    """OR-accumulate events into t_f windows anchored at the first event, as
+    one (frames, height, width) uint8 stack.
 
     Both polarities mark the pixel.  An event exactly on a window boundary
     belongs to the later window.  Raises NonMonotonicTimestampError, naming
@@ -299,7 +301,7 @@ def aggregate_frames(events: EventArray, cfg: FrameConfig) -> list[BinaryFrame]:
     if an event lies outside the configured sensor.
     """
     if not len(events):
-        return []
+        return np.zeros((0, cfg.sensor_height, cfg.sensor_width), dtype=np.uint8)
     decreasing = events.t[1:] < events.t[:-1]
     if decreasing.any():
         raise NonMonotonicTimestampError(int(np.argmax(decreasing)) + 2, "event")
@@ -314,7 +316,12 @@ def aggregate_frames(events: EventArray, cfg: FrameConfig) -> list[BinaryFrame]:
     n_frames = (int(events.t[-1]) - t0) // cfg.t_f + 1
     stack = np.zeros((n_frames, cfg.sensor_height, cfg.sensor_width), dtype=np.uint8)
     stack[(events.t - t0) // cfg.t_f, events.y, events.x] = 1
-    return [BinaryFrame(stack[k]) for k in range(n_frames)]
+    return stack
+
+
+def aggregate_frames(events: EventArray, cfg: FrameConfig) -> list[BinaryFrame]:
+    """aggregate_stack as a list of frames."""
+    return [BinaryFrame(px) for px in aggregate_stack(events, cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +372,24 @@ def read_pbm(path: Union[str, Path]) -> BinaryFrame:
     raw = np.frombuffer(data, dtype=np.uint8, count=height * row_bytes, offset=i)
     bits = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width]
     return BinaryFrame(bits)
+
+
+def read_pbm_stack(directory: Union[str, Path]) -> np.ndarray:
+    """Every *.pbm under directory, in name order, as one (frames, height,
+    width) uint8 stack.  A frame whose size differs from the first file's
+    raises DimensionMismatchError naming it."""
+    paths = sorted(Path(directory).glob("*.pbm"))
+    if not paths:
+        raise InvalidParamsError(f"no .pbm frames under {directory}")
+    stack = None
+    for i, path in enumerate(paths):
+        px = read_pbm(path).pixels
+        if stack is None:
+            stack = np.empty((len(paths), *px.shape), dtype=np.uint8)
+        elif px.shape != stack.shape[1:]:
+            raise DimensionMismatchError(
+                f"frame {px.shape[1]}x{px.shape[0]} in {path} differs from "
+                f"{stack.shape[2]}x{stack.shape[1]} in {paths[0]}"
+            )
+        stack[i] = px
+    return stack

@@ -4,7 +4,9 @@ Frames are OR-downscaled by (a, b), connected components of the small image
 become proposals (tiny specks dropped), proposal boxes are mapped back to
 sensor coordinates by multiplying by (a, b), and a greedy IoU tracker links
 them over time.  Tracks confirm after a run of consecutive hits and die after
-a run of consecutive misses.
+a run of consecutive misses.  Downscaling, labelling and proposals are
+kernels over an (N, H, W) stack of frames; the per-frame functions call them
+on a stack of one.
 """
 
 from __future__ import annotations
@@ -67,89 +69,101 @@ class Track:
         return self.boxes[max(self.boxes)]
 
 
-def downscale_or(frame: BinaryFrame, a: int, b: int) -> BinaryFrame:
-    """OR-reduce a*b blocks; output is ceil(W/a) x ceil(H/b)."""
+def downscale_or_stack(stack: np.ndarray, a: int, b: int) -> np.ndarray:
+    """OR-reduce a*b blocks of every frame of an (N, H, W) stack; the output
+    is (N, ceil(H/b), ceil(W/a))."""
     if a < 1 or b < 1:
         raise InvalidParamsError(f"rescale factors must be >= 1, got ({a}, {b})")
-    px = frame.pixels
-    rows = np.arange(0, frame.height, b)
-    cols = np.arange(0, frame.width, a)
-    sums = np.add.reduceat(np.add.reduceat(px.astype(np.int32), rows, axis=0), cols, axis=1)
-    return BinaryFrame((sums > 0).astype(np.uint8))
+    _, h, w = stack.shape
+    cols = np.zeros((len(stack), h, -(-w // a)), dtype=np.uint8)
+    for j in range(a):
+        part = stack[:, :, j::a]
+        cols[:, :, : part.shape[2]] |= part
+    out = np.zeros((len(stack), -(-h // b), cols.shape[2]), dtype=np.uint8)
+    for i in range(b):
+        part = cols[:, i::b]
+        out[:, : part.shape[1]] |= part
+    return out
+
+
+# neighbours after a pixel in raster order; the rest are the same edges reversed
+_FORWARD_STEPS = {4: ((0, 1), (1, 0)), 8: ((0, 1), (1, -1), (1, 0), (1, 1))}
+
+
+def connected_components_stack(stack: np.ndarray, connectivity: int = 8) -> np.ndarray:
+    """Bounding boxes of the connected 1-regions of every frame of an (N, H, W)
+    stack, as int rows (frame, x, y, w, h) sorted by (frame, y, x).
+
+    Foreground pixels are numbered in raster order over the whole stack, and
+    each starts labelled by its own number.  Every round hooks, across each
+    edge whose ends disagree, the larger root under the smaller label, then
+    jumps pointers until each label is a root.  So each component ends
+    labelled by its first pixel in raster order, which breaks (y, x) ties.
+    """
+    if connectivity not in _FORWARD_STEPS:
+        raise InvalidParamsError(f"connectivity must be 4 or 8, got {connectivity}")
+    n_frames, h, w = stack.shape
+    fg = np.zeros((n_frames, h + 2, w + 2), dtype=bool)  # a background border per frame
+    fg[:, 1:-1, 1:-1] = stack
+    pos = np.flatnonzero(fg)
+    index = np.full(fg.size, -1, dtype=np.intp)
+    index[pos] = np.arange(pos.size)
+    src, dst = [], []
+    for dy, dx in _FORWARD_STEPS[connectivity]:
+        neighbour = index[pos + dy * (w + 2) + dx]
+        src.append(np.flatnonzero(neighbour >= 0))
+        dst.append(neighbour[neighbour >= 0])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+
+    label = np.arange(pos.size)
+    while True:
+        ls, ld = label[src], label[dst]
+        apart = ls != ld
+        if not apart.any():
+            break
+        ls, ld = ls[apart], ld[apart]
+        np.minimum.at(label, np.maximum(ls, ld), np.minimum(ls, ld))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+    frame, y, x = np.unravel_index(pos, fg.shape)
+    roots, comp = np.unique(label, return_inverse=True)
+    frame, x0, x1, y0, y1 = frame[roots], x[roots], x[roots], y[roots], y[roots]
+    np.minimum.at(x0, comp, x)     # y0 is already the root's row
+    np.maximum.at(x1, comp, x)
+    np.maximum.at(y1, comp, y)
+    boxes = np.stack([frame, x0 - 1, y0 - 1, x1 - x0 + 1, y1 - y0 + 1], axis=1)
+    return boxes[np.lexsort((x0, y0, frame))]
+
+
+def region_proposals_stack(
+    stack: np.ndarray,
+    a: int = 8,
+    b: int = 6,
+    min_area: int = 2,
+    connectivity: int = 8,
+) -> list[list[BoundingBox]]:
+    """Per frame of an (N, H, W) stack: downscale, label, drop specks below
+    min_area (downscaled px), map back by (a, b)."""
+    boxes = connected_components_stack(downscale_or_stack(stack, a, b), connectivity)
+    out: list[list[BoundingBox]] = [[] for _ in range(len(stack))]
+    for frame, x, y, w, h in boxes[boxes[:, 3] * boxes[:, 4] >= min_area].tolist():
+        out[frame].append(BoundingBox(x=x * a, y=y * b, w=w * a, h=h * b))
+    return out
+
+
+def downscale_or(frame: BinaryFrame, a: int, b: int) -> BinaryFrame:
+    """OR-reduce a*b blocks; output is ceil(W/a) x ceil(H/b)."""
+    return BinaryFrame(downscale_or_stack(frame.pixels[None], a, b)[0])
 
 
 def connected_components(frame: BinaryFrame, connectivity: int = 8) -> list[BoundingBox]:
-    """Bounding boxes of connected 1-regions (two-pass union-find), sorted by (y, x)."""
-    if connectivity not in (4, 8):
-        raise InvalidParamsError(f"connectivity must be 4 or 8, got {connectivity}")
-    px = frame.pixels
-    h, w = px.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    parent = [0]
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    next_label = 1
-    for r in range(h):
-        row = px[r]
-        for c in range(w):
-            if not row[c]:
-                continue
-            neigh = []
-            if c > 0 and labels[r, c - 1]:
-                neigh.append(labels[r, c - 1])
-            if r > 0:
-                if labels[r - 1, c]:
-                    neigh.append(labels[r - 1, c])
-                if connectivity == 8:
-                    if c > 0 and labels[r - 1, c - 1]:
-                        neigh.append(labels[r - 1, c - 1])
-                    if c + 1 < w and labels[r - 1, c + 1]:
-                        neigh.append(labels[r - 1, c + 1])
-            if not neigh:
-                labels[r, c] = next_label
-                parent.append(next_label)
-                next_label += 1
-            else:
-                m = min(neigh)
-                labels[r, c] = m
-                for other in neigh:
-                    union(m, other)
-
-    extents: dict[int, list[int]] = {}
-    for r in range(h):
-        for c in range(w):
-            lab = labels[r, c]
-            if not lab:
-                continue
-            root = find(lab)
-            ext = extents.get(root)
-            if ext is None:
-                extents[root] = [c, r, c, r]
-            else:
-                if c < ext[0]:
-                    ext[0] = c
-                if c > ext[2]:
-                    ext[2] = c
-                if r < ext[1]:
-                    ext[1] = r
-                if r > ext[3]:
-                    ext[3] = r
-    boxes = [
-        BoundingBox(x=e[0], y=e[1], w=e[2] - e[0] + 1, h=e[3] - e[1] + 1)
-        for e in extents.values()
-    ]
-    boxes.sort(key=lambda bx: (bx.y, bx.x))
-    return boxes
+    """Bounding boxes of connected 1-regions, sorted by (y, x)."""
+    return [BoundingBox(x, y, w, h) for _, x, y, w, h in
+            connected_components_stack(frame.pixels[None], connectivity).tolist()]
 
 
 def region_proposals(
@@ -160,13 +174,7 @@ def region_proposals(
     connectivity: int = 8,
 ) -> list[BoundingBox]:
     """Downscale, label, drop specks below min_area (downscaled px), map back by (a, b)."""
-    small = downscale_or(frame, a, b)
-    out = []
-    for box in connected_components(small, connectivity):
-        if box.area < min_area:
-            continue
-        out.append(BoundingBox(x=box.x * a, y=box.y * b, w=box.w * a, h=box.h * b))
-    return out
+    return region_proposals_stack(frame.pixels[None], a, b, min_area, connectivity)[0]
 
 
 def track_update(
@@ -245,6 +253,18 @@ def extract_patch(frame: BinaryFrame, center: tuple[int, int], side: int = 42) -
     return out
 
 
+def track_proposals(
+    proposals: list[list[BoundingBox]], cfg: TrackerConfig
+) -> tuple[list[Track], dict[int, list[BoundingBox]]]:
+    """Track per-frame proposals; returns the tracks and the per-frame confirmed boxes."""
+    tracks: list[Track] = []
+    per_frame: dict[int, list[BoundingBox]] = {}
+    for idx, frame_proposals in enumerate(proposals):
+        tracks = track_update(tracks, frame_proposals, idx, cfg)
+        per_frame[idx] = confirmed_boxes(tracks, idx)
+    return tracks, per_frame
+
+
 def track_recording(
     frames: list[BinaryFrame],
     cfg: TrackerConfig,
@@ -255,10 +275,6 @@ def track_recording(
 ) -> tuple[list[Track], dict[int, list[BoundingBox]]]:
     """Run proposals + tracking over a frame sequence; returns the tracks and the
     per-frame confirmed boxes."""
-    tracks: list[Track] = []
-    per_frame: dict[int, list[BoundingBox]] = {}
-    for idx, frame in enumerate(frames):
-        proposals = region_proposals(frame, a, b, min_area, connectivity)
-        tracks = track_update(tracks, proposals, idx, cfg)
-        per_frame[idx] = confirmed_boxes(tracks, idx)
-    return tracks, per_frame
+    return track_proposals(
+        [region_proposals(f, a, b, min_area, connectivity) for f in frames], cfg
+    )

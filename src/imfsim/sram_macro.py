@@ -421,6 +421,15 @@ def _patch_grid(rows: int, cols: int, n: int) -> tuple[int, int]:
     return rows // n, cols // n
 
 
+def frame_geometry(height: int, width: int, n: int) -> MacroGeometry:
+    """The macro region a height x width frame fills, checked to lie inside
+    the 320 x 240 macro and to hold whole n-row groups."""
+    if height > DEFAULT_GEOMETRY.rows or width > DEFAULT_GEOMETRY.cols:
+        raise DimensionMismatchError(f"frame {width}x{height} exceeds the 320x240 macro")
+    _patch_grid(height, width, n)
+    return MacroGeometry(rows=height, cols=width)
+
+
 def _pairwise(terms: list[np.ndarray]) -> np.ndarray:
     """Sum two or more same-shape arrays in the order numpy's pairwise
     summation adds a contiguous run of len(terms) values."""

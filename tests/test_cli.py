@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import shutil
 import subprocess
@@ -170,6 +171,24 @@ def test_bad_input_exits_2(traffic_dir, tmp_path, capsys, name, data, argv, expe
     subs = {"{input}": path, "{dir}": path.parent, "{traffic}": traffic_dir / "frames"}
     assert run_cli(*(subs.get(a, a) for a in argv), "--out", tmp_path / "out") == 2
     assert expect in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize("command", ["denoise", "simulate", "track-eval"])
+def test_mixed_frame_sizes_are_rejected_before_any_work(tmp_path, capsys, command):
+    from imfsim.frames import BinaryFrame, write_pbm
+
+    d = tmp_path / "frames"
+    d.mkdir()
+    for i, (w, h) in enumerate([(24, 18), (24, 18), (24, 21), (30, 18)]):
+        write_pbm(BinaryFrame.zeros(w, h), d / f"frame_{i:05d}.pbm")
+    gt = write_cfg(tmp_path, "frame_index,track_id,class,x,y,w,h\n", "gt.csv")
+    extra = ["--gt", gt] if command == "track-eval" else []
+    out = tmp_path / "out"
+    assert run_cli(command, "--frames", d, *extra, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "frame_00002.pbm" in err and "24x21" in err
+    assert not out.exists()
 
 
 def test_empty_frames_dir_is_invalid(tmp_path, capsys):
@@ -338,6 +357,25 @@ def test_perf_report_values(tmp_path):
     assert metrics["system.mf.savings"] < metrics["system.imc.savings"]
 
 
+def test_perf_current_uses_the_configured_device_at_1v2(tmp_path, monkeypatch):
+    import imfsim.cli as cli
+    from imfsim.config import load_config
+
+    devices = []
+
+    def spy(params, device, *args, **kwargs):
+        devices.append(device)
+        return real(params, device, *args, **kwargs)
+
+    real = cli.imc_current
+    monkeypatch.setattr(cli, "imc_current", spy)
+    cfg = write_cfg(tmp_path, "i_s = 2e-5\nv_trip = 0.3\nr_tg = 500\n")
+    assert run_cli("perf", "--config", cfg, "--out", tmp_path / "out") == 0
+    want = load_config(cfg).device(vdd=1.2)
+    assert (want.vdd, want.i_s_nominal, want.v_trip_nominal, want.r_tg) == (1.2, 2e-5, 0.3, 500)
+    assert devices == [want, want]
+
+
 # ---------------------------------------------------------------------------
 # track-eval
 # ---------------------------------------------------------------------------
@@ -381,3 +419,41 @@ def test_seed_flag_overrides_config(tmp_path):
     assert run_cli("gen", "--kind", "noise", "--config", cfg, "--seed", "1", "--out", c) == 0
     assert tree_bytes(a) == tree_bytes(c)
     assert tree_bytes(a) != tree_bytes(b)
+
+
+# ---------------------------------------------------------------------------
+# golden output trees
+# ---------------------------------------------------------------------------
+
+def tree_sha256(root):
+    """SHA-256 over the sorted relative paths and contents of every file under root."""
+    h = hashlib.sha256()
+    for name, data in tree_bytes(root).items():
+        h.update(Path(name).as_posix().encode() + b"\0")
+        h.update(hashlib.sha256(data).digest())
+    return h.hexdigest()
+
+
+# Recorded on the per-frame implementation; any change to these trees is a
+# change in results, not only in speed.
+GOLDEN_TREES = {
+    "nomf": "1f8c5e570e8351d815e9e6d51275bff82ed6146f70549254c3c83192d12ca35b",
+    "omf": "a3310a4c0b058306f2db46f2bbdac5668563f66734f6e39e969ce5f76b7d38fe",
+    "simulate": "c4be5bbfa2701eda160b2ab63b3a02fce760dc305668bcf02fcc924813d90e32",
+    "track-eval": "379f5092d702b3a3a77a07d95f32003f8f7a4f49f86baec85249ead8acd3b81f",
+    "perf": "3255d1799db4ddc42b16e94910563c875cb8f8af94b03a018947aa586fbf8ae0",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TREES)
+def test_output_trees_match_golden_digests(traffic_dir, tmp_path, name):
+    frames, out = traffic_dir / "frames", tmp_path / "out"
+    argv = {
+        "nomf": ["denoise", "--frames", frames, "--filter", "nomf"],
+        "omf": ["denoise", "--frames", frames, "--filter", "omf"],
+        "simulate": ["simulate", "--frames", frames],
+        "track-eval": ["track-eval", "--frames", frames, "--gt", traffic_dir / "gt.csv"],
+        "perf": ["perf"],
+    }[name]
+    assert run_cli(*argv, "--seed", "5", "--out", out) == 0
+    assert tree_sha256(out) == GOLDEN_TREES[name]

@@ -7,11 +7,15 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from imfsim.errors import InvalidCountError, InvalidParamsError
 from imfsim.filters import (
+    FRAME_CHUNK,
     KernelSpec,
     StrideMode,
     apply_filter,
+    filter_chunks,
     median_filter_overlap,
+    median_filter_overlap_stack,
     nomf,
+    nomf_stack,
     patch_majority,
 )
 from imfsim.frames import BinaryFrame
@@ -150,3 +154,56 @@ def test_filters_are_monotone(pair):
 def test_nomf_popcount_is_tile_multiple_when_dims_divide(px):
     out = nomf(BinaryFrame(px), KernelSpec(3))
     assert out.popcount() % 9 == 0
+
+
+# ---------------------------------------------------------------------------
+# frame-stack kernels
+# ---------------------------------------------------------------------------
+
+frame_stacks = hnp.arrays(
+    np.uint8,
+    st.tuples(st.integers(1, 3), st.integers(1, 17), st.integers(1, 17)),
+    elements=st.integers(0, 1),
+)
+
+
+@given(frame_stacks, st.sampled_from([3, 5, 7]))
+def test_stack_kernels_match_naive_oracles(stack, n):
+    # shapes run from 1 to 17, so most are not multiples of n and have edge tiles
+    got_nomf = nomf_stack(stack, n)
+    got_omf = median_filter_overlap_stack(stack, n)
+    assert got_nomf.shape == got_omf.shape == stack.shape
+    assert got_nomf.dtype == got_omf.dtype == np.uint8
+    for px, a, b in zip(stack, got_nomf, got_omf):
+        assert np.array_equal(a, oracles.nomf_naive(px, n))
+        assert np.array_equal(b, oracles.median_overlap_naive(px, n))
+
+
+@given(frame_stacks, st.sampled_from([3, 5, 7]))
+@settings(max_examples=25)
+def test_per_frame_filters_are_their_kernels_on_a_stack_of_one(stack, n):
+    spec = KernelSpec(n)
+    for px in stack:
+        frame = BinaryFrame(px)
+        assert np.array_equal(nomf(frame, spec).pixels, nomf_stack(px[None], n)[0])
+        assert np.array_equal(median_filter_overlap(frame, spec).pixels,
+                              median_filter_overlap_stack(px[None], n)[0])
+
+
+def test_stack_kernels_count_past_255_for_large_kernels():
+    # 17 x 17 = 289 ones in a window: in uint8 the count would wrap to 33
+    px = np.ones((1, 20, 20), dtype=np.uint8)
+    assert nomf_stack(px, 17).all()
+    assert median_filter_overlap_stack(px, 17)[0, 8:12, 8:12].all()  # windows inside
+
+
+@pytest.mark.parametrize("mode", list(StrideMode))
+def test_filter_chunks_cover_the_stack_in_order(mode):
+    rng = np.random.default_rng(4)
+    stack = (rng.random((2 * FRAME_CHUNK + 3, 7, 11)) < 0.5).astype(np.uint8)
+    spec = KernelSpec(3)
+    chunks = list(filter_chunks(stack, spec, mode))
+    assert [len(c) for c in chunks] == [FRAME_CHUNK, FRAME_CHUNK, 3]
+    for px, got in zip(stack, np.concatenate(chunks)):
+        assert np.array_equal(got, apply_filter(BinaryFrame(px), spec, mode).pixels)
+    assert list(filter_chunks(stack[:0], spec, mode)) == []

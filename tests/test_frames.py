@@ -11,6 +11,7 @@ import oracles
 from helpers import random_frame
 from imfsim import frames as frames_module
 from imfsim.errors import (
+    DimensionMismatchError,
     InvalidParamsError,
     MalformedLineError,
     NonMonotonicTimestampError,
@@ -21,9 +22,11 @@ from imfsim.frames import (
     EventArray,
     FrameConfig,
     aggregate_frames,
+    aggregate_stack,
     is_empty,
     parse_event_stream,
     read_pbm,
+    read_pbm_stack,
     write_event_stream,
     write_pbm,
 )
@@ -330,6 +333,15 @@ def test_aggregate_frame_count_and_window_popcounts(offsets, t_f):
         assert fr.popcount() == len(per_window.get(k, ()))
 
 
+def test_aggregate_stack_is_the_frames_as_one_array():
+    cfg = FrameConfig(t_f=100, sensor_width=5, sensor_height=3)
+    stream = events((0, 1, 1, 1), (250, 4, 2, -1), (260, 0, 0, 1))
+    stack = aggregate_stack(stream, cfg)
+    assert stack.shape == (3, 3, 5) and stack.dtype == np.uint8
+    assert [BinaryFrame(px) for px in stack] == aggregate_frames(stream, cfg)
+    assert aggregate_stack(events(), cfg).shape == (0, 3, 5)
+
+
 def test_aggregate_idempotent_under_duplicate_events():
     cfg = FrameConfig(t_f=100, sensor_width=4, sensor_height=4)
     once = aggregate_frames(events((0, 1, 1, 1)), cfg)
@@ -396,3 +408,24 @@ def test_pbm_rejects_bad_size_or_body(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(InvalidParamsError, match="bad.pbm"):
         read_pbm(path)
+
+
+def test_pbm_stack_reads_frames_in_name_order(tmp_path, rng):
+    frames = [random_frame(rng, 13, 7) for _ in range(4)]
+    for i, fr in zip((3, 0, 2, 1), frames):
+        write_pbm(fr, tmp_path / f"frame_{i:05d}.pbm")
+    (tmp_path / "notes.txt").write_text("not a frame")
+    stack = read_pbm_stack(tmp_path)
+    assert stack.shape == (4, 7, 13) and stack.dtype == np.uint8
+    for px, fr in zip(stack, [frames[1], frames[3], frames[2], frames[0]]):
+        assert np.array_equal(px, fr.pixels)
+
+
+def test_pbm_stack_rejects_mixed_sizes_naming_the_first_odd_file(tmp_path):
+    for i, (w, h) in enumerate([(8, 6), (8, 6), (9, 6), (8, 5)]):
+        write_pbm(BinaryFrame.zeros(w, h), tmp_path / f"frame_{i:05d}.pbm")
+    with pytest.raises(DimensionMismatchError, match="frame_00002.pbm") as err:
+        read_pbm_stack(tmp_path)
+    assert "9x6" in str(err.value) and "8x6" in str(err.value)
+    with pytest.raises(InvalidParamsError, match="no .pbm frames"):
+        read_pbm_stack(tmp_path / "missing")

@@ -1,5 +1,10 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from imfsim.errors import InvalidParamsError
@@ -14,9 +19,12 @@ from imfsim.pipeline import (
     TrackerConfig,
     confirmed_boxes,
     connected_components,
+    connected_components_stack,
     downscale_or,
+    downscale_or_stack,
     extract_patch,
     region_proposals,
+    region_proposals_stack,
     track_recording,
     track_update,
 )
@@ -273,3 +281,118 @@ def test_extract_patch_default_side_and_oracle():
         assert np.array_equal(got, oracles.crop_padded_naive(px, cx, cy, side))
     with pytest.raises(InvalidParamsError):
         extract_patch(fr, (0, 0), side=0)
+
+
+# ---------------------------------------------------------------------------
+# frame-stack kernels
+# ---------------------------------------------------------------------------
+
+small_stacks = hnp.arrays(
+    np.uint8,
+    st.tuples(st.integers(1, 3), st.integers(1, 20), st.integers(1, 20)),
+    elements=st.integers(0, 1),
+)
+
+
+def stack_rows(stack, connectivity):
+    """flood_boxes of every frame, as the kernel's (frame, x, y, w, h) rows."""
+    return [(f, *box) for f, px in enumerate(stack)
+            for box in oracles.flood_boxes(px, connectivity)]
+
+
+@given(small_stacks, st.integers(1, 9), st.integers(1, 7))
+def test_downscale_stack_matches_oracle(stack, a, b):
+    got = downscale_or_stack(stack, a, b)
+    assert got.shape == (len(stack), -(-stack.shape[1] // b), -(-stack.shape[2] // a))
+    for px, small in zip(stack, got):
+        assert np.array_equal(small, oracles.downscale_or_naive(px, a, b))
+        assert np.array_equal(downscale_or(BinaryFrame(px), a, b).pixels, small)
+
+
+@given(small_stacks, st.sampled_from([4, 8]))
+def test_component_stack_matches_flood_fill(stack, connectivity):
+    got = connected_components_stack(stack, connectivity)
+    assert [tuple(r) for r in got.tolist()] == stack_rows(stack, connectivity)
+    for f, px in enumerate(stack):
+        want = [tuple(r[1:]) for r in got.tolist() if r[0] == f]
+        assert boxes_as_tuples(connected_components(BinaryFrame(px), connectivity)) == want
+
+
+def test_component_boxes_tie_on_corner_keeps_raster_order():
+    # two 8-connected components whose boxes both start at (0, 0)
+    px = np.zeros((6, 4), dtype=np.uint8)
+    px[0, 1] = px[1, 0] = 1                 # box (0, 0, 2, 2)
+    px[0:6, 3] = 1
+    px[5, 0:4] = 1                          # box (0, 0, 4, 6)
+    got = [tuple(r) for r in connected_components_stack(px[None], 8).tolist()]
+    assert got == [(0, *b) for b in oracles.flood_boxes(px, 8)]
+    assert got == [(0, 0, 0, 2, 2), (0, 0, 0, 4, 6)]
+
+
+def spiral(side):
+    """One 4-connected path winding inward, a one-pixel gap between its turns."""
+    px = np.zeros((side, side), dtype=np.uint8)
+    steps = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    y = x = d = turns = 0
+    px[0, 0] = 1
+
+    def clear(yy, xx):
+        return not (0 <= yy < side and 0 <= xx < side) or not px[yy, xx]
+
+    while turns < 2:
+        dy, dx = steps[d]
+        ny, nx = y + dy, x + dx
+        if 0 <= ny < side and 0 <= nx < side and not px[ny, nx] and clear(ny + dy, nx + dx):
+            y, x, turns = ny, nx, 0
+            px[y, x] = 1
+        else:
+            d, turns = (d + 1) % 4, turns + 1
+    return px
+
+
+def serpentine(side):
+    """Full even rows joined at alternate ends: one path of about side^2 / 2 pixels."""
+    px = np.zeros((side, side), dtype=np.uint8)
+    px[::2] = 1
+    px[1::4, -1] = 1
+    px[3::4, 0] = 1
+    return px
+
+
+@pytest.mark.parametrize("shape", [spiral, serpentine])
+def test_adversarial_components_converge(shape):
+    px = shape(30)
+    for view in (px, px[::-1], px[:, ::-1], px.T, px.T[::-1, ::-1]):
+        for connectivity in (4, 8):
+            assert oracles.flood_boxes(view, connectivity) == [(0, 0, 30, 30)]
+            got = connected_components_stack(np.ascontiguousarray(view)[None], connectivity)
+            assert got.tolist() == [[0, 0, 0, 30, 30]]
+    stack = np.repeat(px[None], 500, axis=0)
+    got = connected_components_stack(stack, 4)
+    assert got.tolist() == [[f, 0, 0, 30, 30] for f in range(500)]
+    # One path of about 7,000 pixels per frame.  Labels that advanced a
+    # bounded distance per round would need thousands of rounds here (over
+    # 10 s); hooking with pointer jumping takes well under 0.1 s.
+    stack = np.repeat(shape(120)[None], 25, axis=0)
+    t0 = time.perf_counter()
+    got = connected_components_stack(stack, 4)
+    assert time.perf_counter() - t0 < 2.0
+    assert got.tolist() == [[f, 0, 0, 120, 120] for f in range(25)]
+
+
+@given(small_stacks, st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([4, 8]))
+@settings(max_examples=25)
+def test_region_proposals_stack_is_per_frame_proposals(stack, a, b, min_area, connectivity):
+    got = region_proposals_stack(stack, a, b, min_area, connectivity)
+    assert got == [region_proposals(BinaryFrame(px), a, b, min_area, connectivity)
+                   for px in stack]
+
+
+def test_stack_kernels_validate_parameters():
+    stack = np.zeros((2, 4, 4), dtype=np.uint8)
+    with pytest.raises(InvalidParamsError):
+        downscale_or_stack(stack, 0, 1)
+    with pytest.raises(InvalidParamsError):
+        connected_components_stack(stack, 6)
+    assert connected_components_stack(stack, 8).shape == (0, 5)

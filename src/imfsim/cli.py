@@ -13,22 +13,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import synth
-from .config import RunConfig, load_config
+from .config import load_config
 from .errors import ImfsimError
-from .filters import FRAME_CHUNK, StrideMode, filter_chunks
-from .frames import (
-    BinaryFrame,
-    aggregate_stack,
-    is_empty,
-    parse_event_stream,
-    read_pbm_stack,
-    write_event_stream,
-    write_pbm,
-)
-from .metrics import EvalResult, f1_curve_auc, greedy_matches, weighted_f1
+from .filters import median_filter_overlap_stack, nomf_stack
+from .frames import BinaryFrame, iter_recording, write_event_stream, write_pbm
+from .metrics import EvalResult, f1_curve_auc, match_counts, rates, weighted_f1
 from .perf_model import (
     FILTER_METHODS,
     LATENCY_ARCHS,
@@ -61,6 +51,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _arg(parse, expected: str):
+    """An argparse type: `parse`, with a ValueError reported as a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    return convert
+
+
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -69,17 +69,11 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _load_frames(args, cfg: RunConfig) -> np.ndarray:
-    """The input recording as one (frames, height, width) uint8 stack."""
-    if args.frames:
-        return read_pbm_stack(args.frames)
-    return aggregate_stack(parse_event_stream(args.events), cfg.frame_config())
-
-
-def _write_frames(frames: list[BinaryFrame], out: Path, start: int = 0) -> None:
+def _write_frames(frames, out: Path, start: int = 0) -> None:
+    """Write (height, width) pixel arrays as frame_<index>.pbm from `start`."""
     out.mkdir(parents=True, exist_ok=True)
-    for idx, frame in enumerate(frames, start):
-        write_pbm(frame, out / f"frame_{idx:05d}.pbm")
+    for idx, px in enumerate(frames, start):
+        write_pbm(BinaryFrame(px), out / f"frame_{idx:05d}.pbm")
 
 
 # ---------------------------------------------------------------------------
@@ -88,46 +82,39 @@ def _write_frames(frames: list[BinaryFrame], out: Path, start: int = 0) -> None:
 
 def cmd_denoise(args, forced_filter: str | None = None) -> int:
     cfg = load_config(args.config, seed=args.seed)
-    stack = _load_frames(args, cfg)
+    frames = iter_recording(args.frames) if args.frames else iter_recording(
+        args.events, cfg.frame_config())
     out = Path(args.out)
     filt = forced_filter or args.filter
     spec = cfg.kernel()
     device = cfg.device()
     header = ["frame_index", "input_ones", "output_ones", "valid_frame"]
     if filt == "imc":
-        geom = frame_geometry(*stack.shape[1:], spec.n)  # before any output is written
         header += ["flips_intended", "flips_unintended", "ber", "cycles"]
-    else:
-        mode = StrideMode.OVERLAP if filt == "omf" else StrideMode.NON_OVERLAP
-        filtered = (px for chunk in filter_chunks(stack, spec, mode) for px in chunk)
-    (out / "frames").mkdir(parents=True, exist_ok=True)
-    rows, pending = [], []
-    for idx, px in enumerate(stack):
-        frame = BinaryFrame(px)
+    kernel = median_filter_overlap_stack if filt == "omf" else nomf_stack
+    rows = []
+    for first, chunk in frames:
         if filt == "imc":
-            variation = variation_at_device(
-                replace(cfg.variation(), rng_seed=cfg.seed + idx), device
-            )
-            state = init_macro(geom, device, variation)
-            load_frame(state, frame)
-            report = filter_in_memory(state, spec.n, device)
-            result = read_frame(state)
-            ber = report.flips_unintended / (frame.width * frame.height)
-            extra = (report.valid_frame, report.flips_intended, report.flips_unintended,
-                     ber, state.cycle_count)
+            geom = frame_geometry(*chunk.shape[1:], spec.n)  # before this chunk's output
+            results, extras = [], []
+            for idx, px in enumerate(chunk, first):
+                variation = variation_at_device(
+                    replace(cfg.variation(), rng_seed=cfg.seed + idx), device
+                )
+                state = init_macro(geom, device, variation)
+                load_frame(state, BinaryFrame(px))
+                report = filter_in_memory(state, spec.n, device)
+                results.append(read_frame(state).pixels)
+                extras.append((report.valid_frame, report.flips_intended,
+                               report.flips_unintended, report.flips_unintended / px.size,
+                               state.cycle_count))
         else:
-            result = BinaryFrame(next(filtered))
-            extra = (int(not is_empty(result)),)
-        rows.append((idx, frame.popcount(), result.popcount(), *extra))
-        # Frames are written a chunk at a time.  Writing each as it came let the
-        # allocator hand the macro's working memory back to the system and
-        # fault it in again for every frame: simulate on 500 traffic frames
-        # took 35.7k minor faults and about 0.23 s of system time, against
-        # 13.7k and 0.09 s with the results of a chunk held until it is written.
-        pending.append(result)
-        if len(pending) == FRAME_CHUNK or idx == len(stack) - 1:
-            _write_frames(pending, out / "frames", idx + 1 - len(pending))
-            pending = []
+            results = kernel(chunk, spec.n)
+            extras = [(int(px.any()),) for px in results]
+        rows += [(idx, int(px.sum()), int(res.sum()), *extra) for idx, (px, res, extra)
+                 in enumerate(zip(chunk, results, extras), first)]
+        _write_frames(results, out / "frames", first)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv", header, rows)
     return 0
 
@@ -135,10 +122,9 @@ def cmd_denoise(args, forced_filter: str | None = None) -> int:
 def cmd_characterize(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
     out = Path(args.out)
-    vdds = [float(v) for v in args.vdd.split(",")]
-    ks = [int(k) for k in args.k.split(",")]
-    patterns = "all" if args.patterns == "all" else int(args.patterns or cfg.patterns)
-    trials = args.trials or cfg.trials
+    vdds, ks = args.vdd, args.k
+    patterns = cfg.patterns if args.patterns is None else args.patterns
+    trials = cfg.trials if args.trials is None else args.trials
     devices = [cfg.device(vdd=vdd) for vdd in vdds]
     stats = ber_supply_sweep(
         cfg.n, ks, [(d, variation_at_device(cfg.variation(), d)) for d in devices],
@@ -263,7 +249,16 @@ def cmd_perf(args) -> int:
 def cmd_track_eval(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
     out = Path(args.out)
-    stack = read_pbm_stack(args.frames)
+    spec = cfg.kernel()
+    kernels = {"omf": median_filter_overlap_stack, "nomf": nomf_stack}
+    proposals: dict[str, list] = {filt: [] for filt in kernels}
+    for _, chunk in iter_recording(args.frames):
+        for filt, kernel in kernels.items():
+            proposals[filt] += region_proposals_stack(
+                kernel(chunk, spec.n), cfg.rescale_a, cfg.rescale_b, cfg.min_area,
+                cfg.connectivity,
+            )
+    n_frames = len(proposals["omf"])
     gt_rows = synth.read_box_csv(args.gt)
     gt_by_frame: dict[int, list[BoundingBox]] = {}
     for row in gt_rows:
@@ -271,20 +266,13 @@ def cmd_track_eval(args) -> int:
             BoundingBox(row.x, row.y, row.w, row.h)
         )
     n_tracks = len({row.track_id for row in gt_rows})
-    spec = cfg.kernel()
     tracker_cfg = cfg.tracker_config()
+    gts = sum(len(gt_by_frame.get(fi, [])) for fi in range(n_frames))
     out.mkdir(parents=True, exist_ok=True)
 
     aucs = {}
-    for filt, mode in (("omf", StrideMode.OVERLAP), ("nomf", StrideMode.NON_OVERLAP)):
-        proposals = [
-            boxes
-            for chunk in filter_chunks(stack, spec, mode)
-            for boxes in region_proposals_stack(
-                chunk, cfg.rescale_a, cfg.rescale_b, cfg.min_area, cfg.connectivity
-            )
-        ]
-        tracks, per_frame = track_proposals(proposals, tracker_cfg)
+    for filt in kernels:
+        tracks, per_frame = track_proposals(proposals[filt], tracker_cfg)
         pred_rows = [
             synth.GroundTruthBox(fi, t.track_id, "object", bx.x, bx.y, bx.w, bx.h)
             for t in tracks
@@ -294,22 +282,12 @@ def cmd_track_eval(args) -> int:
         pred_rows.sort(key=lambda r: (r.frame_index, r.track_id))
         synth.write_box_csv(pred_rows, out / f"tracks_{filt}.csv")
 
+        tps = map(sum, zip(*(match_counts(per_frame[fi], gt_by_frame.get(fi, []), F1_THRESHOLDS)
+                             for fi in range(n_frames))))
+        proposed = sum(len(boxes) for boxes in per_frame.values())
         curve = []
-        for thr in F1_THRESHOLDS:
-            tp = proposed = gts = 0
-            for fi in range(len(stack)):
-                pred = per_frame.get(fi, [])
-                gt = gt_by_frame.get(fi, [])
-                tp += len(greedy_matches(pred, gt, thr))
-                proposed += len(pred)
-                gts += len(gt)
-            precision = tp / proposed if proposed else 0.0
-            recall = tp / gts if gts else 0.0
-            f1 = (
-                2 * precision * recall / (precision + recall)
-                if precision + recall > 0
-                else 0.0
-            )
+        for thr, tp in zip(F1_THRESHOLDS, tps):
+            precision, recall, f1 = rates(tp, proposed, gts)
             result = EvalResult(
                 recording_id=str(args.frames), thr=thr,
                 precision=precision, recall=recall, f1=f1, n_tracks=n_tracks,
@@ -334,6 +312,8 @@ def cmd_track_eval(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
+    if args.events:
+        cfg.frame_config()  # the stream must accumulate back: t_f > 0, sensor size
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "noise":
@@ -345,10 +325,10 @@ def cmd_gen(args) -> int:
         frames, gt = synth.traffic_dataset(
             cfg.n_frames, cfg.width, cfg.height, cfg.salt_p, cfg.max_objects, cfg.seed
         )
-    _write_frames(frames, out / "frames")
+    _write_frames((f.pixels for f in frames), out / "frames")
     synth.write_box_csv(gt, out / "gt.csv")
     if args.events:
-        write_event_stream(synth.frames_to_events(frames, cfg.t_f), out / "events.txt")
+        write_event_stream(synth.event_batches(frames, cfg.t_f), out / "events.txt")
     return 0
 
 
@@ -383,10 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a: cmd_denoise(a, forced_filter="imc"))
 
     p = sub.add_parser("characterize", parents=[common], help="pattern error-rate sweep")
-    p.add_argument("--vdd", default="0.7,0.8,1.0,1.2", help="comma list of supplies")
-    p.add_argument("--k", default="4,5", help="comma list of ones counts")
+    p.add_argument("--vdd", default="0.7,0.8,1.0,1.2", help="comma list of supplies",
+                   type=_arg(lambda s: [float(v) for v in s.split(",")], "a comma list of numbers"))
+    p.add_argument("--k", default="4,5", help="comma list of ones counts",
+                   type=_arg(lambda s: [int(v) for v in s.split(",")], "a comma list of integers"))
     p.add_argument("--trials", type=int, help="lottery resamples per pattern")
-    p.add_argument("--patterns", help="pattern sample size or 'all'")
+    p.add_argument("--patterns", help="pattern sample size or 'all'",
+                   type=_arg(lambda s: s if s == "all" else int(s), "a pattern count or 'all'"))
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("perf", parents=[common], help="analytic cost model report")
@@ -408,14 +391,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    created = not Path(args.out).exists()
+    code = 1
     try:
-        return args.func(args)
+        code = args.func(args)
     except ImfsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    finally:
+        # Recordings stream, so an input error can surface after output exists.
+        if code and created and Path(args.out).exists():
+            import shutil  # only on failure, so startup stays lean
+            shutil.rmtree(args.out, ignore_errors=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -77,6 +77,10 @@ class RunConfig:
     salt_p: float = 0.01
     max_objects: int = 3
 
+    def __post_init__(self):
+        if not 0 < self.frequency < float("inf"):
+            raise InvalidParamsError(f"frequency must be positive and finite, got {self.frequency}")
+
     def device(self, vdd: float | None = None) -> DeviceParams:
         """The configured operating point, optionally at another supply.
 
@@ -166,6 +170,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse key = value lines into a typed override dict; unknown keys are errors."""
     overrides = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():
+            raise InvalidParamsError(f"{source}:{line_no}: non-ASCII character")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -182,6 +188,7 @@ def load_config(path: Union[str, Path, None], **extra) -> RunConfig:
     """RunConfig from an optional file plus keyword overrides (None values skipped)."""
     overrides = {}
     if path is not None:
-        overrides.update(parse_config_text(Path(path).read_text(encoding="ascii"), str(path)))
+        text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
+        overrides.update(parse_config_text(text, str(path)))
     overrides.update({k: v for k, v in extra.items() if v is not None})
     return RunConfig(**overrides)

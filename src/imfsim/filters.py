@@ -9,8 +9,8 @@ iff at least ceil(n^2/2) pixels of the window are 1.  Two stride policies:
   with m < n^2 present pixels use threshold ceil(m/2).
 
 Both are pure functions of the input frame.  Each is written once, as a
-kernel over an (N, H, W) uint8 stack of frames; the per-frame functions call
-it on a stack of one.
+kernel over an (N, H, W) uint8 stack of frames, such as a chunk of
+frames.iter_recording; the per-frame functions call it on a stack of one.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import InvalidCountError, InvalidParamsError
 from .frames import BinaryFrame
-
-FRAME_CHUNK = 64    # frames per kernel call in filter_chunks
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,3 @@ def apply_filter(frame: BinaryFrame, spec: KernelSpec, mode: StrideMode) -> Bina
         return median_filter_overlap(frame, spec)
     return nomf(frame, spec)
 
-
-def filter_chunks(stack: np.ndarray, spec: KernelSpec, mode: StrideMode):
-    """Yield the filtered stack FRAME_CHUNK frames at a time, so that the
-    kernels' temporaries stay small however long the recording is."""
-    kernel = median_filter_overlap_stack if mode is StrideMode.OVERLAP else nomf_stack
-    for lo in range(0, len(stack), FRAME_CHUNK):
-        yield kernel(stack[lo : lo + FRAME_CHUNK], spec.n)

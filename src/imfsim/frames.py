@@ -19,14 +19,18 @@ half-open windows of t_f microseconds anchored at the first event's timestamp,
 and a pixel is 1 iff at least one event (either polarity) hit it inside the
 window.  Windows with no events still produce (empty) frames, so frame index
 times t_f is always the offset from the stream start.
+
+A recording, from an event file or a PBM directory, is read as a stream of
+chunks of at most FRAME_CHUNK frames, so memory is bounded by a chunk.
 """
 
 from __future__ import annotations
 
+import io
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .errors import (
 # The filtering macro is 320 columns by 240 rows; frames must fit in it.
 MAX_FRAME_WIDTH = 320
 MAX_FRAME_HEIGHT = 240
+FRAME_CHUNK = 64    # frames per chunk of a streamed recording
 
 
 class EventArray:
@@ -181,27 +186,54 @@ def is_empty(frame: BinaryFrame) -> bool:
 # np.fromstring saturates a value beyond int64 at its maximum, as strtoll does.
 _INT64_MAX = np.iinfo(np.int64).max
 _WRITE_CHUNK = 1 << 20    # events formatted per write
+_READ_BLOCK = 1 << 20     # bytes of event text read per block
 
 
 def parse_event_stream(source: Union[str, Path, TextIO, Iterable[str]]) -> EventArray:
     """Parse an event text stream; every line yields an event or a located error.
-
-    A path whose file is in canonical form (only `t,x,y,p` lines of digits,
-    each ending in a newline) is parsed as whole columns.  Anything else, and
-    every TextIO or iterable of lines, goes through the line-by-line parser,
-    which alone raises the located errors.
-    """
+    A path is read in blocks (_event_blocks); a TextIO or iterable of lines
+    goes through the line-by-line parser."""
     if isinstance(source, (str, Path)):
-        events = _parse_canonical(Path(source).read_bytes())
-        if events is not None:
-            return events
-        with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
-            return _parse_lines(fh)
+        blocks = list(_event_blocks(source)) or [EventArray([], [], [], [])]
+        return EventArray(*map(np.concatenate,
+                               zip(*((b.t, b.x, b.y, b.polarity) for b in blocks))))
     return _parse_lines(source)
 
 
+def _event_blocks(path: Union[str, Path]) -> Iterator[EventArray]:
+    """The events of a file, one EventArray per block of about _READ_BLOCK
+    bytes cut after a line end (a final CR may be half a CRLF, so not there).
+
+    A canonical block (only `t,x,y,p` lines of digits, each ending in a
+    newline) continuing the stream is parsed as whole columns.  Any other goes
+    through the line-by-line parser, which alone raises the located errors;
+    lines are counted as text mode counts them, so line numbers are absolute.
+    """
+    line_no, last_t, rest = 1, -1, b""
+    with open(path, "rb") as fh:
+        while True:
+            data = fh.read(_READ_BLOCK)
+            text = rest + data
+            cut = max(text.rfind(b"\n"), text.rfind(b"\r", 0, -1)) + 1 if data else len(text)
+            block, rest = text[:cut], text[cut:]
+            if block:
+                events = _parse_canonical(block)
+                if events is not None and events.t[0] >= last_t:
+                    lines = len(events)  # one event per canonical line
+                else:
+                    decoded = io.StringIO(block.decode("ascii", "surrogateescape"), newline=None)
+                    events = _parse_lines(decoded, line_no, last_t)
+                    lines = block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+                if len(events):
+                    last_t = int(events.t[-1])
+                yield events
+                line_no += lines
+            if not data:
+                return
+
+
 def _parse_canonical(data: bytes) -> EventArray | None:
-    """The events of a canonical, valid file; None for anything else."""
+    """The events of a canonical, valid block of lines; None for anything else."""
     seps = data.translate(None, b"0123456789")
     # the separators alone must read ",,,\n" per line; this also rejects every other byte
     if not data.endswith(b"\n") or seps != b",,,\n" * (len(seps) // 4):
@@ -218,10 +250,10 @@ def _parse_canonical(data: bytes) -> EventArray | None:
     return EventArray(t, x, y, 2 * p - 1)
 
 
-def _parse_lines(lines: Iterable[str]) -> EventArray:
+def _parse_lines(lines: Iterable[str], first_line: int = 1, last_t: int = -1) -> EventArray:
+    """The events of `lines`, numbered from first_line and following last_t."""
     columns = tuple(array("q") for _ in range(4))
-    last_t = None
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(lines, start=first_line):
         if not raw.isascii():
             raise MalformedLineError(line_no, "non-ASCII character")
         line = raw.strip()
@@ -238,7 +270,7 @@ def _parse_lines(lines: Iterable[str]) -> EventArray:
             raise MalformedLineError(line_no, "negative field")
         if pol not in (0, 1):
             raise MalformedLineError(line_no, f"polarity must be 0 or 1, got {pol}")
-        if last_t is not None and t < last_t:
+        if t < last_t:
             raise NonMonotonicTimestampError(line_no)
         last_t = t
         try:
@@ -249,11 +281,13 @@ def _parse_lines(lines: Iterable[str]) -> EventArray:
     return EventArray(*(np.frombuffer(col, dtype=np.int64) for col in columns))
 
 
-def write_event_stream(events: EventArray, path: Union[str, Path]) -> None:
-    """Write events in the canonical text format parse_event_stream reads."""
+def write_event_stream(events, path: Union[str, Path]) -> None:
+    """Write an EventArray, or each of an iterable of them in turn, in the
+    canonical text format parse_event_stream reads."""
     with open(path, "wb") as fh:
-        for lo in range(0, len(events), _WRITE_CHUNK):
-            fh.write(_format_rows(events, slice(lo, lo + _WRITE_CHUNK)))
+        for batch in [events] if isinstance(events, EventArray) else events:
+            for lo in range(0, len(batch), _WRITE_CHUNK):
+                fh.write(_format_rows(batch, slice(lo, lo + _WRITE_CHUNK)))
 
 
 def _format_rows(events: EventArray, rows: slice) -> bytes:
@@ -291,6 +325,50 @@ def _put_digits(field: np.ndarray, values: np.ndarray) -> None:
 # accumulation
 # ---------------------------------------------------------------------------
 
+def iter_recording(source: Union[str, Path],
+                   cfg: FrameConfig | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """A recording as (first frame index, (frames, height, width) uint8
+    stack) chunks of FRAME_CHUNK frames, the last one maybe shorter.
+
+    With cfg, source is an event file accumulated into cfg's windows, and
+    the empty windows of a gap come out as zero chunks.  Without, source is a
+    directory of *.pbm frames read in name order; a frame whose size differs
+    from the first file's raises DimensionMismatchError naming it.
+    """
+    if cfg is None:
+        return _pbm_chunks(Path(source))
+    return _accumulate(_event_blocks(source), cfg)
+
+
+def _accumulate(blocks: Iterable[EventArray], cfg: FrameConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """OR-accumulate the blocks of a non-decreasing event stream into t_f
+    windows, FRAME_CHUNK at a time, up to the last event's window."""
+    shape = (FRAME_CHUNK, cfg.sensor_height, cfg.sensor_width)
+    t0, lo, buf = None, 0, None     # buf holds windows lo .. lo + FRAME_CHUNK - 1
+    for events in blocks:
+        if not len(events):
+            continue
+        outside = (events.x >= cfg.sensor_width) | (events.y >= cfg.sensor_height)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise OutOfBoundsError(
+                f"event t={events.t[i]},x={events.x[i]},y={events.y[i]} outside "
+                f"{cfg.sensor_width}x{cfg.sensor_height} sensor"
+            )
+        t0 = int(events.t[0]) if t0 is None else t0
+        k = (events.t - t0) // cfg.t_f
+        edges = [0, *(np.flatnonzero(np.diff(k // FRAME_CHUNK)) + 1).tolist(), len(k)]
+        for a, b in zip(edges, edges[1:]):
+            while lo + FRAME_CHUNK <= k[a]:  # the chunk at lo is complete
+                yield lo, np.zeros(shape, dtype=np.uint8) if buf is None else buf
+                lo, buf = lo + FRAME_CHUNK, None
+            buf = np.zeros(shape, dtype=np.uint8) if buf is None else buf
+            buf[k[a:b] - lo, events.y[a:b], events.x[a:b]] = 1
+        last = int(k[-1])
+    if buf is not None:
+        yield lo, buf[: last - lo + 1]
+
+
 def aggregate_stack(events: EventArray, cfg: FrameConfig) -> np.ndarray:
     """OR-accumulate events into t_f windows anchored at the first event, as
     one (frames, height, width) uint8 stack.
@@ -300,23 +378,11 @@ def aggregate_stack(events: EventArray, cfg: FrameConfig) -> np.ndarray:
     the 1-based event index, if a timestamp decreases, and OutOfBoundsError
     if an event lies outside the configured sensor.
     """
-    if not len(events):
-        return np.zeros((0, cfg.sensor_height, cfg.sensor_width), dtype=np.uint8)
     decreasing = events.t[1:] < events.t[:-1]
     if decreasing.any():
         raise NonMonotonicTimestampError(int(np.argmax(decreasing)) + 2, "event")
-    outside = (events.x >= cfg.sensor_width) | (events.y >= cfg.sensor_height)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise OutOfBoundsError(
-            f"event t={events.t[i]},x={events.x[i]},y={events.y[i]} outside "
-            f"{cfg.sensor_width}x{cfg.sensor_height} sensor"
-        )
-    t0 = int(events.t[0])
-    n_frames = (int(events.t[-1]) - t0) // cfg.t_f + 1
-    stack = np.zeros((n_frames, cfg.sensor_height, cfg.sensor_width), dtype=np.uint8)
-    stack[(events.t - t0) // cfg.t_f, events.y, events.x] = 1
-    return stack
+    empty = np.zeros((0, cfg.sensor_height, cfg.sensor_width), dtype=np.uint8)
+    return np.concatenate([empty, *(chunk for _, chunk in _accumulate([events], cfg))])
 
 
 def aggregate_frames(events: EventArray, cfg: FrameConfig) -> list[BinaryFrame]:
@@ -374,22 +440,22 @@ def read_pbm(path: Union[str, Path]) -> BinaryFrame:
     return BinaryFrame(bits)
 
 
-def read_pbm_stack(directory: Union[str, Path]) -> np.ndarray:
-    """Every *.pbm under directory, in name order, as one (frames, height,
-    width) uint8 stack.  A frame whose size differs from the first file's
-    raises DimensionMismatchError naming it."""
-    paths = sorted(Path(directory).glob("*.pbm"))
+def _pbm_chunks(directory: Path) -> Iterator[tuple[int, np.ndarray]]:
+    paths = sorted(directory.glob("*.pbm"))
     if not paths:
         raise InvalidParamsError(f"no .pbm frames under {directory}")
-    stack = None
-    for i, path in enumerate(paths):
-        px = read_pbm(path).pixels
-        if stack is None:
-            stack = np.empty((len(paths), *px.shape), dtype=np.uint8)
-        elif px.shape != stack.shape[1:]:
-            raise DimensionMismatchError(
-                f"frame {px.shape[1]}x{px.shape[0]} in {path} differs from "
-                f"{stack.shape[2]}x{stack.shape[1]} in {paths[0]}"
-            )
-        stack[i] = px
-    return stack
+    shape = None
+    for lo in range(0, len(paths), FRAME_CHUNK):
+        names = paths[lo : lo + FRAME_CHUNK]
+        for i, path in enumerate(names):
+            px = read_pbm(path).pixels
+            shape = shape or px.shape
+            if i == 0:
+                chunk = np.empty((len(names), *shape), dtype=np.uint8)
+            if px.shape != shape:
+                raise DimensionMismatchError(
+                    f"frame {px.shape[1]}x{px.shape[0]} in {path} differs from "
+                    f"{shape[1]}x{shape[0]} in {paths[0]}"
+                )
+            chunk[i] = px
+        yield lo, chunk

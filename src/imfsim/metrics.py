@@ -60,13 +60,27 @@ def greedy_matches(
     return out
 
 
+def match_counts(
+    proposed: Sequence["BoundingBox"], gt: Sequence["BoundingBox"], thresholds: Sequence[float]
+) -> list[int]:
+    """len(greedy_matches(proposed, gt, thr)) for every thr, from one greedy
+    pass over all pairs: the pairs at or above a threshold are a prefix of its
+    order, and a greedy pick over a prefix picks what the whole pass picks there."""
+    ious = [v for _, _, v in greedy_matches(proposed, gt, 0.0)]
+    return [sum(v >= thr for v in ious) for thr in thresholds]
+
+
 def precision_recall_f1(
     proposed: Sequence["BoundingBox"], gt: Sequence["BoundingBox"], thr: float
 ) -> tuple[float, float, float]:
     """Region-level precision/recall/F1 at an IoU threshold; empty denominators give 0."""
-    tp = len(greedy_matches(proposed, gt, thr))
-    precision = tp / len(proposed) if proposed else 0.0
-    recall = tp / len(gt) if gt else 0.0
+    return rates(len(greedy_matches(proposed, gt, thr)), len(proposed), len(gt))
+
+
+def rates(tp: int, proposed: int, gt: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 of tp matches among proposed and gt counts."""
+    precision = tp / proposed if proposed else 0.0
+    recall = tp / gt if gt else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
 

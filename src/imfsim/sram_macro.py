@@ -649,6 +649,8 @@ def ber_supply_sweep(
             raise InvalidParamsError(f"k={k} impossible for n={n}")
     if trials <= 0:
         raise InvalidParamsError("trials must be positive")
+    if isinstance(patterns, int) and patterns <= 0:
+        raise InvalidParamsError("patterns must be positive")
     ids = [[_pattern_ids(n, k, patterns, var.rng_seed) for k in ks] for _, var in supplies]
     groups, per_group = geometry.rows // n, geometry.cols // n
     used = per_group * n

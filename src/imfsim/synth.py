@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ OBJECT_SIZES: dict[str, tuple[tuple[int, int], ...]] = {
     "bike": ((15, 21), (17, 22), (26, 44)),
     "truck": ((22, 50), (35, 61), (50, 104)),
 }
+EVENT_BATCH = 1 << 15   # events per frames_to_events call in event_batches
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,9 @@ def read_box_csv(path: Union[str, Path]) -> list[GroundTruthBox]:
     return out
 
 
-def frames_to_events(frames: list[BinaryFrame], t_f: int = 66_000) -> EventArray:
-    """One +1 event per on pixel at its frame's epoch, frame by frame in
-    row-major order.
+def frames_to_events(frames: list[BinaryFrame], t_f: int = 66_000, t0: int = 0) -> EventArray:
+    """One +1 event per on pixel at its frame's epoch, t0 + index * t_f,
+    frame by frame in row-major order.
 
     Re-accumulating with the same t_f reproduces the frames exactly when the
     first and last frames are nonempty (the accumulator anchors at the first
@@ -164,4 +165,18 @@ def frames_to_events(frames: list[BinaryFrame], t_f: int = 66_000) -> EventArray
     if not frames:
         return EventArray([], [], [], [])
     ks, ys, xs = np.nonzero(np.stack([f.pixels for f in frames]))
-    return EventArray(ks * t_f, xs, ys, np.ones_like(ks))
+    return EventArray(t0 + ks * t_f, xs, ys, np.ones_like(ks))
+
+
+def event_batches(frames: list[BinaryFrame], t_f: int = 66_000) -> Iterator[EventArray]:
+    """frames_to_events of all frames, as consecutive runs of frames holding
+    at most EVENT_BATCH events each (a frame holding more is a run alone)."""
+    lo = events = 0
+    for hi, frame in enumerate(frames):
+        ones = frame.popcount()
+        if events + ones > EVENT_BATCH and hi > lo:
+            yield frames_to_events(frames[lo:hi], t_f, lo * t_f)
+            lo, events = hi, 0
+        events += ones
+    if frames:
+        yield frames_to_events(frames[lo:], t_f, lo * t_f)

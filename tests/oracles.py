@@ -94,6 +94,20 @@ def iou_xywh(a, b) -> float:
     return inter / (a[2] * a[3] + b[2] * b[3] - inter)
 
 
+def greedy_matches_naive(proposed, gt, thr) -> list:
+    """Greedy one-to-one matching over the pairs with IoU >= thr alone, by
+    descending IoU, lowest indices first."""
+    pairs = sorted((-iou_xywh(p, g), i, j) for i, p in enumerate(proposed)
+                   for j, g in enumerate(gt) if iou_xywh(p, g) >= thr)
+    used_p, used_g, out = set(), set(), []
+    for neg_v, i, j in pairs:
+        if i not in used_p and j not in used_g:
+            used_p.add(i)
+            used_g.add(j)
+            out.append((i, j, -neg_v))
+    return out
+
+
 def max_matching_size(proposed, gt, thr) -> int:
     """Maximum bipartite matching size over pairs with IoU >= thr."""
     adj = [[j for j, g in enumerate(gt) if iou_xywh(p, g) >= thr] for p in proposed]

@@ -15,6 +15,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10, where pytest itself depends on tomli
     import tomli as tomllib
 
+import imfsim.cli
 from helpers import run_cli, tree_bytes
 from imfsim.frames import parse_event_stream, read_pbm
 
@@ -189,6 +190,80 @@ def test_mixed_frame_sizes_are_rejected_before_any_work(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert "frame_00002.pbm" in err and "24x21" in err
     assert not out.exists()
+
+
+def _exit_code(*argv):
+    """main's return value, or the code of the SystemExit that argparse raises."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "cfg_text, argv, expect",
+    [
+        ("frequency = 0\n", ["perf"], "frequency must be positive and finite, got 0.0"),
+        ("frequency = inf\n", ["perf"], "frequency must be positive and finite, got inf"),
+        ("seed = 1\n# caf\xc3\xa9\n", ["perf"], "run.cfg:2: non-ASCII character"),
+        ("", ["characterize", "--vdd", "abc"], "argument --vdd: expected a comma list"),
+        ("", ["characterize", "--k", "4,x"], "argument --k: expected a comma list"),
+        ("", ["characterize", "--patterns", "some"], "argument --patterns: expected"),
+        ("", ["characterize", "--patterns", "0", "--vdd", "0.7"], "patterns must be positive"),
+        ("", ["characterize", "--trials", "0", "--vdd", "0.7"], "trials must be positive"),
+        ("t_f = 0\nn_frames = 2\n", ["gen", "--events"], "t_f must be positive"),
+    ],
+    ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
+         "characterize-k", "characterize-patterns", "characterize-patterns-0",
+         "characterize-trials-0", "gen-events-t_f-0"],
+)
+def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, argv, expect):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(cfg_text.encode("latin-1"))
+    out = tmp_path / "out"
+    assert _exit_code(*argv, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert expect in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _late_bad_line_recording(tmp_path):
+    """An event file whose line 2,001 is bad, after 100 windows of events."""
+    lines = [f"{i * 1000},{i % 240},{i % 180},1\n" for i in range(2000)]
+    path = tmp_path / "events.txt"
+    path.write_text("".join(lines) + "2000000,x,0,1\n")
+    cfg = write_cfg(tmp_path, "t_f = 20000\n")
+    return path, cfg
+
+
+@pytest.mark.parametrize("command", ["denoise", "simulate"])
+def test_a_late_bad_line_removes_the_out_it_created(tmp_path, capsys, monkeypatch, command):
+    import imfsim.frames
+
+    monkeypatch.setattr(imfsim.frames, "_READ_BLOCK", 4096)  # a block is ~230 lines
+    events, cfg = _late_bad_line_recording(tmp_path)
+    written = []
+    real = imfsim.cli.write_pbm
+
+    def spy(frame, path):
+        written.append(path)
+        return real(frame, path)
+
+    monkeypatch.setattr(imfsim.cli, "write_pbm", spy)
+    out = tmp_path / "out"
+    assert run_cli(command, "--events", events, "--config", cfg, "--out", out) == 2
+    assert "malformed event line 2001: non-integer field" in capsys.readouterr().err
+    assert len(written) == 64  # the first chunk was out before the bad line was read
+    assert not out.exists()
+
+
+def test_a_failed_run_keeps_an_out_that_existed(tmp_path, capsys):
+    events, cfg = _late_bad_line_recording(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("earlier results")
+    assert run_cli("denoise", "--events", events, "--config", cfg, "--out", out) == 2
+    assert (out / "keep.txt").read_text() == "earlier results"
 
 
 def test_empty_frames_dir_is_invalid(tmp_path, capsys):
@@ -442,18 +517,27 @@ GOLDEN_TREES = {
     "simulate": "c4be5bbfa2701eda160b2ab63b3a02fce760dc305668bcf02fcc924813d90e32",
     "track-eval": "379f5092d702b3a3a77a07d95f32003f8f7a4f49f86baec85249ead8acd3b81f",
     "perf": "3255d1799db4ddc42b16e94910563c875cb8f8af94b03a018947aa586fbf8ae0",
+    # recorded on the whole-recording event path, before streaming
+    "gen-events": "cdd0e8151b783d18c1bd0739a30f1ef117ae253786d8235d6f507760c4598605",
+    "nomf-events": "1f8c5e570e8351d815e9e6d51275bff82ed6146f70549254c3c83192d12ca35b",
+    "simulate-events": "c4be5bbfa2701eda160b2ab63b3a02fce760dc305668bcf02fcc924813d90e32",
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_TREES)
 def test_output_trees_match_golden_digests(traffic_dir, tmp_path, name):
     frames, out = traffic_dir / "frames", tmp_path / "out"
+    events = traffic_dir / "events.txt"
     argv = {
         "nomf": ["denoise", "--frames", frames, "--filter", "nomf"],
         "omf": ["denoise", "--frames", frames, "--filter", "omf"],
         "simulate": ["simulate", "--frames", frames],
         "track-eval": ["track-eval", "--frames", frames, "--gt", traffic_dir / "gt.csv"],
         "perf": ["perf"],
+        "gen-events": ["gen", "--kind", "traffic", "--events",
+                       "--config", traffic_dir.parent / "gen.cfg"],
+        "nomf-events": ["denoise", "--events", events, "--filter", "nomf"],
+        "simulate-events": ["simulate", "--events", events],
     }[name]
     assert run_cli(*argv, "--seed", "5", "--out", out) == 0
     assert tree_sha256(out) == GOLDEN_TREES[name]

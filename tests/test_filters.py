@@ -7,11 +7,9 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from imfsim.errors import InvalidCountError, InvalidParamsError
 from imfsim.filters import (
-    FRAME_CHUNK,
     KernelSpec,
     StrideMode,
     apply_filter,
-    filter_chunks,
     median_filter_overlap,
     median_filter_overlap_stack,
     nomf,
@@ -196,14 +194,3 @@ def test_stack_kernels_count_past_255_for_large_kernels():
     assert nomf_stack(px, 17).all()
     assert median_filter_overlap_stack(px, 17)[0, 8:12, 8:12].all()  # windows inside
 
-
-@pytest.mark.parametrize("mode", list(StrideMode))
-def test_filter_chunks_cover_the_stack_in_order(mode):
-    rng = np.random.default_rng(4)
-    stack = (rng.random((2 * FRAME_CHUNK + 3, 7, 11)) < 0.5).astype(np.uint8)
-    spec = KernelSpec(3)
-    chunks = list(filter_chunks(stack, spec, mode))
-    assert [len(c) for c in chunks] == [FRAME_CHUNK, FRAME_CHUNK, 3]
-    for px, got in zip(stack, np.concatenate(chunks)):
-        assert np.array_equal(got, apply_filter(BinaryFrame(px), spec, mode).pixels)
-    assert list(filter_chunks(stack[:0], spec, mode)) == []

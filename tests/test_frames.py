@@ -1,5 +1,6 @@
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,16 @@ from imfsim.errors import (
     OutOfBoundsError,
 )
 from imfsim.frames import (
+    FRAME_CHUNK,
     BinaryFrame,
     EventArray,
     FrameConfig,
     aggregate_frames,
     aggregate_stack,
     is_empty,
+    iter_recording,
     parse_event_stream,
     read_pbm,
-    read_pbm_stack,
     write_event_stream,
     write_pbm,
 )
@@ -410,22 +412,190 @@ def test_pbm_rejects_bad_size_or_body(tmp_path, data):
         read_pbm(path)
 
 
-def test_pbm_stack_reads_frames_in_name_order(tmp_path, rng):
-    frames = [random_frame(rng, 13, 7) for _ in range(4)]
-    for i, fr in zip((3, 0, 2, 1), frames):
+def test_iter_recording_reads_pbm_frames_in_name_order(tmp_path, rng):
+    frames = [random_frame(rng, 13, 7) for _ in range(2 * FRAME_CHUNK + 3)]
+    order = rng.permutation(len(frames))
+    for i, fr in zip(order, frames):
         write_pbm(fr, tmp_path / f"frame_{i:05d}.pbm")
     (tmp_path / "notes.txt").write_text("not a frame")
-    stack = read_pbm_stack(tmp_path)
-    assert stack.shape == (4, 7, 13) and stack.dtype == np.uint8
-    for px, fr in zip(stack, [frames[1], frames[3], frames[2], frames[0]]):
-        assert np.array_equal(px, fr.pixels)
+    chunks = list(iter_recording(tmp_path))
+    assert [(first, chunk.shape) for first, chunk in chunks] == [
+        (0, (FRAME_CHUNK, 7, 13)), (FRAME_CHUNK, (FRAME_CHUNK, 7, 13)),
+        (2 * FRAME_CHUNK, (3, 7, 13))]
+    by_name = [frames[j] for j in np.argsort(order)]
+    for px, fr in zip(np.concatenate([c for _, c in chunks]), by_name):
+        assert px.dtype == np.uint8 and np.array_equal(px, fr.pixels)
 
 
-def test_pbm_stack_rejects_mixed_sizes_naming_the_first_odd_file(tmp_path):
+def test_iter_recording_rejects_mixed_pbm_sizes_naming_the_first_odd_file(tmp_path):
     for i, (w, h) in enumerate([(8, 6), (8, 6), (9, 6), (8, 5)]):
         write_pbm(BinaryFrame.zeros(w, h), tmp_path / f"frame_{i:05d}.pbm")
     with pytest.raises(DimensionMismatchError, match="frame_00002.pbm") as err:
-        read_pbm_stack(tmp_path)
+        list(iter_recording(tmp_path))
     assert "9x6" in str(err.value) and "8x6" in str(err.value)
     with pytest.raises(InvalidParamsError, match="no .pbm frames"):
-        read_pbm_stack(tmp_path / "missing")
+        list(iter_recording(tmp_path / "missing"))
+
+
+def test_iter_recording_rejects_a_mixed_size_in_a_later_chunk(tmp_path):
+    for i in range(FRAME_CHUNK + 2):
+        write_pbm(BinaryFrame.zeros(8, 5 if i == FRAME_CHUNK + 1 else 6),
+                  tmp_path / f"frame_{i:05d}.pbm")
+    chunks = iter_recording(tmp_path)
+    assert next(chunks)[1].shape == (FRAME_CHUNK, 6, 8)
+    with pytest.raises(DimensionMismatchError, match=f"frame_{FRAME_CHUNK + 1:05d}.pbm"):
+        next(chunks)
+
+
+# ---------------------------------------------------------------------------
+# streamed event recordings
+# ---------------------------------------------------------------------------
+
+_SENSOR = FrameConfig(t_f=1, sensor_width=5, sensor_height=4)
+_LEGAL_LINES = {  # every form a legal line may take
+    "event": "{t},{x},{y},1\n", "off event": "{t},{x},{y},0\n", "comment": "# note\n",
+    "blank": "\n", "crlf": "{t},{x},{y},0\r\n", "cr": "{t},{x},{y},1\r",
+    "spaced": " {t}, {x},{y} ,0\n",
+}
+_BAD_LINES = {"older": "{t_1},0,0,1\n", "letter": "{t},y,0,1\n", "three fields": "{t},0,0\n",
+              "polarity 2": "{t},0,0,2\n", "non-ascii": "{t},\xe9,0,1\n"}
+
+
+def _event_text(lines, final_newline=True):
+    t, text = 0, ""
+    for kind, step, x, y in lines:
+        t += step
+        text += (_LEGAL_LINES | _BAD_LINES)[kind].format(t=t, t_1=t - 1, x=x, y=y)
+    return text if final_newline else text.rstrip("\r\n")
+
+
+def _streamed(path, cfg, block, chunk):
+    """With small read blocks and chunks: iter_recording(path, cfg) as
+    (first, chunk) pairs or the located error, and what parse_event_stream
+    makes of the path."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(frames_module, "_READ_BLOCK", block)
+        m.setattr(frames_module, "FRAME_CHUNK", chunk)
+        parsed = outcome(path)
+        try:
+            return list(iter_recording(path, cfg)), parsed
+        except (MalformedLineError, NonMonotonicTimestampError) as exc:
+            return (type(exc), str(exc)), parsed
+
+
+def _whole(path, cfg):
+    """The whole-file line parser and the per-event oracle, or the located error."""
+    with open(path, encoding="ascii", errors="surrogateescape", newline=None) as fh:
+        try:
+            ev = parse_event_stream(fh)
+        except (MalformedLineError, NonMonotonicTimestampError) as exc:
+            return type(exc), str(exc)
+    return oracles.aggregate_naive(ev.t, ev.x, ev.y, cfg.t_f, cfg.sensor_width,
+                                   cfg.sensor_height)
+
+
+_event_lines = st.tuples(st.sampled_from(["event"] * 4 + sorted(_LEGAL_LINES)),
+                         st.integers(0, 40), st.integers(0, 4), st.integers(0, 3))
+
+
+@given(
+    st.one_of(
+        st.lists(st.tuples(st.just("event"), st.integers(0, 40), st.integers(0, 4),
+                           st.integers(0, 3)), max_size=30),
+        st.lists(_event_lines, max_size=30),
+        st.lists(st.one_of(_event_lines, st.tuples(st.sampled_from(sorted(_BAD_LINES)),
+                                                   st.integers(0, 3), st.just(0), st.just(0))),
+                 max_size=30),
+    ),
+    st.booleans(), st.integers(1, 40), st.sampled_from([1, 3, 64]), st.integers(1, 30),
+)
+def test_streamed_recording_equals_the_whole_file(lines, final_newline, block, chunk, t_f):
+    cfg = FrameConfig(t_f=t_f, sensor_width=5, sensor_height=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.txt"
+        path.write_bytes(_event_text(lines, final_newline).encode("latin-1"))
+        want = _whole(path, cfg)
+        got, parsed = _streamed(path, cfg, block, chunk)
+        with open(path, encoding="ascii", errors="surrogateescape", newline=None) as fh:
+            assert parsed == outcome(fh)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert [first for first, _ in got] == list(range(0, len(want), chunk))
+        assert all(len(c) == chunk for _, c in got[:-1])
+        stream = np.concatenate([c for _, c in got]) if got else np.zeros((0, 4, 5))
+        assert np.array_equal(stream, np.array(want).reshape(-1, 4, 5))
+        assert np.array_equal(stream, aggregate_stack(parse_event_stream(path), cfg))
+
+
+def test_late_bad_line_is_located_as_in_the_whole_file(tmp_path, monkeypatch):
+    n = 30_000
+    stream = EventArray(np.arange(n) // 7, np.arange(n) % 5, np.arange(n) % 4, np.ones(n, int))
+    good = tmp_path / "good.txt"
+    write_event_stream(stream, good)
+    lines = good.read_bytes().splitlines(True)
+    monkeypatch.setattr(frames_module, "_READ_BLOCK", 1 << 12)
+    assert sum(map(len, lines[:25_000])) > 50 * frames_module._READ_BLOCK
+    for bad, err in ((b"x,0,0,1\n", MalformedLineError),
+                     (b"0,0,0,1\n", NonMonotonicTimestampError)):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"".join(lines[:25_000] + [bad] + lines[25_000:]))
+        with pytest.raises(err) as whole:
+            parse_event_stream(path.read_text().splitlines(True))
+        assert whole.value.line_no == 25_001
+        with pytest.raises(err) as streamed:
+            list(iter_recording(path, _SENSOR))
+        assert str(streamed.value) == str(whole.value)
+
+
+def test_decrease_across_a_block_boundary_is_located(tmp_path, monkeypatch):
+    path = tmp_path / "events.txt"
+    path.write_bytes(b"# head\r\n5,0,0,1\r6,0,0,1\n4,0,0,1\n7,0,0,1\n")
+    for block in range(1, 40):
+        monkeypatch.setattr(frames_module, "_READ_BLOCK", block)
+        with pytest.raises(NonMonotonicTimestampError, match="event line 4$"):
+            list(iter_recording(path, _SENSOR))
+    # canonical blocks: the block that starts with the decrease is otherwise valid
+    path.write_bytes(b"5,0,0,1\n6,0,0,1\n4,0,0,1\n7,0,0,1\n")
+    monkeypatch.setattr(frames_module, "_READ_BLOCK", 16)
+    with pytest.raises(NonMonotonicTimestampError, match="event line 3$"):
+        list(iter_recording(path, _SENSOR))
+
+
+def test_out_of_bounds_event_in_a_late_block(tmp_path, monkeypatch):
+    path = tmp_path / "events.txt"
+    path.write_bytes(b"0,0,0,1\n" * 10 + b"70,0,0,1\n" + b"200,5,1,1\n" + b"210,0,0,1\n")
+    monkeypatch.setattr(frames_module, "_READ_BLOCK", 1)  # a block per line
+    chunks = iter_recording(path, _SENSOR)
+    assert next(chunks)[0] == 0
+    with pytest.raises(OutOfBoundsError, match="t=200,x=5,y=1 outside 5x4"):
+        list(chunks)
+
+
+def test_a_gap_is_streamed_as_zero_chunks_in_bounded_memory(tmp_path):
+    def peak(gap):
+        path = tmp_path / f"gap{gap}.txt"
+        path.write_text(f"0,1,1,1\n{gap},2,2,1\n")
+        cfg = FrameConfig(t_f=1, sensor_width=16, sensor_height=16)
+        tracemalloc.start()
+        try:
+            count = ones = 0
+            for first, chunk in iter_recording(path, cfg):
+                assert first == count
+                count, ones = count + len(chunk), ones + int(chunk.sum())
+            return count, ones, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    count_500, ones_500, peak_500 = peak(500)
+    count_5000, ones_5000, peak_5000 = peak(5000)
+    assert (count_500, count_5000, ones_500, ones_5000) == (501, 5001, 2, 2)
+    # a stack of the 5001 windows alone would take 1.28 MB
+    assert peak_5000 <= peak_500 + 4096
+
+
+def test_empty_event_file_is_an_empty_recording(tmp_path):
+    path = tmp_path / "events.txt"
+    path.write_text("# nothing\n\n")
+    assert list(iter_recording(path, _SENSOR)) == []
+    assert len(parse_event_stream(path)) == 0

@@ -12,6 +12,7 @@ from imfsim.metrics import (
     greedy_matches,
     image_ber,
     iou,
+    match_counts,
     precision_recall_f1,
     weighted_f1,
 )
@@ -87,6 +88,21 @@ def test_greedy_ties_break_to_lowest_indices():
     g = BoundingBox(0, 0, 2, 2)
     out = greedy_matches([g, g], [g, g], 0.5)
     assert [(i, j) for i, j, _ in out] == [(0, 0), (1, 1)]
+
+
+# a coarse grid, so equal boxes and equal IoUs are common
+grid_boxes = st.lists(st.builds(BoundingBox, x=st.sampled_from([0, 2, 4]),
+                                y=st.sampled_from([0, 2, 4]), w=st.sampled_from([2, 4]),
+                                h=st.sampled_from([2, 4])), max_size=6)
+
+
+@given(grid_boxes, grid_boxes, st.lists(st.sampled_from(
+    [0.0, 0.1, 1 / 9, 0.2, 0.25, 1 / 3, 0.5, 0.9, 1.0, 1.5]), max_size=5))
+def test_match_counts_equal_greedy_matches_at_every_threshold(P, G, extra):
+    thresholds = [round(0.1 * i, 1) for i in range(1, 10)] + extra
+    want = [oracles.greedy_matches_naive(as_tuples(P), as_tuples(G), thr) for thr in thresholds]
+    assert [greedy_matches(P, G, thr) for thr in thresholds] == want
+    assert match_counts(P, G, thresholds) == [len(m) for m in want]
 
 
 def test_greedy_never_beats_exact_matching():

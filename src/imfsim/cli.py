@@ -19,20 +19,9 @@ from .errors import ImfsimError
 from .filters import median_filter_overlap_stack, nomf_stack
 from .frames import BinaryFrame, iter_recording, write_event_stream, write_pbm
 from .metrics import EvalResult, f1_curve_auc, match_counts, rates, weighted_f1
-from .perf_model import (
-    FILTER_METHODS,
-    LATENCY_ARCHS,
-    WorkloadParams,
-    baseline_energy,
-    digital_latency,
-    imc_current,
-    op_counts,
-    system_energy_per_frame,
-    throughput_efficiency,
-)
+from .perf_model import report
 from .pipeline import BoundingBox, region_proposals_stack, track_proposals
 from .sram_macro import (
-    DEFAULT_GEOMETRY,
     ber_supply_sweep,
     filter_in_memory,
     frame_geometry,
@@ -148,98 +137,7 @@ def cmd_characterize(args) -> int:
 def cmd_perf(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
     out = Path(args.out)
-    params = cfg.workload()
-    constants = cfg.energy_constants()
-    device = cfg.device()
-    f = cfg.frequency
-    rows = []
-    lines = []
-
-    for method in FILTER_METHODS:
-        c = op_counts(method, params)
-        rows += [
-            (f"ops.{method}.reads", c.reads),
-            (f"ops.{method}.writes", c.writes),
-            (f"ops.{method}.logic_ops", c.logic_ops),
-            (f"ops.{method}.cells", c.cells),
-        ]
-    lines.append(
-        f"per-frame op counts for {params.width}x{params.height}, n={params.n}: see perf.csv"
-    )
-
-    cycles = {}
-    for arch in LATENCY_ARCHS:
-        cycles[arch] = digital_latency(arch, params.width, params.height, params.n)
-        rows.append((f"latency.{arch}.cycles", cycles[arch]))
-        rows.append((f"latency.{arch}.seconds", cycles[arch] / f))
-    imf_us = cycles["imf"] / f * 1e6
-    lines.append(
-        f"in-array filter: {cycles['imf']} cycles = {imf_us:.3g} us per frame at "
-        f"{f / 1e6:.0f} MHz ({1 / imf_us:.2f} frames/us)"
-    )
-    lines.append(
-        f"latency ratios: mf/imf = {cycles['mf'] / cycles['imf']:.6g}, "
-        f"mfprrb/imf = {cycles['mfprrb'] / cycles['imf']:.6g}"
-    )
-
-    e_mf = baseline_energy("mf", params, constants, cfg.vdd)
-    e_mfrb = baseline_energy("mfrb", params, constants, cfg.vdd)
-    e_imc = baseline_energy("imc_nomf", params, constants, cfg.vdd)
-    rows += [
-        ("energy.mf", e_mf),
-        ("energy.mfrb", e_mfrb),
-        ("energy.imc_nomf", e_imc),
-        ("energy.ratio_mf_imc", e_mf / e_imc),
-        ("energy.ratio_mfrb_imc", e_mfrb / e_imc),
-    ]
-    lines.append(
-        f"energy per frame at {cfg.vdd:g} V: mf {e_mf * 1e9:.4g} nJ, "
-        f"mfrb {e_mfrb * 1e9:.4g} nJ, in-array {e_imc * 1e9:.4g} nJ "
-        f"({e_mf / e_imc:.0f}x / {e_mfrb / e_imc:.0f}x)"
-    )
-
-    # supply current at the characterized point: full array width, 1.2 V, 48 MHz
-    char_device = cfg.device(vdd=1.2)
-    char_params = WorkloadParams(width=DEFAULT_GEOMETRY.cols, height=DEFAULT_GEOMETRY.rows,
-                                 n=params.n)
-    cur = imc_current(char_params, char_device, 48e6, cfg.rho_lambda_mean)
-    i_imf = 0.36 / (1.0 - 0.36) * cur.i_total  # reconstructed controller share
-    cur = imc_current(char_params, char_device, 48e6, cfg.rho_lambda_mean, i_imf=i_imf)
-    rows += [
-        ("current.i_ch", cur.i_ch),
-        ("current.i_bitflip", cur.i_bitflip),
-        ("current.i_imf", cur.i_imf),
-        ("current.i_leakage", cur.i_leakage),
-        ("current.i_total", cur.i_total),
-    ]
-    lines.append(
-        f"array charging current at 1.2 V, 48 MHz, rho+lambda = "
-        f"{cfg.rho_lambda_mean:g}: {cur.i_ch * 1e3:.4g} mA "
-        f"(+{cur.i_bitflip * 1e6:.3g} uA bit-flip, i_imf reconstructed at 36% of total)"
-    )
-
-    gops, tops = throughput_efficiency(f, params.n, DEFAULT_GEOMETRY.cols, constants.e_imc_pixel)
-    rows += [("throughput.gops", gops), ("throughput.tops_per_w", tops)]
-    lines.append(
-        f"peak filtering throughput: {gops:.1f} GOPS at {f / 1e6:.0f} MHz "
-        f"across {DEFAULT_GEOMETRY.cols} columns"
-    )
-    lines.append(
-        f"efficiency: {tops:.1f} TOPS/W at {constants.e_imc_pixel * 1e15:.0f} fJ/pixel"
-    )
-
-    for label, denoise in (("imc", e_imc), ("mf", e_mf)):
-        sys_e = system_energy_per_frame(params, constants, denoise)
-        rows += [
-            (f"system.{label}.average", sys_e.average),
-            (f"system.{label}.savings", sys_e.savings),
-        ]
-        lines.append(
-            f"system energy with {label} denoise: {sys_e.average * 1e9:.4g} nJ/frame "
-            f"avg vs {sys_e.baseline * 1e9:.4g} nJ baseline "
-            f"({sys_e.savings * 100:.1f}% saved at {params.empty_frame_fraction:.0%} empty)"
-        )
-
+    rows, lines = report(cfg)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "perf.csv", ["metric", "value"], rows)
     (out / "perf.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -312,8 +210,6 @@ def cmd_track_eval(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
-    if args.events:
-        cfg.frame_config()  # the stream must accumulate back: t_f > 0, sensor size
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "noise":

@@ -8,6 +8,7 @@ package default, so an empty config is valid.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -43,7 +44,6 @@ class RunConfig:
     delta_c: float = 0.0
     v_trip: float | None = None
     i_s: float | None = None
-    r_tg: float = 200.0
     # mismatch
     sigma_i_over_mu: float = CALIBRATED_SIGMA_I_OVER_MU
     sigma_vtrip: float = DEFAULT_SIGMA_VTRIP
@@ -78,8 +78,20 @@ class RunConfig:
     max_objects: int = 3
 
     def __post_init__(self):
-        if not 0 < self.frequency < float("inf"):
+        """Check every key at load, whichever command reads it: numbers must be
+        finite, and each parameter object must accept its fields."""
+        if not 0 < self.frequency < math.inf:
             raise InvalidParamsError(f"frequency must be positive and finite, got {self.frequency}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidParamsError(f"config key {f.name!r} must be finite, got {value}")
+        self.device()
+        self.variation()
+        self.frame_config()
+        self.kernel()
+        self.workload()
+        self.tracker_config()
 
     def device(self, vdd: float | None = None) -> DeviceParams:
         """The configured operating point, optionally at another supply.
@@ -97,7 +109,6 @@ class RunConfig:
             delta_c=self.delta_c,
             v_trip_nominal=self.v_trip,
             i_s_nominal=self.i_s,
-            r_tg=self.r_tg,
         )
 
     def variation(self) -> CellVariation:

@@ -29,10 +29,6 @@ class OutOfBoundsError(ImfsimError):
     """An event lies outside the configured sensor dimensions."""
 
 
-class InvalidCountError(ImfsimError):
-    """A pixel count is impossible for the kernel it was quoted against."""
-
-
 class InvalidParamsError(ImfsimError):
     """A configuration or parameter object violates its invariants."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCountError, InvalidParamsError
+from .errors import InvalidParamsError
 from .frames import BinaryFrame
 
 
@@ -41,13 +41,6 @@ class KernelSpec:
 class StrideMode(enum.Enum):
     OVERLAP = "overlap"
     NON_OVERLAP = "non_overlap"
-
-
-def patch_majority(count: int, spec: KernelSpec) -> int:
-    """Majority bit for a full n x n patch holding `count` ones."""
-    if not 0 <= count <= spec.n * spec.n:
-        raise InvalidCountError(f"count {count} impossible for n={spec.n}")
-    return 1 if count >= spec.threshold else 0
 
 
 def median_filter_overlap_stack(stack: np.ndarray, n: int) -> np.ndarray:

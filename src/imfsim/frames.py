@@ -167,16 +167,8 @@ class BinaryFrame:
             np.array_equal(self.pixels, other.pixels)
         )
 
-    def __hash__(self):  # pragma: no cover - frames are not meant to be dict keys
-        return hash((self.pixels.shape, self.pixels.tobytes()))
-
     def __repr__(self) -> str:
         return f"BinaryFrame({self.width}x{self.height}, ones={self.popcount()})"
-
-
-def is_empty(frame: BinaryFrame) -> bool:
-    """True iff the frame contains no event pixel."""
-    return not frame.pixels.any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Detection/tracking quality metrics and image-level bit error rate."""
+"""Detection and tracking quality metrics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DimensionMismatchError, InvalidParamsError
-from .frames import BinaryFrame
+from .errors import InvalidParamsError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import BoundingBox
@@ -70,13 +69,6 @@ def match_counts(
     return [sum(v >= thr for v in ious) for thr in thresholds]
 
 
-def precision_recall_f1(
-    proposed: Sequence["BoundingBox"], gt: Sequence["BoundingBox"], thr: float
-) -> tuple[float, float, float]:
-    """Region-level precision/recall/F1 at an IoU threshold; empty denominators give 0."""
-    return rates(len(greedy_matches(proposed, gt, thr)), len(proposed), len(gt))
-
-
 def rates(tp: int, proposed: int, gt: int) -> tuple[float, float, float]:
     """Precision, recall and F1 of tp matches among proposed and gt counts."""
     precision = tp / proposed if proposed else 0.0
@@ -107,19 +99,3 @@ def f1_curve_auc(thresholds: Sequence[float], values: Sequence[float]) -> float:
     ):
         area += (t1 - t0) * (v0 + v1) / 2.0
     return area
-
-
-def image_ber(hardware: Sequence[BinaryFrame], reference: Sequence[BinaryFrame]) -> float:
-    """Mean absolute pixel difference between two frame sequences."""
-    if len(hardware) != len(reference) or not hardware:
-        raise DimensionMismatchError("frame sequences must be nonempty and equal length")
-    diff = 0
-    pixels = 0
-    for h, r in zip(hardware, reference):
-        if h.pixels.shape != r.pixels.shape:
-            raise DimensionMismatchError(
-                f"frame shape mismatch: {h.pixels.shape} vs {r.pixels.shape}"
-            )
-        diff += int((h.pixels != r.pixels).sum())
-        pixels += h.pixels.size
-    return diff / pixels

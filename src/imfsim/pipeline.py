@@ -239,20 +239,6 @@ def confirmed_boxes(tracks: list[Track], frame_index: int) -> list[BoundingBox]:
     return out
 
 
-def extract_patch(frame: BinaryFrame, center: tuple[int, int], side: int = 42) -> np.ndarray:
-    """Zero-padded side x side crop centered at (x, y)."""
-    if side < 1:
-        raise InvalidParamsError("patch side must be >= 1")
-    cx, cy = center
-    x0, y0 = cx - side // 2, cy - side // 2
-    out = np.zeros((side, side), dtype=np.uint8)
-    sx0, sy0 = max(x0, 0), max(y0, 0)
-    sx1, sy1 = min(x0 + side, frame.width), min(y0 + side, frame.height)
-    if sx0 < sx1 and sy0 < sy1:
-        out[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0] = frame.pixels[sy0:sy1, sx0:sx1]
-    return out
-
-
 def track_proposals(
     proposals: list[list[BoundingBox]], cfg: TrackerConfig
 ) -> tuple[list[Track], dict[int, list[BoundingBox]]]:
@@ -263,18 +249,3 @@ def track_proposals(
         tracks = track_update(tracks, frame_proposals, idx, cfg)
         per_frame[idx] = confirmed_boxes(tracks, idx)
     return tracks, per_frame
-
-
-def track_recording(
-    frames: list[BinaryFrame],
-    cfg: TrackerConfig,
-    a: int = 8,
-    b: int = 6,
-    min_area: int = 2,
-    connectivity: int = 8,
-) -> tuple[list[Track], dict[int, list[BoundingBox]]]:
-    """Run proposals + tracking over a frame sequence; returns the tracks and the
-    per-frame confirmed boxes."""
-    return track_proposals(
-        [region_proposals(f, a, b, min_area, connectivity) for f in frames], cfg
-    )

@@ -71,7 +71,6 @@ VT_TEMP_SLOPE = 1.0e-3      # V per C; threshold drops as temperature rises
 CORNER_VT_SHIFT = {"TT": 0.0, "SS": 0.05, "FF": -0.05}
 I_S_REF = 50e-6             # A, unit-cell discharge current at the reference point
 BETA_NOMINAL = 0.7          # 1 - v_trip / vdd
-TG_MARGIN = 0.1             # transmission-gate RC budget as a fraction of the discharge RC
 
 # Relative current spread at the reference overdrive, fitted by
 # calibrate_current_sigma against the dense-noise workload so that 0.7 V image
@@ -104,7 +103,6 @@ class DeviceParams:
     delta_c: float = 0.0            # BLB capacitance imbalance, C_BLB = c_bl*(1+delta_c)
     v_trip_nominal: float | None = None   # default 0.3*vdd
     i_s_nominal: float | None = None      # default overdrive-scaled from I_S_REF
-    r_tg: float = 200.0             # ohms, transmission gate on-resistance
 
     def __post_init__(self):
         vt = threshold_voltage(self.temperature, self.corner)
@@ -116,8 +114,6 @@ class DeviceParams:
             raise InvalidParamsError("bit-line and word-line capacitances must be positive")
         if 1.0 + self.delta_c <= 0:
             raise InvalidParamsError(f"delta_c {self.delta_c} makes C_BLB non-positive")
-        if self.r_tg < 0:
-            raise InvalidParamsError("r_tg must be non-negative")
         if self.v_trip_nominal is None:
             object.__setattr__(self, "v_trip_nominal", (1.0 - BETA_NOMINAL) * self.vdd)
         if not 0 < self.v_trip_nominal < self.vdd:
@@ -163,16 +159,11 @@ def variation_at_device(variation: CellVariation, device: DeviceParams) -> CellV
 class MacroGeometry:
     rows: int = 240
     cols: int = 320
-    bank_cols: int = 15         # lcm(3,5): 3x3 and 5x5 patches never straddle a bank
     clear_group: int = 16       # word lines strobed per clear cycle
 
     def __post_init__(self):
-        if min(self.rows, self.cols, self.bank_cols, self.clear_group) <= 0:
+        if min(self.rows, self.cols, self.clear_group) <= 0:
             raise InvalidParamsError(f"geometry fields must be positive: {self}")
-
-    @property
-    def n_banks(self) -> int:
-        return -(-self.cols // self.bank_cols)
 
 
 DEFAULT_GEOMETRY = MacroGeometry()
@@ -186,13 +177,6 @@ class MacroState:
     cell_current: np.ndarray    # (rows, cols) float64, amperes
     cell_vtrip: np.ndarray      # (rows, cols) float64, volts
     cycle_count: int = 0
-
-
-@dataclass(frozen=True)
-class GateCounts:
-    nor3: int
-    nand3: int
-    dff: int = 1
 
 
 @dataclass
@@ -386,34 +370,6 @@ def race(
     return outcome, dt
 
 
-def resolve_patch(
-    patch_bits: np.ndarray,
-    currents: np.ndarray,
-    vtrips: np.ndarray,
-    device: DeviceParams,
-) -> tuple[int, float]:
-    """Race one n x n patch; returns (outcome bit, dt). Uniform patches keep their value."""
-    bits = np.asarray(patch_bits)
-    n = bits.shape[0]
-    if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
-        raise DimensionMismatchError(f"patch must be square, got {bits.shape}")
-    if n % 2 == 0:
-        raise InvalidParamsError(f"patch side must be odd, got {n}")
-    if currents.shape != bits.shape or vtrips.shape != bits.shape:
-        raise DimensionMismatchError("currents/vtrips must match the patch shape")
-    ones = bits.astype(bool)
-    k = int(ones.sum())
-    if k == 0:
-        return 0, float("-inf")
-    if k == n * n:
-        return 1, float("inf")
-    outcome, dt = race(
-        n, k, currents[~ones].sum(), currents[ones].sum(),
-        vtrips[ones].sum(), vtrips[~ones].sum(), device,
-    )
-    return int(outcome), float(dt)
-
-
 def _patch_grid(rows: int, cols: int, n: int) -> tuple[int, int]:
     """(row groups, complete patches per group) of an array filtered with n x n patches."""
     if rows % n != 0:
@@ -531,57 +487,12 @@ def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterR
 
 
 # ---------------------------------------------------------------------------
-# valid-frame sensing and the transmission-gate budget
-# ---------------------------------------------------------------------------
-
-def _gate_series(width: int, n: int, first_level: int) -> int:
-    # 3-input gates reduce width/n shorted bit-line groups; levels alternate
-    # NOR/NAND, so each gate type occupies every other level.  A series ends
-    # with its first single-gate level.
-    total, level = 0, first_level
-    while True:
-        t = math.ceil(width / (3**level * n))
-        total += t
-        if t <= 1:
-            return total
-        level += 2
-
-
-def valid_frame_gate_counts(width: int, n: int) -> GateCounts:
-    """Gate budget of the OR-reduction tree sensing `width` bit lines."""
-    return GateCounts(nor3=_gate_series(width, n, 1), nand3=_gate_series(width, n, 2))
-
-
-def valid_frame_detect(
-    report: FilterReport, geometry: MacroGeometry
-) -> tuple[int, GateCounts]:
-    """Valid-frame bit of a filter pass plus the gate budget of the detector."""
-    return report.valid_frame, valid_frame_gate_counts(geometry.cols, report.n)
-
-
-def tg_resistance_bound(device: DeviceParams, n: int) -> float:
-    """Largest transmission-gate resistance keeping R_tg*C_BL within the margin.
-
-    Budget: R_tg * C_BL <= TG_MARGIN * C_BL * vdd / (n * i_s); C_BL cancels.
-    """
-    return TG_MARGIN * device.vdd / (n * device.i_s_nominal)
-
-
-def check_tg_criterion(device: DeviceParams, n: int) -> bool:
-    return device.r_tg <= tg_resistance_bound(device, n)
-
-
-# ---------------------------------------------------------------------------
 # characterization
 # ---------------------------------------------------------------------------
 
-def macro_patch_count(geometry: MacroGeometry, n: int, banked: bool = False) -> int:
-    """Complete n x n patches per array: flat column tiling, or per-bank tiling
-    counting every bank at its nominal width."""
-    groups = geometry.rows // n
-    if banked:
-        return groups * geometry.n_banks * (geometry.bank_cols // n)
-    return groups * (geometry.cols // n)
+def macro_patch_count(geometry: MacroGeometry, n: int) -> int:
+    """Complete n x n patches per array."""
+    return (geometry.rows // n) * (geometry.cols // n)
 
 
 def pattern_to_patch(pattern_id: int, n: int) -> np.ndarray:
@@ -722,6 +633,8 @@ def patch_error_trials(
     (default variation.rng_seed), so the stream is reproducible.
     """
     patch = np.asarray(pattern, dtype=np.uint8)
+    if patch.ndim != 2 or patch.shape[0] != patch.shape[1]:
+        raise DimensionMismatchError(f"patch must be square, got shape {patch.shape}")
     n = patch.shape[0]
     spec = KernelSpec(n)
     k = int(patch.sum())

@@ -276,16 +276,3 @@ def write_events_naive(t, x, y, polarity, path):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for ti, xi, yi, pi in zip(t, x, y, polarity):
             fh.write(f"{ti},{xi},{yi},{1 if pi > 0 else 0}\n")
-
-
-def crop_padded_naive(px, cx, cy, side):
-    """Zero-padded side x side crop centered at (cx, cy), one pixel at a time."""
-    h, w = px.shape
-    out = np.zeros((side, side), dtype=np.uint8)
-    for j in range(side):
-        for i in range(side):
-            sy = cy - side // 2 + j
-            sx = cx - side // 2 + i
-            if 0 <= sy < h and 0 <= sx < w:
-                out[j, i] = px[sy, sx]
-    return out

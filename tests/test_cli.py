@@ -17,7 +17,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest itself depends on tomli
 
 import imfsim.cli
 from helpers import run_cli, tree_bytes
-from imfsim.frames import parse_event_stream, read_pbm
+from imfsim.frames import BinaryFrame, parse_event_stream, read_pbm, write_pbm
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -212,12 +212,25 @@ def _exit_code(*argv):
         ("", ["characterize", "--patterns", "0", "--vdd", "0.7"], "patterns must be positive"),
         ("", ["characterize", "--trials", "0", "--vdd", "0.7"], "trials must be positive"),
         ("t_f = 0\nn_frames = 2\n", ["gen", "--events"], "t_f must be positive"),
+        # keys the command never reads are checked too, when the config loads
+        ("temperature = nan\n", ["simulate", "--frames", "FRAMES"],
+         "config key 'temperature' must be finite, got nan"),
+        ("n = 4\nn_frames = 2\n", ["gen", "--kind", "noise"],
+         "kernel size must be odd and >= 3, got 4"),
+        ("vdd = nan\nn_frames = 2\n", ["gen", "--kind", "noise"],
+         "config key 'vdd' must be finite, got nan"),
     ],
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
-         "characterize-trials-0", "gen-events-t_f-0"],
+         "characterize-trials-0", "gen-events-t_f-0", "simulate-temperature-nan",
+         "gen-noise-n-4", "gen-noise-vdd-nan"],
 )
 def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, argv, expect):
+    frames = tmp_path / "frames"   # a valid recording with mixed patches
+    frames.mkdir()
+    for i in range(2):
+        write_pbm(BinaryFrame(np.eye(18, 24, i, dtype=np.uint8)), frames / f"frame_{i:05d}.pbm")
+    argv = [frames if a == "FRAMES" else a for a in argv]
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(cfg_text.encode("latin-1"))
     out = tmp_path / "out"
@@ -366,6 +379,24 @@ def test_simulate_without_variation_equals_ideal_nomf(tmp_path):
         assert row["flips_unintended"] == "0" and row["ber"] == "0"
 
 
+def test_simulate_passes_the_edge_columns_that_nomf_votes(tmp_path):
+    # width 5 with n = 3: the macro races columns 0-2 only; nomf also votes the
+    # 3 x 2 edge tile, where one pixel of six is a minority
+    px = np.zeros((3, 5), dtype=np.uint8)
+    px[1, 4] = 1
+    d = tmp_path / "frames"
+    d.mkdir()
+    write_pbm(BinaryFrame(px), d / "frame_00000.pbm")
+    cfg = write_cfg(tmp_path, "sigma_i_over_mu = 0\nsigma_vtrip = 0\n")
+    assert run_cli("simulate", "--frames", d, "--config", cfg, "--out", tmp_path / "hw") == 0
+    assert run_cli("denoise", "--frames", d, "--filter", "nomf", "--config", cfg,
+                   "--out", tmp_path / "ideal") == 0
+    assert read_pbm(tmp_path / "hw" / "frames" / "frame_00000.pbm").pixels.tolist() == px.tolist()
+    assert not read_pbm(tmp_path / "ideal" / "frames" / "frame_00000.pbm").pixels.any()
+    (row,) = read_csv(tmp_path / "hw" / "report.csv")
+    assert (row["output_ones"], row["flips_intended"], row["flips_unintended"]) == ("1", "0", "0")
+
+
 def test_all_zero_frame_reports_invalid(tmp_path):
     from imfsim.frames import BinaryFrame, write_pbm
 
@@ -433,7 +464,7 @@ def test_perf_report_values(tmp_path):
 
 
 def test_perf_current_uses_the_configured_device_at_1v2(tmp_path, monkeypatch):
-    import imfsim.cli as cli
+    import imfsim.perf_model as perf_model
     from imfsim.config import load_config
 
     devices = []
@@ -442,12 +473,12 @@ def test_perf_current_uses_the_configured_device_at_1v2(tmp_path, monkeypatch):
         devices.append(device)
         return real(params, device, *args, **kwargs)
 
-    real = cli.imc_current
-    monkeypatch.setattr(cli, "imc_current", spy)
-    cfg = write_cfg(tmp_path, "i_s = 2e-5\nv_trip = 0.3\nr_tg = 500\n")
+    real = perf_model.imc_current
+    monkeypatch.setattr(perf_model, "imc_current", spy)
+    cfg = write_cfg(tmp_path, "i_s = 2e-5\nv_trip = 0.3\nc_wl = 3e-13\n")
     assert run_cli("perf", "--config", cfg, "--out", tmp_path / "out") == 0
     want = load_config(cfg).device(vdd=1.2)
-    assert (want.vdd, want.i_s_nominal, want.v_trip_nominal, want.r_tg) == (1.2, 2e-5, 0.3, 500)
+    assert (want.vdd, want.i_s_nominal, want.v_trip_nominal, want.c_wl) == (1.2, 2e-5, 0.3, 3e-13)
     assert devices == [want, want]
 
 

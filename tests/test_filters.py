@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from imfsim.errors import InvalidCountError, InvalidParamsError
+from imfsim.errors import InvalidParamsError
 from imfsim.filters import (
     KernelSpec,
     StrideMode,
@@ -14,9 +14,10 @@ from imfsim.filters import (
     median_filter_overlap_stack,
     nomf,
     nomf_stack,
-    patch_majority,
 )
 from imfsim.frames import BinaryFrame
+from imfsim.perf_model import rho_lambda_bound
+from imfsim.sram_macro import CellVariation, DeviceParams, ber_pattern_sweep
 
 small_frames = hnp.arrays(
     np.uint8,
@@ -38,14 +39,22 @@ def test_kernel_spec_thresholds():
     [(5, 3, 1), (4, 3, 0), (9, 3, 1), (0, 3, 0), (13, 5, 1), (12, 5, 0), (25, 5, 1)],
 )
 def test_patch_majority(count, n, expected):
-    assert patch_majority(count, KernelSpec(n)) == expected
+    # one full n x n tile holding `count` ones; every placement votes alike
+    tiles = np.zeros((3, n * n), dtype=np.uint8)
+    tiles[0, :count] = 1
+    tiles[1, n * n - count:] = 1
+    tiles[2, np.random.default_rng(count).permutation(n * n)[:count]] = 1
+    out = nomf_stack(tiles.reshape(3, n, n), n)
+    assert (out == expected).all()
 
 
 def test_patch_majority_rejects_out_of_range_counts():
-    with pytest.raises(InvalidCountError):
-        patch_majority(-1, KernelSpec(3))
-    with pytest.raises(InvalidCountError):
-        patch_majority(10, KernelSpec(3))
+    # the sweeps reject a ones count that no n x n patch can hold
+    for k in (-1, 10):
+        with pytest.raises(InvalidParamsError, match=f"k={k} impossible for n=3"):
+            ber_pattern_sweep(3, k, DeviceParams(), CellVariation(), trials=1, patterns=1)
+        with pytest.raises(InvalidParamsError, match=f"k={k} impossible for n=3"):
+            rho_lambda_bound(k, 3)
 
 
 def test_all_zero_frame_stays_zero():

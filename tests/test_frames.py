@@ -25,7 +25,6 @@ from imfsim.frames import (
     FrameConfig,
     aggregate_frames,
     aggregate_stack,
-    is_empty,
     iter_recording,
     parse_event_stream,
     read_pbm,
@@ -250,11 +249,10 @@ def test_binary_frame_validation():
     fr = BinaryFrame(np.array([[True, False]]))
     assert fr.pixels.dtype == np.uint8 and fr.width == 2 and fr.height == 1
     assert BinaryFrame.zeros(4, 3).popcount() == 0
-    assert is_empty(BinaryFrame.zeros(4, 3))
     other = fr.copy()
     assert other == fr
     other.pixels[0, 1] = 1
-    assert other != fr and not is_empty(other)
+    assert other != fr and other.popcount() == 2
 
 
 def test_aggregate_empty_stream():
@@ -280,7 +278,7 @@ def test_aggregate_emits_empty_intermediate_frames():
     cfg = FrameConfig(t_f=100, sensor_width=4, sensor_height=4)
     frames = aggregate_frames(events((0, 0, 0, 1), (350, 1, 1, 1)), cfg)
     assert len(frames) == 4
-    assert is_empty(frames[1]) and is_empty(frames[2])
+    assert frames[1].popcount() == frames[2].popcount() == 0
 
 
 def test_aggregate_out_of_bounds_event():

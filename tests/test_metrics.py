@@ -4,16 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from imfsim.errors import DimensionMismatchError, InvalidParamsError
-from imfsim.frames import BinaryFrame
+from imfsim.errors import InvalidParamsError
 from imfsim.metrics import (
     EvalResult,
     f1_curve_auc,
     greedy_matches,
-    image_ber,
     iou,
     match_counts,
-    precision_recall_f1,
+    rates,
     weighted_f1,
 )
 from imfsim.pipeline import BoundingBox
@@ -129,6 +127,10 @@ def test_greedy_equals_exact_on_frozen_instance():
 # precision / recall / F1
 # ---------------------------------------------------------------------------
 
+def precision_recall_f1(proposed, gt, thr):
+    return rates(len(greedy_matches(proposed, gt, thr)), len(proposed), len(gt))
+
+
 def test_precision_recall_f1_hand_case():
     G = [BoundingBox(0, 0, 4, 4), BoundingBox(10, 10, 4, 4)]
     P = [BoundingBox(0, 0, 4, 4), BoundingBox(30, 30, 4, 4), BoundingBox(40, 0, 4, 4)]
@@ -191,27 +193,3 @@ def test_f1_curve_auc_validation():
         f1_curve_auc([0.1, 0.1], [0.5, 0.5])
     with pytest.raises(InvalidParamsError):
         f1_curve_auc([0.2, 0.1], [0.5, 0.5])
-
-
-# ---------------------------------------------------------------------------
-# image BER
-# ---------------------------------------------------------------------------
-
-def test_image_ber_counting():
-    a = BinaryFrame(np.zeros((180, 240), dtype=np.uint8))
-    b = a.copy()
-    assert image_ber([a], [b]) == 0.0
-    b.pixels[0, 0] = 1
-    assert image_ber([a], [b]) == pytest.approx(1 / 43200)
-    assert image_ber([a], [b]) == image_ber([b], [a])
-    assert image_ber([a, a], [a, b]) == pytest.approx(1 / 86400)
-
-
-def test_image_ber_validation():
-    a = BinaryFrame.zeros(4, 4)
-    with pytest.raises(DimensionMismatchError):
-        image_ber([a], [a, a])
-    with pytest.raises(DimensionMismatchError):
-        image_ber([], [])
-    with pytest.raises(DimensionMismatchError):
-        image_ber([a], [BinaryFrame.zeros(5, 4)])

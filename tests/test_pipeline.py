@@ -22,10 +22,9 @@ from imfsim.pipeline import (
     connected_components_stack,
     downscale_or,
     downscale_or_stack,
-    extract_patch,
     region_proposals,
     region_proposals_stack,
-    track_recording,
+    track_proposals,
     track_update,
 )
 
@@ -211,15 +210,13 @@ def test_track_ties_break_to_lower_track_id():
 
 def test_tracker_follows_constant_velocity_target():
     cfg = TrackerConfig()
-    frames = []
+    stack = np.zeros((50, 180, 240), dtype=np.uint8)
     gt = []
     for idx in range(50):
-        px = np.zeros((180, 240), dtype=np.uint8)
         x = 10 + 3 * idx
-        px[60:90, x : x + 40] = 1
-        frames.append(BinaryFrame(px))
+        stack[idx, 60:90, x : x + 40] = 1
         gt.append(BoundingBox(x, 60, 40, 30))
-    tracks, per_frame = track_recording(frames, cfg)
+    tracks, per_frame = track_proposals(region_proposals_stack(stack), cfg)
     alive = [t for t in tracks if t.state == CONFIRMED]
     assert len(alive) == 1
     hits = sum(
@@ -232,11 +229,9 @@ def test_tracker_follows_constant_velocity_target():
 
 def test_track_recording_deterministic():
     rng = np.random.default_rng(21)
-    frames = [
-        BinaryFrame((rng.random((60, 80)) < 0.1).astype(np.uint8)) for _ in range(20)
-    ]
-    a = track_recording(frames, TrackerConfig())
-    b = track_recording(frames, TrackerConfig())
+    stack = (rng.random((20, 60, 80)) < 0.1).astype(np.uint8)
+    a = track_proposals(region_proposals_stack(stack), TrackerConfig())
+    b = track_proposals(region_proposals_stack(stack.copy()), TrackerConfig())
     assert a[1] == b[1]
     assert [(t.track_id, t.state, t.boxes) for t in a[0]] == [
         (t.track_id, t.state, t.boxes) for t in b[0]
@@ -252,35 +247,6 @@ def test_tracker_config_validation():
         TrackerConfig(confirm_hits=0)
     with pytest.raises(InvalidParamsError):
         TrackerConfig(kill_misses=0)
-
-
-# ---------------------------------------------------------------------------
-# patch extraction
-# ---------------------------------------------------------------------------
-
-def test_extract_patch_center_and_padding():
-    px = np.arange(1, 26).reshape(5, 5) % 2
-    fr = BinaryFrame(px.astype(np.uint8))
-    got = extract_patch(fr, (2, 2), side=3)
-    assert np.array_equal(got, px[1:4, 1:4])
-    corner = extract_patch(fr, (0, 0), side=3)
-    assert corner[0, 0] == 0 and corner[1, 1] == px[0, 0]
-    assert corner[:, 0].sum() == 0 and corner[0, :].sum() == 0
-
-
-def test_extract_patch_default_side_and_oracle():
-    rng = np.random.default_rng(5)
-    px = (rng.random((50, 60)) < 0.4).astype(np.uint8)
-    fr = BinaryFrame(px)
-    assert extract_patch(fr, (10, 10)).shape == (42, 42)
-    for _ in range(20):
-        cx = int(rng.integers(-5, 65))
-        cy = int(rng.integers(-5, 55))
-        side = int(rng.integers(1, 48))
-        got = extract_patch(fr, (cx, cy), side)
-        assert np.array_equal(got, oracles.crop_padded_naive(px, cx, cy, side))
-    with pytest.raises(InvalidParamsError):
-        extract_patch(fr, (0, 0), side=0)
 
 
 # ---------------------------------------------------------------------------

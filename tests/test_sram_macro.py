@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 import imfsim.sram_macro as sram_macro
 import oracles
 from imfsim.errors import DimensionMismatchError, InvalidParamsError, OutOfBoundsError
-from imfsim.filters import KernelSpec, nomf, patch_majority
+from imfsim.filters import KernelSpec, nomf
 from imfsim.frames import BinaryFrame
 from imfsim.perf_model import rho_lambda_bound
 from imfsim.sram_macro import (
     DEFAULT_GEOMETRY,
     CellVariation,
     DeviceParams,
-    GateCounts,
     MacroGeometry,
     ber_pattern_sweep,
     ber_supply_sweep,
     calibrate_current_sigma,
-    check_tg_criterion,
     clear_memory,
     filter_in_memory,
     init_macro,
@@ -31,13 +29,10 @@ from imfsim.sram_macro import (
     pattern_to_patch,
     patch_error_trials,
     patch_sums,
+    race,
     read_frame,
-    resolve_patch,
     sample_cell_lottery,
-    tg_resistance_bound,
     threshold_voltage,
-    valid_frame_detect,
-    valid_frame_gate_counts,
     variation_at_device,
     write_events,
 )
@@ -49,6 +44,14 @@ def uniform_lottery(device, n=3):
     cur = np.full((n, n), device.i_s_nominal)
     vtr = np.full((n, n), device.v_trip_nominal)
     return cur, vtr
+
+
+def race_patch(patch, cur, vtr, device):
+    """sram_macro.race on the sums of one n x n patch: (outcome bit, dt)."""
+    ones = patch.astype(bool)
+    outcome, dt = race(patch.shape[0], int(ones.sum()), cur[~ones].sum(), cur[ones].sum(),
+                       vtr[ones].sum(), vtr[~ones].sum(), device)
+    return int(outcome), float(dt)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +90,6 @@ def test_device_validation():
         DeviceParams(vdd=0.7, delta_c=-1.0)
     with pytest.raises(InvalidParamsError):
         DeviceParams(vdd=0.7, v_trip_nominal=0.8)
-    with pytest.raises(InvalidParamsError):
-        DeviceParams(vdd=0.7, r_tg=-1.0)
 
 
 def test_variation_scales_inversely_with_overdrive():
@@ -221,10 +222,12 @@ def test_load_frame_rejects_wrong_size():
 # ---------------------------------------------------------------------------
 
 def test_resolve_patch_uniform_sentinels():
+    # uniform patches keep their value; with no race their dt is NaN
     d = DeviceParams(vdd=0.7)
     cur, vtr = uniform_lottery(d)
-    assert resolve_patch(np.zeros((3, 3), np.uint8), cur, vtr, d) == (0, float("-inf"))
-    assert resolve_patch(np.ones((3, 3), np.uint8), cur, vtr, d) == (1, float("inf"))
+    for bit in (0, 1):
+        got, dt = race_patch(np.full((3, 3), bit, np.uint8), cur, vtr, d)
+        assert got == bit and math.isnan(dt)
 
 
 def test_resolve_patch_zero_variation_is_exact_majority():
@@ -233,8 +236,8 @@ def test_resolve_patch_zero_variation_is_exact_majority():
     spec = KernelSpec(3)
     for pid in range(512):
         patch = pattern_to_patch(pid, 3)
-        bit, dt = resolve_patch(patch, cur, vtr, d)
-        assert bit == patch_majority(int(patch.sum()), spec)
+        bit, dt = race_patch(patch, cur, vtr, d)
+        assert bit == int(patch.sum() >= spec.threshold)
         if 0 < patch.sum() < 9:
             assert math.isfinite(dt)
 
@@ -246,7 +249,7 @@ def test_resolve_patch_matches_scalar_oracle():
         patch = (rng.random((3, 3)) < 0.5).astype(np.uint8)
         cur = rng.uniform(5e-6, 5e-5, (3, 3))
         vtr = rng.uniform(0.1, 0.3, (3, 3))
-        bit, dt = resolve_patch(patch, cur, vtr, d)
+        bit, dt = race_patch(patch, cur, vtr, d)
         ref_bit, ref_dt = oracles.race_outcome_naive(patch, cur, vtr, d.c_bl, d.delta_c)
         assert bit == ref_bit
         if math.isfinite(ref_dt):
@@ -256,11 +259,11 @@ def test_resolve_patch_matches_scalar_oracle():
 def test_resolve_patch_shape_and_parity_errors():
     d = DeviceParams()
     with pytest.raises(DimensionMismatchError):
-        resolve_patch(np.zeros((3, 2), np.uint8), np.zeros((3, 2)), np.zeros((3, 2)), d)
-    with pytest.raises(InvalidParamsError):
-        resolve_patch(np.zeros((2, 2), np.uint8), np.zeros((2, 2)), np.zeros((2, 2)), d)
+        patch_error_trials(np.zeros((3, 2), np.uint8), d, NO_VARIATION, trials=1)
     with pytest.raises(DimensionMismatchError):
-        resolve_patch(np.zeros((3, 3), np.uint8), np.zeros((5, 5)), np.zeros((3, 3)), d)
+        patch_error_trials(np.zeros(9, np.uint8), d, NO_VARIATION, trials=1)
+    with pytest.raises(InvalidParamsError):
+        patch_error_trials(np.zeros((2, 2), np.uint8), d, NO_VARIATION, trials=1)
 
 
 def test_capacitance_imbalance_slows_the_heavier_line():
@@ -268,7 +271,7 @@ def test_capacitance_imbalance_slows_the_heavier_line():
     d = DeviceParams(vdd=0.7, delta_c=0.5)
     cur, vtr = uniform_lottery(d)
     patch = pattern_to_patch(0b000011111, 3)
-    bit, dt = resolve_patch(patch, cur, vtr, d)
+    bit, dt = race_patch(patch, cur, vtr, d)
     assert bit == 0 and dt < 0
 
 
@@ -373,40 +376,19 @@ def test_filter_report_reproducible():
 
 
 # ---------------------------------------------------------------------------
-# valid-frame sensing and the transmission-gate budget
+# valid-frame sensing
 # ---------------------------------------------------------------------------
-
-def test_gate_counts_match_alternating_series():
-    got = valid_frame_gate_counts(240, 3)
-    assert got == GateCounts(nor3=31, nand3=10, dff=1)
-    assert got.nor3 == math.ceil(240 / 9) + math.ceil(240 / 81) + math.ceil(240 / 729)
-    assert got.nand3 == math.ceil(240 / 27) + math.ceil(240 / 243)
-    assert valid_frame_gate_counts(320, 3) == GateCounts(41, 15, 1)
-    assert valid_frame_gate_counts(240, 5) == GateCounts(19, 7, 1)
-    assert valid_frame_gate_counts(320, 5) == GateCounts(26, 9, 1)
-
 
 def test_valid_frame_detect_levels():
     geom = MacroGeometry(rows=6, cols=6)
     d = DeviceParams(vdd=0.7)
     state = init_macro(geom, d, NO_VARIATION)
-    bit, gates = valid_frame_detect(filter_in_memory(state, 3, d), geom)
-    assert bit == 0 and gates == valid_frame_gate_counts(6, 3)
+    assert filter_in_memory(state, 3, d).valid_frame == 0
     state.bits[0:3, 0:3] = 1
-    bit, _ = valid_frame_detect(filter_in_memory(state, 3, d), geom)
-    assert bit == 1
-
-
-def test_tg_bound_and_criterion():
-    d12 = DeviceParams(vdd=1.2)
-    bound = tg_resistance_bound(d12, 3)
-    assert bound == pytest.approx(0.1 * 1.2 / (3 * d12.i_s_nominal))
-    assert bound == pytest.approx(467.82, abs=0.05)
-    assert check_tg_criterion(d12, 3)  # default 200 ohms clears the budget
-    assert check_tg_criterion(DeviceParams(vdd=0.7), 3)
-    haywire = DeviceParams(vdd=1.2, r_tg=1.2 / (3 * d12.i_s_nominal))
-    assert not check_tg_criterion(haywire, 3)  # RC equal to the full discharge time
-    assert check_tg_criterion(DeviceParams(vdd=1.2, r_tg=0.0), 3)
+    assert filter_in_memory(state, 3, d).valid_frame == 1
+    state.bits[:] = 0
+    state.bits[0, 0] = 1   # a lone pixel is voted away, so the frame is empty
+    assert filter_in_memory(state, 3, d).valid_frame == 0
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +397,7 @@ def test_tg_bound_and_criterion():
 
 def test_macro_patch_counts():
     assert macro_patch_count(DEFAULT_GEOMETRY, 3) == 8480
-    assert macro_patch_count(DEFAULT_GEOMETRY, 3, banked=True) == 8800
     assert macro_patch_count(DEFAULT_GEOMETRY, 5) == 3072
-    assert macro_patch_count(DEFAULT_GEOMETRY, 5, banked=True) == 3168
 
 
 def test_pattern_to_patch_layout():

@@ -69,22 +69,18 @@ def _write_frames(frames, out: Path, start: int = 0) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_denoise(args, forced_filter: str | None = None) -> int:
-    cfg = load_config(args.config, seed=args.seed)
+def cmd_denoise(cfg, args, out: Path) -> int:
     frames = iter_recording(args.frames) if args.frames else iter_recording(
         args.events, cfg.frame_config())
-    out = Path(args.out)
-    filt = forced_filter or args.filter
-    spec = cfg.kernel()
     device = cfg.device()
     header = ["frame_index", "input_ones", "output_ones", "valid_frame"]
-    if filt == "imc":
+    if args.filter == "imc":
         header += ["flips_intended", "flips_unintended", "ber", "cycles"]
-    kernel = median_filter_overlap_stack if filt == "omf" else nomf_stack
+    kernel = median_filter_overlap_stack if args.filter == "omf" else nomf_stack
     rows = []
     for first, chunk in frames:
-        if filt == "imc":
-            geom = frame_geometry(*chunk.shape[1:], spec.n)  # before this chunk's output
+        if args.filter == "imc":
+            geom = frame_geometry(*chunk.shape[1:], cfg.n)  # before this chunk's output
             results, extras = [], []
             for idx, px in enumerate(chunk, first):
                 variation = variation_at_device(
@@ -92,25 +88,22 @@ def cmd_denoise(args, forced_filter: str | None = None) -> int:
                 )
                 state = init_macro(geom, device, variation)
                 load_frame(state, BinaryFrame(px))
-                report = filter_in_memory(state, spec.n, device)
+                report = filter_in_memory(state, cfg.n, device)
                 results.append(read_frame(state).pixels)
                 extras.append((report.valid_frame, report.flips_intended,
                                report.flips_unintended, report.flips_unintended / px.size,
                                state.cycle_count))
         else:
-            results = kernel(chunk, spec.n)
+            results = kernel(chunk, cfg.n)
             extras = [(int(px.any()),) for px in results]
         rows += [(idx, int(px.sum()), int(res.sum()), *extra) for idx, (px, res, extra)
                  in enumerate(zip(chunk, results, extras), first)]
         _write_frames(results, out / "frames", first)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv", header, rows)
     return 0
 
 
-def cmd_characterize(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
-    out = Path(args.out)
+def cmd_characterize(cfg, args, out: Path) -> int:
     vdds, ks = args.vdd, args.k
     patterns = cfg.patterns if args.patterns is None else args.patterns
     trials = cfg.trials if args.trials is None else args.trials
@@ -125,7 +118,6 @@ def cmd_characterize(args) -> int:
         for stat in per_k
         for ps in stat.pattern_stats
     ]
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "characterize.csv",
         ["vdd", "temp_c", "corner", "n", "k", "pattern_id", "trials", "ber"],
@@ -134,26 +126,20 @@ def cmd_characterize(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
-    out = Path(args.out)
+def cmd_perf(cfg, args, out: Path) -> int:
     rows, lines = report(cfg)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "perf.csv", ["metric", "value"], rows)
     (out / "perf.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     return 0
 
 
-def cmd_track_eval(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
-    out = Path(args.out)
-    spec = cfg.kernel()
+def cmd_track_eval(cfg, args, out: Path) -> int:
     kernels = {"omf": median_filter_overlap_stack, "nomf": nomf_stack}
     proposals: dict[str, list] = {filt: [] for filt in kernels}
     for _, chunk in iter_recording(args.frames):
         for filt, kernel in kernels.items():
             proposals[filt] += region_proposals_stack(
-                kernel(chunk, spec.n), cfg.rescale_a, cfg.rescale_b, cfg.min_area,
+                kernel(chunk, cfg.n), cfg.rescale_a, cfg.rescale_b, cfg.min_area,
                 cfg.connectivity,
             )
     n_frames = len(proposals["omf"])
@@ -166,7 +152,6 @@ def cmd_track_eval(args) -> int:
     n_tracks = len({row.track_id for row in gt_rows})
     tracker_cfg = cfg.tracker_config()
     gts = sum(len(gt_by_frame.get(fi, [])) for fi in range(n_frames))
-    out.mkdir(parents=True, exist_ok=True)
 
     aucs = {}
     for filt in kernels:
@@ -208,10 +193,7 @@ def cmd_track_eval(args) -> int:
     return 0
 
 
-def cmd_gen(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_gen(cfg, args, out: Path) -> int:
     if args.kind == "noise":
         frames = synth.noise_frames(
             cfg.n_frames, cfg.width, cfg.height, cfg.salt_p, cfg.seed
@@ -246,17 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--frames", help="directory of .pbm frames")
     src.add_argument("--events", help="event text file to accumulate")
-    p.add_argument("--filter", choices=("omf", "nomf", "imc"), default="nomf")
+    p.add_argument("--filter", choices=("omf", "nomf"), default="nomf")
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser(
-        "simulate", parents=[common],
-        help="denoise with the in-array filter (denoise --filter imc)",
-    )
+    p = sub.add_parser("simulate", parents=[common], help="filter a frame sequence in the macro")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--frames", help="directory of .pbm frames")
     src.add_argument("--events", help="event text file to accumulate")
-    p.set_defaults(func=lambda a: cmd_denoise(a, forced_filter="imc"))
+    p.set_defaults(func=cmd_denoise, filter="imc")
 
     p = sub.add_parser("characterize", parents=[common], help="pattern error-rate sweep")
     p.add_argument("--vdd", default="0.7,0.8,1.0,1.2", help="comma list of supplies",
@@ -285,12 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    created = not Path(args.out).exists()
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
+    created = not out.exists()
     code = 1
     try:
-        code = args.func(args)
+        cfg = load_config(args.config, seed=args.seed)
+        out.mkdir(parents=True, exist_ok=True)
+        code = args.func(cfg, args, out)
     except ImfsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
@@ -299,9 +280,9 @@ def main(argv=None) -> int:
         code = 1
     finally:
         # Recordings stream, so an input error can surface after output exists.
-        if code and created and Path(args.out).exists():
+        if code and created and out.exists():
             import shutil  # only on failure, so startup stays lean
-            shutil.rmtree(args.out, ignore_errors=True)
+            shutil.rmtree(out, ignore_errors=True)
     return code
 
 

@@ -86,12 +86,27 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidParamsError(f"config key {f.name!r} must be finite, got {value}")
+        if self.rho_lambda_mean <= 0:
+            raise InvalidParamsError(
+                f"rho_lambda_mean must be positive, got {self.rho_lambda_mean}")
+        if not 0 <= self.salt_p <= 1:
+            raise InvalidParamsError(f"salt_p must lie in [0, 1], got {self.salt_p}")
+        if self.max_objects < 1:
+            raise InvalidParamsError(f"max_objects must be >= 1, got {self.max_objects}")
         self.device()
         self.variation()
         self.frame_config()
         self.kernel()
         self.workload()
+        self.energy_constants()
         self.tracker_config()
+
+    def _build(self, cls, **given):
+        """cls with every field not given read from the config key of the same
+        name, or of its _RENAMED name."""
+        fields = {f.name: getattr(self, _RENAMED.get(f.name, f.name))
+                  for f in dataclasses.fields(cls)}
+        return cls(**fields | given)
 
     def device(self, vdd: float | None = None) -> DeviceParams:
         """The configured operating point, optionally at another supply.
@@ -100,59 +115,30 @@ class RunConfig:
         supply actually used, so device(vdd=1.2) equals DeviceParams(vdd=1.2)
         under the defaults.
         """
-        return DeviceParams(
-            vdd=self.vdd if vdd is None else vdd,
-            temperature=self.temperature,
-            corner=self.corner,
-            c_bl=self.c_bl,
-            c_wl=self.c_wl,
-            delta_c=self.delta_c,
-            v_trip_nominal=self.v_trip,
-            i_s_nominal=self.i_s,
-        )
+        return self._build(DeviceParams, vdd=self.vdd if vdd is None else vdd)
 
     def variation(self) -> CellVariation:
-        return CellVariation(
-            sigma_i_over_mu=self.sigma_i_over_mu,
-            sigma_vtrip=self.sigma_vtrip,
-            rng_seed=self.seed,
-        )
+        return self._build(CellVariation)
 
     def frame_config(self) -> FrameConfig:
-        return FrameConfig(t_f=self.t_f, sensor_width=self.width, sensor_height=self.height)
+        return self._build(FrameConfig)
 
     def kernel(self) -> KernelSpec:
-        return KernelSpec(self.n)
+        return self._build(KernelSpec)
 
     def workload(self) -> WorkloadParams:
-        return WorkloadParams(
-            width=self.width,
-            height=self.height,
-            n=self.n,
-            alpha=self.alpha,
-            beta_t=self.beta_t,
-            gamma=self.gamma,
-            empty_frame_fraction=self.empty_frame_fraction,
-        )
+        return self._build(WorkloadParams)
 
     def energy_constants(self) -> EnergyConstants:
-        return EnergyConstants(
-            e_read=self.e_read,
-            e_write=self.e_write,
-            ref_vdd=self.ref_vdd,
-            cap_ratio=self.cap_ratio,
-            e_imc_pixel=self.e_imc_pixel,
-            dnn_energy=self.dnn_energy,
-        )
+        return self._build(EnergyConstants)
 
     def tracker_config(self) -> TrackerConfig:
-        return TrackerConfig(
-            iou_match_threshold=self.iou_match_threshold,
-            confirm_hits=self.confirm_hits,
-            kill_misses=self.kill_misses,
-        )
+        return self._build(TrackerConfig)
 
 
+# parameter fields fed by a config key of another name
+_RENAMED = {"v_trip_nominal": "v_trip", "i_s_nominal": "i_s", "rng_seed": "seed",
+            "sensor_width": "width", "sensor_height": "height"}
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 _OPTIONAL_FLOATS = {"v_trip", "i_s"}
 

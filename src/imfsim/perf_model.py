@@ -80,6 +80,13 @@ class EnergyConstants:
     e_imc_pixel: float = 39e-15     # J per pixel, in-array filtering
     dnn_energy: float = 1076.6e-9   # J per frame of downstream inference
 
+    def __post_init__(self):
+        for name in ("e_read", "e_write", "ref_vdd", "cap_ratio", "e_imc_pixel"):
+            if getattr(self, name) <= 0:
+                raise InvalidParamsError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.dnn_energy < 0:
+            raise InvalidParamsError(f"dnn_energy must be non-negative, got {self.dnn_energy}")
+
 
 @dataclass(frozen=True)
 class FilterCost:

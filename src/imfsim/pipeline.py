@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .frames import BinaryFrame
-from .metrics import iou
+from .metrics import greedy_matches
 
 
 @dataclass(frozen=True)
@@ -185,28 +185,14 @@ def track_update(
 ) -> list[Track]:
     """One tracker step: greedy IoU matching (ties to the lower track id), then
     hit/miss bookkeeping, confirmations, kills, and spawns."""
-    live = [t for t in tracks if t.state != DEAD]
-    pairs = []
-    for t in live:
-        last = t.last_box
-        for pi, p in enumerate(proposals):
-            v = iou(last, p)
-            if v >= cfg.iou_match_threshold:
-                pairs.append((-v, t.track_id, pi))
-    pairs.sort()
-    matched_tracks: set[int] = set()
-    matched_props: set[int] = set()
-    assignment: dict[int, int] = {}
-    for neg_v, tid, pi in pairs:
-        if tid in matched_tracks or pi in matched_props:
-            continue
-        matched_tracks.add(tid)
-        matched_props.add(pi)
-        assignment[tid] = pi
+    live = sorted((t for t in tracks if t.state != DEAD), key=lambda t: t.track_id)
+    matches = greedy_matches([t.last_box for t in live], proposals, cfg.iou_match_threshold)
+    assignment = {ti: pi for ti, pi, _ in matches}
+    matched_props = set(assignment.values())
 
-    for t in live:
-        if t.track_id in assignment:
-            t.boxes[frame_index] = proposals[assignment[t.track_id]]
+    for ti, t in enumerate(live):
+        if ti in assignment:
+            t.boxes[frame_index] = proposals[assignment[ti]]
             t.hits += 1
             t.consecutive_hits += 1
             t.consecutive_misses = 0

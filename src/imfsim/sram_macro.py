@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamsError, OutOfBoundsError
 from .filters import KernelSpec
-from .frames import BinaryFrame
+from .frames import MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH, BinaryFrame
 
 # Reference operating point for the overdrive model.
 TEMP_REF_C = 27.0
@@ -157,8 +157,8 @@ def variation_at_device(variation: CellVariation, device: DeviceParams) -> CellV
 
 @dataclass(frozen=True)
 class MacroGeometry:
-    rows: int = 240
-    cols: int = 320
+    rows: int = MAX_FRAME_HEIGHT
+    cols: int = MAX_FRAME_WIDTH
     clear_group: int = 16       # word lines strobed per clear cycle
 
     def __post_init__(self):
@@ -184,9 +184,8 @@ class FilterReport:
     n: int
     flips_intended: int
     flips_unintended: int
-    cycles: int                             # cycles spent by this filter pass
-    rho_lambda: list[tuple[float, float]]   # per row group, mean (BL, BLB) swing fractions
-    valid_frame: int                        # OR over the post-filter array
+    cycles: int                 # cycles spent by this filter pass
+    valid_frame: int            # OR over the post-filter array
 
 
 @dataclass(frozen=True)
@@ -379,9 +378,10 @@ def _patch_grid(rows: int, cols: int, n: int) -> tuple[int, int]:
 
 def frame_geometry(height: int, width: int, n: int) -> MacroGeometry:
     """The macro region a height x width frame fills, checked to lie inside
-    the 320 x 240 macro and to hold whole n-row groups."""
+    the macro and to hold whole n-row groups."""
     if height > DEFAULT_GEOMETRY.rows or width > DEFAULT_GEOMETRY.cols:
-        raise DimensionMismatchError(f"frame {width}x{height} exceeds the 320x240 macro")
+        raise DimensionMismatchError(
+            f"frame {width}x{height} exceeds the {MAX_FRAME_WIDTH}x{MAX_FRAME_HEIGHT} macro")
     _patch_grid(height, width, n)
     return MacroGeometry(rows=height, cols=width)
 
@@ -464,16 +464,6 @@ def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterR
         for j in range(n):
             state.bits[i::n, j:used:n] = outcome
 
-    # Swing bookkeeping: the winning line discharges fully; the losing line got
-    # beta * minority/majority of the way before the race ended.
-    minority = np.minimum(k, nn - k)
-    majority = np.maximum(k, nn - k)
-    frac = device.beta * minority / majority
-    won = outcome == 1
-    rho = np.where(won, frac, 1.0)
-    lam = np.where(won, 1.0, frac)
-    rho_lambda = list(zip(rho.mean(axis=1).tolist(), lam.mean(axis=1).tolist()))
-
     cycles = 2 * groups
     state.cycle_count += cycles
     return FilterReport(
@@ -481,7 +471,6 @@ def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterR
         flips_intended=flips_intended,
         flips_unintended=flips_unintended,
         cycles=cycles,
-        rho_lambda=rho_lambda,
         valid_frame=int(state.bits.any()),
     )
 
@@ -522,20 +511,10 @@ def _sample_pattern_ids(n: int, k: int, m: int, seed: int) -> list[int]:
     return sorted(out)
 
 
-def _pattern_ids(
-    n: int, k: int, patterns: Literal["all"] | int | Sequence[int], seed: int
-) -> list[int]:
+def _pattern_ids(n: int, k: int, patterns: Literal["all"] | int, seed: int) -> list[int]:
     if patterns == "all":
-        ids = _all_pattern_ids(n, k)
-    elif isinstance(patterns, int):
-        ids = _sample_pattern_ids(n, k, min(patterns, math.comb(n * n, k)), seed)
-    else:
-        ids = sorted(int(p) for p in patterns)
-    for pid in ids:
-        ones = int(pattern_to_patch(pid, n).sum())
-        if ones != k:
-            raise InvalidParamsError(f"pattern {pid} has {ones} ones, expected {k}")
-    return ids
+        return _all_pattern_ids(n, k)
+    return _sample_pattern_ids(n, k, min(patterns, math.comb(n * n, k)), seed)
 
 
 def ber_supply_sweep(
@@ -543,7 +522,7 @@ def ber_supply_sweep(
     ks: Sequence[int],
     supplies: Sequence[tuple[DeviceParams, CellVariation]],
     trials: int = 8,
-    patterns: Literal["all"] | int | Sequence[int] = 16,
+    patterns: Literal["all"] | int = 16,
     geometry: MacroGeometry = DEFAULT_GEOMETRY,
 ) -> list[list[BERStat]]:
     """ber_pattern_sweep at every supply and every k: result[s][j] is the
@@ -604,16 +583,16 @@ def ber_pattern_sweep(
     device: DeviceParams,
     variation: CellVariation,
     trials: int = 8,
-    patterns: Literal["all"] | int | Sequence[int] = 16,
+    patterns: Literal["all"] | int = 16,
     geometry: MacroGeometry = DEFAULT_GEOMETRY,
 ) -> BERStat:
     """Fill every complete patch of the array with a k-ones pattern and measure
     unintended flips against the majority decision, resampling the mismatch
     lottery each trial (seed = rng_seed + pattern_index * trials + trial).
 
-    `patterns` is "all" (every C(n^2, k) placement), a sample size, or explicit
-    pattern ids.  BER is unintended flips / (patches * trials), so a fully
-    wrong patch contributes n^2.
+    `patterns` is "all" (every C(n^2, k) placement) or a sample size.  BER
+    is unintended flips / (patches * trials), so a fully wrong patch
+    contributes n^2.
     """
     return ber_supply_sweep(n, [k], [(device, variation)], trials, patterns, geometry)[0][0]
 

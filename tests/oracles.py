@@ -108,6 +108,46 @@ def greedy_matches_naive(proposed, gt, thr) -> list:
     return out
 
 
+def track_proposals_naive(proposals, thr, confirm_hits, kill_misses):
+    """The tracker as first written, with its own greedy matching loop: the
+    pairs (-IoU, track id, proposal index) at or above thr, sorted and picked
+    one-to-one.  Proposals are per-frame lists of (x, y, w, h).  Returns the
+    tracks as (id, state, {frame: box}) and the per-frame confirmed boxes."""
+    tracks, per_frame = [], []
+    for fi, props in enumerate(proposals):
+        live = [t for t in tracks if t["state"] != "dead"]
+        pairs = []
+        for t in live:
+            last = t["boxes"][max(t["boxes"])]
+            for pi, p in enumerate(props):
+                v = iou_xywh(last, p)
+                if v >= thr:
+                    pairs.append((-v, t["id"], pi))
+        pairs.sort()
+        assignment, taken = {}, set()
+        for _, tid, pi in pairs:
+            if tid not in assignment and pi not in taken:
+                assignment[tid] = pi
+                taken.add(pi)
+        for t in live:
+            if t["id"] in assignment:
+                t["boxes"][fi] = props[assignment[t["id"]]]
+                t["run"], t["missed"] = t["run"] + 1, 0
+                if t["state"] == "tentative" and t["run"] >= confirm_hits:
+                    t["state"] = "confirmed"
+            else:
+                t["run"], t["missed"] = 0, t["missed"] + 1
+                if t["missed"] >= kill_misses:
+                    t["state"] = "dead"
+        for pi, p in enumerate(props):
+            if pi not in taken:
+                tracks.append({"id": len(tracks), "state": "tentative", "boxes": {fi: p},
+                               "run": 1, "missed": 0})
+        per_frame.append([t["boxes"][fi] for t in tracks
+                          if t["state"] == "confirmed" and fi in t["boxes"]])
+    return [(t["id"], t["state"], t["boxes"]) for t in tracks], per_frame
+
+
 def max_matching_size(proposed, gt, thr) -> int:
     """Maximum bipartite matching size over pairs with IoU >= thr."""
     adj = [[j for j, g in enumerate(gt) if iou_xywh(p, g) >= thr] for p in proposed]
@@ -166,12 +206,12 @@ def lottery_naive(shape, i_s, sigma_rel, v_trip, sigma_v, seed):
     return cur, vtr
 
 
-def filter_in_memory_naive(bits, currents, vtrips, n, c_bl, delta_c, beta):
+def filter_in_memory_naive(bits, currents, vtrips, n, c_bl, delta_c):
     """The in-array filter as first written: masked whole-array sums, one
     vectorized race, and pixel-level flip counts over the complete patches.
 
-    Returns (filtered bits, flips_intended, flips_unintended, rho_lambda,
-    cycles); the leftover cols % n columns pass through.
+    Returns (filtered bits, flips_intended, flips_unintended, cycles); the
+    leftover cols % n columns pass through.
     """
     rows, cols = bits.shape
     groups, per_group = rows // n, cols // n
@@ -201,18 +241,11 @@ def filter_in_memory_naive(bits, currents, vtrips, n, c_bl, delta_c, beta):
     ideal_px = ideal.repeat(n, axis=0).repeat(n, axis=1)
     flips_intended = int(np.count_nonzero(bits[:, :used] != ideal_px))
     flips_unintended = int(np.count_nonzero(out_px != ideal_px))
-
-    minority = np.minimum(k, nn - k)
-    majority = np.maximum(k, nn - k)
-    frac = beta * minority / majority
-    rho = np.where(outcome == 1, frac, 1.0)
-    lam = np.where(outcome == 1, 1.0, frac)
-    rho_lambda = list(zip(rho.mean(axis=1).tolist(), lam.mean(axis=1).tolist()))
-    return out, flips_intended, flips_unintended, rho_lambda, 2 * groups
+    return out, flips_intended, flips_unintended, 2 * groups
 
 
 def pattern_sweep_naive(n, pattern_ids, shape, i_s, sigma_rel, v_trip, sigma_v, c_bl,
-                        delta_c, beta, trials, rng_seed):
+                        delta_c, trials, rng_seed):
     """Unintended flips per pattern: every complete patch of a `shape` array
     holds the pattern, with a fresh lottery per trial at seed
     rng_seed + pattern_index * trials + trial."""
@@ -227,7 +260,7 @@ def pattern_sweep_naive(n, pattern_ids, shape, i_s, sigma_rel, v_trip, sigma_v, 
                                      rng_seed + pi * trials + t)
             bits = np.zeros(shape, dtype=np.uint8)
             bits[:, :used] = np.tile(patch, (rows // n, cols // n))
-            total += filter_in_memory_naive(bits, cur, vtr, n, c_bl, delta_c, beta)[2]
+            total += filter_in_memory_naive(bits, cur, vtr, n, c_bl, delta_c)[2]
         flips.append(total)
     return flips
 

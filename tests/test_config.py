@@ -4,7 +4,11 @@ import pytest
 
 from imfsim.config import RunConfig, load_config, parse_config_text
 from imfsim.errors import InvalidParamsError
-from imfsim.sram_macro import DeviceParams
+from imfsim.filters import KernelSpec
+from imfsim.frames import FrameConfig
+from imfsim.perf_model import EnergyConstants, WorkloadParams
+from imfsim.pipeline import TrackerConfig
+from imfsim.sram_macro import CellVariation, DeviceParams
 
 
 def test_empty_config_is_all_defaults(tmp_path):
@@ -68,6 +72,17 @@ def test_builders_wire_through():
     assert cfg.tracker_config().confirm_hits == 3
 
 
+def test_default_config_builds_each_class_default():
+    cfg = RunConfig()
+    assert cfg.device() == DeviceParams()
+    assert cfg.variation() == CellVariation()
+    assert cfg.frame_config() == FrameConfig()
+    assert cfg.kernel() == KernelSpec()
+    assert cfg.workload() == WorkloadParams()
+    assert cfg.energy_constants() == EnergyConstants()
+    assert cfg.tracker_config() == TrackerConfig()
+
+
 def test_device_at_another_supply_derives_its_own_nominals():
     cfg = RunConfig()
     high = cfg.device(vdd=1.2)
@@ -81,3 +96,18 @@ def test_device_at_another_supply_derives_its_own_nominals():
     # values set in the config are kept at every supply
     pinned = RunConfig(v_trip=0.3, i_s=2e-5).device(vdd=1.2)
     assert pinned.v_trip_nominal == 0.3 and pinned.i_s_nominal == 2e-5
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rho_lambda_mean", 0.0), ("salt_p", -0.01), ("salt_p", 1.01), ("max_objects", 0),
+    ("e_read", 0.0), ("e_write", 0.0), ("ref_vdd", 0.0), ("cap_ratio", 0.0),
+    ("e_imc_pixel", 0.0), ("e_imc_pixel", -1e-15), ("dnn_energy", -1e-9),
+])
+def test_load_time_check_rejects_out_of_range_keys(key, value):
+    with pytest.raises(InvalidParamsError, match=key):
+        RunConfig(**{key: value})
+
+
+def test_load_time_check_accepts_the_range_ends():
+    for key, value in [("salt_p", 0.0), ("salt_p", 1.0), ("max_objects", 1), ("dnn_energy", 0.0)]:
+        assert getattr(RunConfig(**{key: value}), key) == value

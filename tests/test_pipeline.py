@@ -200,12 +200,34 @@ def test_track_miss_resets_confirmation_streak():
 def test_track_ties_break_to_lower_track_id():
     cfg = TrackerConfig(confirm_hits=1)
     box = BoundingBox(0, 0, 16, 12)
-    tracks = track_update([], [box, BoundingBox(100, 100, 16, 12)], 0, cfg)
-    assert [t.track_id for t in tracks] == [0, 1]
-    # both live tracks overlap the single proposal equally; id 0 wins it
-    tracks[1].boxes[0] = box
-    tracks = track_update(tracks, [box], 1, cfg)
-    assert 1 in tracks[0].boxes and 1 not in tracks[1].boxes
+    for order in (1, -1):
+        tracks = track_update([], [box, BoundingBox(100, 100, 16, 12)], 0, cfg)
+        assert [t.track_id for t in tracks] == [0, 1]
+        # both live tracks overlap the single proposal equally; id 0 wins it,
+        # in whichever order the caller lists the tracks
+        tracks[1].boxes[0] = box
+        tracks = track_update(tracks[::order], [box], 1, cfg)
+        by_id = {t.track_id: t for t in tracks}
+        assert 1 in by_id[0].boxes and 1 not in by_id[1].boxes
+
+
+# a coarse grid, so equal boxes and equal IoUs are common
+grid_frames = st.lists(st.lists(st.builds(
+    BoundingBox, x=st.sampled_from([0, 2, 4]), y=st.sampled_from([0, 2, 4]),
+    w=st.sampled_from([2, 4]), h=st.sampled_from([2, 4])), max_size=4), max_size=10)
+
+
+@given(grid_frames,
+       st.one_of(st.sampled_from([1 / 9, 0.2, 0.25, 1 / 3, 0.5, 1.0]), st.floats(0.01, 1.0)),
+       st.integers(1, 3), st.integers(1, 3))
+def test_tracker_equals_the_inline_matching_oracle(proposals, thr, confirm_hits, kill_misses):
+    tracks, per_frame = track_proposals(proposals, TrackerConfig(thr, confirm_hits, kill_misses))
+    want_tracks, want_per_frame = oracles.track_proposals_naive(
+        [boxes_as_tuples(frame) for frame in proposals], thr, confirm_hits, kill_misses)
+    got = [(t.track_id, t.state, {fi: boxes_as_tuples([b])[0] for fi, b in t.boxes.items()})
+           for t in tracks]
+    assert got == want_tracks
+    assert [boxes_as_tuples(per_frame[fi]) for fi in range(len(proposals))] == want_per_frame
 
 
 def test_tracker_follows_constant_velocity_target():

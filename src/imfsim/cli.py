@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import synth
@@ -21,15 +20,11 @@ from .frames import BinaryFrame, iter_recording, write_event_stream, write_pbm
 from .metrics import EvalResult, f1_curve_auc, match_counts, rates, weighted_f1
 from .perf_model import report
 from .pipeline import BoundingBox, region_proposals_stack, track_proposals
-from .sram_macro import (
-    ber_supply_sweep,
-    filter_in_memory,
-    frame_geometry,
-    init_macro,
-    load_frame,
-    read_frame,
-    variation_at_device,
-)
+from .sram_macro import ber_supply_sweep, filter_in_memory_stack, variation_at_device
+# Not called here: bench/tests/test_bench.py::
+# test_install_wraps_every_namespace_and_counts_distinct_lotteries asserts
+# that the tracer wraps this second binding of init_macro.
+from .sram_macro import init_macro  # noqa: F401
 
 F1_THRESHOLDS = [round(0.1 * i, 1) for i in range(1, 10)]
 
@@ -73,31 +68,24 @@ def cmd_denoise(cfg, args, out: Path) -> int:
     frames = iter_recording(args.frames) if args.frames else iter_recording(
         args.events, cfg.frame_config())
     device = cfg.device()
+    variation = variation_at_device(cfg.variation(), device)
     header = ["frame_index", "input_ones", "output_ones", "valid_frame"]
     if args.filter == "imc":
         header += ["flips_intended", "flips_unintended", "ber", "cycles"]
     kernel = median_filter_overlap_stack if args.filter == "omf" else nomf_stack
     rows = []
     for first, chunk in frames:
+        ones = [int(px.sum()) for px in chunk]  # before the macro filters the chunk in place
         if args.filter == "imc":
-            geom = frame_geometry(*chunk.shape[1:], cfg.n)  # before this chunk's output
-            results, extras = [], []
-            for idx, px in enumerate(chunk, first):
-                variation = variation_at_device(
-                    replace(cfg.variation(), rng_seed=cfg.seed + idx), device
-                )
-                state = init_macro(geom, device, variation)
-                load_frame(state, BinaryFrame(px))
-                report = filter_in_memory(state, cfg.n, device)
-                results.append(read_frame(state).pixels)
-                extras.append((report.valid_frame, report.flips_intended,
-                               report.flips_unintended, report.flips_unintended / px.size,
-                               state.cycle_count))
+            results = chunk
+            extras = [(valid, intended, unintended, unintended / chunk[0].size, cycles)
+                      for valid, intended, unintended, cycles in filter_in_memory_stack(
+                          chunk, cfg.seed + first, device, variation, cfg.n)]
         else:
             results = kernel(chunk, cfg.n)
             extras = [(int(px.any()),) for px in results]
-        rows += [(idx, int(px.sum()), int(res.sum()), *extra) for idx, (px, res, extra)
-                 in enumerate(zip(chunk, results, extras), first)]
+        rows += [(idx, n_in, int(res.sum()), *extra) for idx, (n_in, res, extra)
+                 in enumerate(zip(ones, results, extras), first)]
         _write_frames(results, out / "frames", first)
     _write_csv(out / "report.csv", header, rows)
     return 0

@@ -51,6 +51,7 @@ columns pass through untouched and are excluded from flip accounting.
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -263,18 +264,25 @@ def _scale_vtrips(z: np.ndarray, device: DeviceParams, variation: CellVariation)
     return np.maximum(vtrips, _VTRIP_FLOOR, out=vtrips)
 
 
-def sample_cell_lottery(
-    shape: tuple[int, ...], device: DeviceParams, variation: CellVariation, seed: int
+def _scale_lottery(
+    z_i: np.ndarray, z_v: np.ndarray, device: DeviceParams, variation: CellVariation
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell currents and trip points: the standard draws of default_rng(seed),
-    scaled to the device and variation."""
-    z_i, z_v = _standard_draws(tuple(int(d) for d in shape), seed)
+    """Standard current and trip-point draws scaled to the device and
+    variation, in place where they are writable."""
     i_s = device.i_s_nominal
     sigma_i = variation.sigma_i_over_mu * i_s
     currents = _scaled(z_i, sigma_i, i_s)
     np.clip(currents, i_s - 4.0 * sigma_i, i_s + 4.0 * sigma_i, out=currents)
     np.maximum(currents, _CURRENT_FLOOR, out=currents)
     return currents, _scale_vtrips(z_v, device, variation)
+
+
+def sample_cell_lottery(
+    shape: tuple[int, ...], device: DeviceParams, variation: CellVariation, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell currents and trip points: the standard draws of default_rng(seed),
+    scaled to the device and variation."""
+    return _scale_lottery(*_standard_draws(tuple(int(d) for d in shape), seed), device, variation)
 
 
 def init_macro(
@@ -320,10 +328,6 @@ def write_events(state: MacroState, pixels: Iterable[tuple[int, int]]) -> int:
     state.bits[r, c] = 1
     state.cycle_count += len(rc)
     return len(rc)
-
-
-def read_frame(state: MacroState) -> BinaryFrame:
-    return BinaryFrame(state.bits.copy())
 
 
 def load_frame(state: MacroState, frame: BinaryFrame) -> int:
@@ -438,6 +442,31 @@ def _split_sums(values: np.ndarray, ones: np.ndarray, n: int) -> tuple[np.ndarra
     return on_ones, patch_sums(part, n)
 
 
+def _race_in_place(
+    bits: np.ndarray, currents: np.ndarray, vtrips: np.ndarray, n: int, device: DeviceParams
+) -> tuple[int, int]:
+    """Race every complete n x n patch of a (rows, cols) array, overwrite the
+    patches with the outcomes and return (flips_intended, flips_unintended)."""
+    spec = KernelSpec(n)
+    _, per_group = _patch_grid(*bits.shape, n)
+    used = per_group * n
+    nn = n * n
+
+    ones = bits != 0
+    k = patch_sums(ones.astype(np.intp), n)
+    i_blb, i_bl = _split_sums(currents, ones, n)
+    vt_ones, vt_zeros = _split_sums(vtrips, ones, n)
+    outcome, _ = race(n, k, i_bl, i_blb, vt_ones, vt_zeros, device)
+    ideal = k >= spec.threshold
+
+    flips_intended = int(np.where(ideal, nn - k, k).sum())
+    flips_unintended = nn * int(np.count_nonzero(outcome != ideal))
+    for i in range(n):
+        for j in range(n):
+            bits[i::n, j:used:n] = outcome
+    return flips_intended, flips_unintended
+
+
 def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterReport:
     """Run the in-array filter over every complete n x n patch, two cycles per row group.
 
@@ -446,33 +475,56 @@ def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterR
     ideal majority decision of the pre-filter contents over the filtered
     region.  Leftover columns (cols % n) are untouched and not counted.
     """
-    spec = KernelSpec(n)
-    groups, per_group = _patch_grid(state.geometry.rows, state.geometry.cols, n)
-    used = per_group * n
-    nn = n * n
-
-    ones = state.bits != 0
-    k = patch_sums(ones.astype(np.intp), n)
-    i_blb, i_bl = _split_sums(state.cell_current, ones, n)
-    vt_ones, vt_zeros = _split_sums(state.cell_vtrip, ones, n)
-    outcome, _ = race(n, k, i_bl, i_blb, vt_ones, vt_zeros, device)
-    ideal = k >= spec.threshold
-
-    flips_intended = int(np.where(ideal, nn - k, k).sum())
-    flips_unintended = nn * int(np.count_nonzero(outcome != ideal))
-    for i in range(n):
-        for j in range(n):
-            state.bits[i::n, j:used:n] = outcome
-
-    cycles = 2 * groups
+    flips_intended, flips_unintended = _race_in_place(
+        state.bits, state.cell_current, state.cell_vtrip, n, device)
+    cycles = 2 * (state.geometry.rows // n)
     state.cycle_count += cycles
-    return FilterReport(
-        n=n,
-        flips_intended=flips_intended,
-        flips_unintended=flips_unintended,
-        cycles=cycles,
-        valid_frame=int(state.bits.any()),
-    )
+    return FilterReport(n, flips_intended, flips_unintended, cycles, int(state.bits.any()))
+
+
+_MAX_WORKERS = 4
+
+
+def filter_in_memory_stack(
+    frames: np.ndarray, first_seed: int, device: DeviceParams, variation: CellVariation, n: int
+) -> list[tuple[int, int, int, int]]:
+    """Load, filter and read back every frame of a (frames, height, width)
+    uint8 stack in place, as init_macro + load_frame + filter_in_memory would
+    with lottery seed first_seed + index; `variation` is already scaled to
+    the device.  Returns one (valid_frame, flips_intended, flips_unintended,
+    cycles) row per frame; cycles count the clear, one write per on pixel
+    and the filter.
+
+    The frames run on up to _MAX_WORKERS threads, each drawing into its own
+    scratch, so the result does not depend on their count.  The threads call
+    only private helpers: bench/spans.py rebinds public names with a tracer
+    that is not thread-safe.
+    """
+    count, rows, cols = frames.shape
+    geometry = frame_geometry(rows, cols, n)
+    fixed_cycles = -(-rows // geometry.clear_group) + 2 * (rows // n)
+    workers = max(1, min(count, os.cpu_count() or 1, _MAX_WORKERS))
+    reports: list = [None] * count
+
+    def work(first: int) -> None:
+        z_i, z_v = np.empty((rows, cols)), np.empty((rows, cols))
+        for i in range(first, count, workers):
+            rng = np.random.default_rng(first_seed + i)
+            rng.standard_normal(out=z_i)
+            rng.standard_normal(out=z_v)
+            written = int(np.count_nonzero(frames[i]))
+            flips = _race_in_place(frames[i], *_scale_lottery(z_i, z_v, device, variation),
+                                   n, device)
+            reports[i] = (int(frames[i].any()), *flips, fixed_cycles + written)
+
+    if workers == 1:
+        work(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only here, so startup stays lean
+        with ThreadPoolExecutor(workers) as pool:
+            for done in [pool.submit(work, w) for w in range(workers)]:
+                done.result()
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +591,8 @@ def ber_supply_sweep(
             raise InvalidParamsError(f"k={k} impossible for n={n}")
     if trials <= 0:
         raise InvalidParamsError("trials must be positive")
-    if isinstance(patterns, int) and patterns <= 0:
-        raise InvalidParamsError("patterns must be positive")
+    if patterns != "all" and (type(patterns) is not int or patterns <= 0):
+        raise InvalidParamsError(f"patterns must be positive, an int or 'all'; got {patterns!r}")
     ids = [[_pattern_ids(n, k, patterns, var.rng_seed) for k in ks] for _, var in supplies]
     groups, per_group = geometry.rows // n, geometry.cols // n
     used = per_group * n

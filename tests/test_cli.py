@@ -16,6 +16,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest itself depends on tomli
     import tomli as tomllib
 
 import imfsim.cli
+import imfsim.sram_macro
 from helpers import run_cli, tree_bytes
 from imfsim.frames import BinaryFrame, parse_event_stream, read_pbm, write_pbm
 
@@ -582,4 +583,17 @@ def test_output_trees_match_golden_digests(traffic_dir, tmp_path, name):
         "simulate-events": ["simulate", "--events", events],
     }[name]
     assert run_cli(*argv, "--seed", "5", "--out", out) == 0
+    assert tree_sha256(out) == GOLDEN_TREES[name]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", ["simulate", "simulate-events"])
+def test_simulate_output_does_not_depend_on_the_thread_count(
+        traffic_dir, tmp_path, monkeypatch, name, workers):
+    monkeypatch.setattr(imfsim.sram_macro, "_MAX_WORKERS", workers)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    source = ["--frames", traffic_dir / "frames"] if name == "simulate" else [
+        "--events", traffic_dir / "events.txt"]
+    out = tmp_path / "out"
+    assert run_cli("simulate", *source, "--seed", "5", "--out", out) == 0
     assert tree_sha256(out) == GOLDEN_TREES[name]

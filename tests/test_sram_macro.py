@@ -1,5 +1,9 @@
 import math
+import os
+import sys
+import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from imfsim.sram_macro import (
     calibrate_current_sigma,
     clear_memory,
     filter_in_memory,
+    filter_in_memory_stack,
     init_macro,
     load_frame,
     macro_patch_count,
@@ -29,7 +34,6 @@ from imfsim.sram_macro import (
     patch_error_trials,
     patch_sums,
     race,
-    read_frame,
     sample_cell_lottery,
     threshold_voltage,
     variation_at_device,
@@ -204,7 +208,7 @@ def test_load_frame_round_trip_and_cycle_invariant():
     px = (rng.random((24, 30)) < 0.2).astype(np.uint8)
     fr = BinaryFrame(px)
     cycles = load_frame(state, fr)
-    assert read_frame(state) == fr
+    assert np.array_equal(state.bits, px)
     assert cycles == math.ceil(24 / 16) + int(px.sum())
     filter_in_memory(state, 3, state.device)
     assert state.cycle_count == math.ceil(24 / 16) + int(px.sum()) + 2 * 24 // 3
@@ -412,6 +416,13 @@ def test_ber_sweep_bookkeeping_and_validation():
         ber_pattern_sweep(3, 5, d, NO_VARIATION, patterns=0)
 
 
+@pytest.mark.parametrize("patterns", ["some", 2.5, True], ids=["str", "float", "bool"])
+def test_ber_sweep_rejects_a_pattern_count_that_is_not_an_int(patterns):
+    with pytest.raises(InvalidParamsError, match="patterns"):
+        ber_pattern_sweep(3, 4, DeviceParams(vdd=0.7), NO_VARIATION, trials=1,
+                          patterns=patterns, geometry=MacroGeometry(rows=3, cols=3))
+
+
 def test_ber_sweep_sampled_patterns_deterministic():
     d = DeviceParams(vdd=0.7)
     v = CellVariation(0.1, 0.005, rng_seed=9)
@@ -510,6 +521,72 @@ def test_filter_in_memory_matches_replaced_code(n, groups, cols, density, sigma,
     assert (report.flips_intended, report.flips_unintended) == (want_int, want_un)
     assert report.cycles == want_cycles == state.cycle_count
     assert report.valid_frame == int(want_bits.any())
+
+
+@given(
+    count=st.integers(1, 5),
+    n=st.sampled_from([3, 5, 7]),
+    groups=st.integers(1, 3),
+    data=st.data(),
+    density=st.floats(0.0, 1.0),
+    sigma=st.sampled_from([0.0, 0.05, 0.3]),
+    first_seed=st.integers(0, 2**63),
+    workers=st.sampled_from([1, 2, 3]),
+)
+def test_filter_stack_matches_per_frame_macro_and_oracle(
+        count, n, groups, data, density, sigma, first_seed, workers):
+    # Widths below n hold no patch; n to 2n - 1 one patch per group, which
+    # patch_sums sums as one run of n^2; the rest leave partial edge columns.
+    height, width = groups * n, data.draw(st.integers(1, 4 * n + 2), label="width")
+    d = DeviceParams(vdd=0.7, delta_c=0.02)
+    v = CellVariation(sigma, 0.01)
+    rng = np.random.default_rng(first_seed % 2**32)
+    frames = (rng.random((count, height, width)) < density).astype(np.uint8)
+    stack = frames.copy()
+    with mock.patch.object(sram_macro, "_MAX_WORKERS", workers), \
+            mock.patch.object(os, "cpu_count", return_value=8):
+        reports = filter_in_memory_stack(stack, first_seed, d, v, n)
+    assert len(reports) == count
+    for i, (px, got, report) in enumerate(zip(frames, stack, reports)):
+        state = init_macro(MacroGeometry(rows=height, cols=width), d,
+                           replace(v, rng_seed=first_seed + i))
+        load_frame(state, BinaryFrame(px))
+        want = filter_in_memory(state, n, d)
+        assert np.array_equal(got, state.bits)
+        assert report == (want.valid_frame, want.flips_intended, want.flips_unintended,
+                          state.cycle_count)
+
+        cur, vtr = oracles.lottery_naive((height, width), d.i_s_nominal, sigma,
+                                         d.v_trip_nominal, 0.01, first_seed + i)
+        bits, intended, unintended, filter_cycles = oracles.filter_in_memory_naive(
+            px, cur, vtr, n, d.c_bl, d.delta_c)
+        assert np.array_equal(got, bits)
+        assert report == (int(bits.any()), intended, unintended,
+                          math.ceil(height / 16) + int(px.sum()) + filter_cycles)
+
+
+def test_filter_stack_loses_no_frame_with_more_threads_than_cores():
+    rng = np.random.default_rng(3)
+    frames = (rng.random((32, 24, 40)) < 0.5).astype(np.uint8)
+    d, v = DeviceParams(vdd=0.7), CellVariation(0.3, 0.01)
+    want = frames.copy()
+    with mock.patch.object(sram_macro, "_MAX_WORKERS", 1):
+        want_reports = filter_in_memory_stack(want, 11, d, v, 3)
+    got, result = frames.copy(), {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter allows
+    try:
+        with mock.patch.object(sram_macro, "_MAX_WORKERS", 4), \
+                mock.patch.object(os, "cpu_count", return_value=8):
+            caller = threading.Thread(target=lambda: result.update(
+                reports=filter_in_memory_stack(got, 11, d, v, 3)))
+            caller.start()
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert result["reports"] == want_reports
+    assert np.array_equal(got, want)
 
 
 def test_supply_sweep_equals_separate_naive_sweeps():

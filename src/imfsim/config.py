@@ -93,6 +93,8 @@ class RunConfig:
             raise InvalidParamsError(f"salt_p must lie in [0, 1], got {self.salt_p}")
         if self.max_objects < 1:
             raise InvalidParamsError(f"max_objects must be >= 1, got {self.max_objects}")
+        if self.n_frames < 1:
+            raise InvalidParamsError(f"n_frames must be >= 1, got {self.n_frames}")
         self.device()
         self.variation()
         self.frame_config()

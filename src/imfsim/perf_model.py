@@ -1,22 +1,12 @@
 """Analytic workload, latency, energy, current and throughput models.
 
-Per-frame operation counts for an M = W*H pixel frame (alpha = fraction of
-pixels the non-overlapping filter actually flips, beta_t = temporal window of
-the event-neighborhood baseline, gamma = its event density):
-
-    method            reads            writes        logic ops      cells
-    nn_filt           beta_t*gamma*n^2*M  beta_t*gamma*M  gamma*n^2*M    beta_t*M
-    median_filter     n^2*M            M             n^2*M          2*M
-    nomf              M                M             M              M
-    nomf_imc          M/n              alpha*M       0              M
-
-Fractional counts round up.  Digital implementations cost, in clock cycles:
-sliding median (mf) (n^2+1)*W*H, with partial reuse (mfpr) 2*n*H, with a row
-buffer (mfrb) (n^2+1)*W*H, with both (mfprrb) 2*H; the in-array filter (imf)
-2*H/n.  Energy per frame for digital baselines scales read/write costs by
-(vdd/ref_vdd)^2 and by the bit-line capacitance ratio of the baseline array
-to the filtering array; the in-array filter is a flat measured per-pixel
-energy.  Charging current of the filtering array:
+Each cost family is one table keyed by name: per-frame operation counts of
+an M = W*H pixel frame by filtering method (fractional counts round up),
+and clock cycles and energy per frame by architecture.  Digital energies
+scale read/write costs by (vdd/ref_vdd)^2 and by the bit-line capacitance
+ratio of the baseline array to the filtering array; the in-array filter
+costs a flat measured energy per pixel.  Charging current of the filtering
+array:
 
     i_ch = ((rho+lambda) * N_col * C_BL + n * C_WL) * vdd * f / 2
 
@@ -28,7 +18,7 @@ these at one run configuration, as the `perf` command writes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatchError, InvalidParamsError
@@ -36,10 +26,6 @@ from .sram_macro import DEFAULT_GEOMETRY, DeviceParams
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import RunConfig
-
-FILTER_METHODS = ("nn_filt", "median_filter", "nomf", "nomf_imc")
-LATENCY_ARCHS = ("mf", "mfpr", "mfrb", "mfprrb", "imf")
-ENERGY_ARCHS = ("mf", "mfrb", "imc_nomf")
 
 BITFLIP_CURRENT_FRACTION = 0.0068   # of i_ch
 
@@ -112,66 +98,62 @@ class SystemEnergy:
     savings: float
 
 
+def _formula(table: dict, kind: str, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise InvalidParamsError(
+            f"unknown {kind} {name!r}, expected one of {tuple(table)}") from None
+
+
+# method -> per-frame (reads, writes, logic_ops, cells) of (params, M, n^2)
+_OP_COUNTS = {
+    # event-neighborhood baseline over the last beta_t frames
+    "nn_filt": lambda p, m, n2: (p.beta_t * p.gamma * n2 * m, p.beta_t * p.gamma * m,
+                                 p.gamma * n2 * m, p.beta_t * m),
+    "median_filter": lambda p, m, n2: (n2 * m, m, n2 * m, 2 * m),
+    "nomf": lambda p, m, n2: (m, m, m, m),
+    "nomf_imc": lambda p, m, n2: (m / p.n, p.alpha * m, 0, m),
+}
+# arch -> clock cycles per frame of (width, height, n)
+_LATENCY = {
+    "mf": lambda w, h, n: (n * n + 1) * w * h,      # sliding median
+    "mfpr": lambda w, h, n: 2 * n * h,              # with partial reuse
+    "mfrb": lambda w, h, n: (n * n + 1) * w * h,    # with a row buffer
+    "mfprrb": lambda w, h, n: 2 * h,                # with both
+    "imf": lambda w, h, n: 2 * h // n,              # the in-array filter
+}
+# arch -> joules per frame of (M, n, constants, supply and capacitance scale)
+_ENERGY = {
+    "mf": lambda m, n, c, s: m * (n * n * c.e_read + c.e_write) * s,
+    # the row buffer saves 2n of the n^2 reads per pixel
+    "mfrb": lambda m, n, c, s: m * ((n * n - 2 * n) * c.e_read + c.e_write) * s,
+    "imc_nomf": lambda m, n, c, s: m * c.e_imc_pixel,
+}
+FILTER_METHODS = tuple(_OP_COUNTS)
+LATENCY_ARCHS = tuple(_LATENCY)
+ENERGY_ARCHS = tuple(_ENERGY)
+
+
 def op_counts(method: str, params: WorkloadParams) -> FilterCost:
-    m = params.pixels
-    n2 = params.n * params.n
-    method = method.lower()
-    if method == "nn_filt":
-        return FilterCost(
-            reads=math.ceil(params.beta_t * params.gamma * n2 * m),
-            writes=math.ceil(params.beta_t * params.gamma * m),
-            logic_ops=math.ceil(params.gamma * n2 * m),
-            cells=params.beta_t * m,
-        )
-    if method == "median_filter":
-        return FilterCost(reads=n2 * m, writes=m, logic_ops=n2 * m, cells=2 * m)
-    if method == "nomf":
-        return FilterCost(reads=m, writes=m, logic_ops=m, cells=m)
-    if method == "nomf_imc":
-        return FilterCost(
-            reads=math.ceil(m / params.n),
-            writes=math.ceil(params.alpha * m),
-            logic_ops=0,
-            cells=m,
-        )
-    raise InvalidParamsError(f"unknown method {method!r}, expected one of {FILTER_METHODS}")
+    counts = _formula(_OP_COUNTS, "method", method)(params, params.pixels, params.n * params.n)
+    return FilterCost(*map(math.ceil, counts))
 
 
 def digital_latency(arch: str, width: int, height: int, n: int) -> int:
     """Clock cycles to filter one width x height frame."""
-    arch = arch.lower()
-    n2 = n * n
-    if arch == "mf":
-        return (n2 + 1) * width * height
-    if arch == "mfpr":
-        return 2 * n * height
-    if arch == "mfrb":
-        return (n2 + 1) * width * height
-    if arch == "mfprrb":
-        return 2 * height
-    if arch == "imf":
-        if height % n != 0:
-            raise DimensionMismatchError(f"height {height} not divisible by n={n}")
-        return 2 * height // n
-    raise InvalidParamsError(f"unknown arch {arch!r}, expected one of {LATENCY_ARCHS}")
+    cycles = _formula(_LATENCY, "arch", arch)
+    if arch == "imf" and height % n != 0:
+        raise DimensionMismatchError(f"height {height} not divisible by n={n}")
+    return cycles(width, height, n)
 
 
 def baseline_energy(
     arch: str, params: WorkloadParams, constants: EnergyConstants, vdd: float
 ) -> float:
     """Energy per frame in joules for a digital baseline or the in-array filter."""
-    arch = arch.lower()
-    m = params.pixels
-    n = params.n
     scale = (vdd / constants.ref_vdd) ** 2 * constants.cap_ratio
-    if arch == "mf":
-        return m * (n * n * constants.e_read + constants.e_write) * scale
-    if arch == "mfrb":
-        # the row buffer saves 2n of the n^2 reads per pixel
-        return m * ((n * n - 2 * n) * constants.e_read + constants.e_write) * scale
-    if arch == "imc_nomf":
-        return m * constants.e_imc_pixel
-    raise InvalidParamsError(f"unknown arch {arch!r}, expected one of {ENERGY_ARCHS}")
+    return _formula(_ENERGY, "arch", arch)(params.pixels, params.n, constants, scale)
 
 
 def rho_lambda_bound(k: int, n: int, beta: float = 0.7) -> tuple[float, float]:
@@ -194,20 +176,11 @@ def imc_current(
     """Supply current of the filtering array at clock f, for params.width columns."""
     if f <= 0:
         raise InvalidParamsError("clock frequency must be positive")
-    i_ch = (
-        (rho_lambda_mean * params.width * device.c_bl + params.n * device.c_wl)
-        * device.vdd
-        * f
-        / 2.0
-    )
+    i_ch = ((rho_lambda_mean * params.width * device.c_bl + params.n * device.c_wl)
+            * device.vdd * f / 2.0)
     i_bitflip = BITFLIP_CURRENT_FRACTION * i_ch
-    return CurrentBreakdown(
-        i_ch=i_ch,
-        i_bitflip=i_bitflip,
-        i_imf=i_imf,
-        i_leakage=i_leakage,
-        i_total=i_ch + i_bitflip + i_imf + i_leakage,
-    )
+    return CurrentBreakdown(i_ch, i_bitflip, i_imf, i_leakage,
+                            i_total=i_ch + i_bitflip + i_imf + i_leakage)
 
 
 def throughput_efficiency(
@@ -236,54 +209,18 @@ def system_energy_per_frame(
 def report(cfg: "RunConfig") -> tuple[list[tuple[str, float]], list[str]]:
     """The `perf` report of a run configuration: (metric, value) rows and
     readable summary lines."""
-    params = cfg.workload()
-    constants = cfg.energy_constants()
-    f = cfg.frequency
-    rows = []
-    lines = []
+    params, constants, f, vdd = cfg.workload(), cfg.energy_constants(), cfg.frequency, cfg.vdd
+    rows = [(f"ops.{method}.{k}", v) for method in FILTER_METHODS
+            for k, v in asdict(op_counts(method, params)).items()]
 
-    for method in FILTER_METHODS:
-        c = op_counts(method, params)
-        rows += [
-            (f"ops.{method}.reads", c.reads),
-            (f"ops.{method}.writes", c.writes),
-            (f"ops.{method}.logic_ops", c.logic_ops),
-            (f"ops.{method}.cells", c.cells),
-        ]
-    lines.append(
-        f"per-frame op counts for {params.width}x{params.height}, n={params.n}: see perf.csv"
-    )
+    cycles = {a: digital_latency(a, params.width, params.height, params.n) for a in LATENCY_ARCHS}
+    for arch, c in cycles.items():
+        rows += [(f"latency.{arch}.cycles", c), (f"latency.{arch}.seconds", c / f)]
 
-    cycles = {}
-    for arch in LATENCY_ARCHS:
-        cycles[arch] = digital_latency(arch, params.width, params.height, params.n)
-        rows.append((f"latency.{arch}.cycles", cycles[arch]))
-        rows.append((f"latency.{arch}.seconds", cycles[arch] / f))
-    imf_us = cycles["imf"] / f * 1e6
-    lines.append(
-        f"in-array filter: {cycles['imf']} cycles = {imf_us:.3g} us per frame at "
-        f"{f / 1e6:.0f} MHz ({1 / imf_us:.2f} frames/us)"
-    )
-    lines.append(
-        f"latency ratios: mf/imf = {cycles['mf'] / cycles['imf']:.6g}, "
-        f"mfprrb/imf = {cycles['mfprrb'] / cycles['imf']:.6g}"
-    )
-
-    e_mf = baseline_energy("mf", params, constants, cfg.vdd)
-    e_mfrb = baseline_energy("mfrb", params, constants, cfg.vdd)
-    e_imc = baseline_energy("imc_nomf", params, constants, cfg.vdd)
-    rows += [
-        ("energy.mf", e_mf),
-        ("energy.mfrb", e_mfrb),
-        ("energy.imc_nomf", e_imc),
-        ("energy.ratio_mf_imc", e_mf / e_imc),
-        ("energy.ratio_mfrb_imc", e_mfrb / e_imc),
-    ]
-    lines.append(
-        f"energy per frame at {cfg.vdd:g} V: mf {e_mf * 1e9:.4g} nJ, "
-        f"mfrb {e_mfrb * 1e9:.4g} nJ, in-array {e_imc * 1e9:.4g} nJ "
-        f"({e_mf / e_imc:.0f}x / {e_mfrb / e_imc:.0f}x)"
-    )
+    energy = {a: baseline_energy(a, params, constants, vdd) for a in ENERGY_ARCHS}
+    e_mf, e_mfrb, e_imc = energy["mf"], energy["mfrb"], energy["imc_nomf"]
+    rows += [(f"energy.{arch}", e) for arch, e in energy.items()]
+    rows += [("energy.ratio_mf_imc", e_mf / e_imc), ("energy.ratio_mfrb_imc", e_mfrb / e_imc)]
 
     # supply current at the characterized point: full array width, 1.2 V, 48 MHz
     char_device = cfg.device(vdd=1.2)
@@ -292,38 +229,38 @@ def report(cfg: "RunConfig") -> tuple[list[tuple[str, float]], list[str]]:
     cur = imc_current(char_params, char_device, 48e6, cfg.rho_lambda_mean)
     i_imf = 0.36 / (1.0 - 0.36) * cur.i_total  # reconstructed controller share
     cur = imc_current(char_params, char_device, 48e6, cfg.rho_lambda_mean, i_imf=i_imf)
-    rows += [
-        ("current.i_ch", cur.i_ch),
-        ("current.i_bitflip", cur.i_bitflip),
-        ("current.i_imf", cur.i_imf),
-        ("current.i_leakage", cur.i_leakage),
-        ("current.i_total", cur.i_total),
-    ]
-    lines.append(
-        f"array charging current at 1.2 V, 48 MHz, rho+lambda = "
-        f"{cfg.rho_lambda_mean:g}: {cur.i_ch * 1e3:.4g} mA "
-        f"(+{cur.i_bitflip * 1e6:.3g} uA bit-flip, i_imf reconstructed at 36% of total)"
-    )
+    rows += [(f"current.{k}", v) for k, v in asdict(cur).items()]
 
     gops, tops = throughput_efficiency(f, params.n, DEFAULT_GEOMETRY.cols, constants.e_imc_pixel)
     rows += [("throughput.gops", gops), ("throughput.tops_per_w", tops)]
-    lines.append(
-        f"peak filtering throughput: {gops:.1f} GOPS at {f / 1e6:.0f} MHz "
-        f"across {DEFAULT_GEOMETRY.cols} columns"
-    )
-    lines.append(
-        f"efficiency: {tops:.1f} TOPS/W at {constants.e_imc_pixel * 1e15:.0f} fJ/pixel"
-    )
 
-    for label, denoise in (("imc", e_imc), ("mf", e_mf)):
-        sys_e = system_energy_per_frame(params, constants, denoise)
-        rows += [
-            (f"system.{label}.average", sys_e.average),
-            (f"system.{label}.savings", sys_e.savings),
-        ]
-        lines.append(
-            f"system energy with {label} denoise: {sys_e.average * 1e9:.4g} nJ/frame "
-            f"avg vs {sys_e.baseline * 1e9:.4g} nJ baseline "
-            f"({sys_e.savings * 100:.1f}% saved at {params.empty_frame_fraction:.0%} empty)"
-        )
+    system = {label: system_energy_per_frame(params, constants, e)
+              for label, e in (("imc", e_imc), ("mf", e_mf))}
+    # the baseline is dnn_energy, a configured constant, so it gets no row
+    rows += [(f"system.{label}.{k}", v) for label, s in system.items()
+             for k, v in asdict(s).items() if k != "baseline"]
+
+    imf_us = cycles["imf"] / f * 1e6
+    lines = [
+        f"per-frame op counts for {params.width}x{params.height}, n={params.n}: see perf.csv",
+        f"in-array filter: {cycles['imf']} cycles = {imf_us:.3g} us per frame at "
+        f"{f / 1e6:.0f} MHz ({1 / imf_us:.2f} frames/us)",
+        f"latency ratios: mf/imf = {cycles['mf'] / cycles['imf']:.6g}, "
+        f"mfprrb/imf = {cycles['mfprrb'] / cycles['imf']:.6g}",
+        f"energy per frame at {vdd:g} V: mf {e_mf * 1e9:.4g} nJ, "
+        f"mfrb {e_mfrb * 1e9:.4g} nJ, in-array {e_imc * 1e9:.4g} nJ "
+        f"({e_mf / e_imc:.0f}x / {e_mfrb / e_imc:.0f}x)",
+        f"array charging current at 1.2 V, 48 MHz, rho+lambda = "
+        f"{cfg.rho_lambda_mean:g}: {cur.i_ch * 1e3:.4g} mA "
+        f"(+{cur.i_bitflip * 1e6:.3g} uA bit-flip, i_imf reconstructed at 36% of total)",
+        f"peak filtering throughput: {gops:.1f} GOPS at {f / 1e6:.0f} MHz "
+        f"across {DEFAULT_GEOMETRY.cols} columns",
+        f"efficiency: {tops:.1f} TOPS/W at {constants.e_imc_pixel * 1e15:.0f} fJ/pixel",
+    ]
+    lines += [
+        f"system energy with {label} denoise: {s.average * 1e9:.4g} nJ/frame "
+        f"avg vs {s.baseline * 1e9:.4g} nJ baseline "
+        f"({s.savings * 100:.1f}% saved at {params.empty_frame_fraction:.0%} empty)"
+        for label, s in system.items()
+    ]
     return rows, lines

@@ -583,8 +583,8 @@ def ber_supply_sweep(
     `supplies` holds (device, variation) pairs, each variation already scaled
     to its device.  The lottery seed rng_seed + pattern_index * trials + trial
     depends on neither the supply nor k, so (pattern index, trial) is the
-    outer loop, and each lottery is drawn once and rescaled for every
-    (supply, k) that races on it.
+    outer loop: each lottery is drawn once, scaled once per supply, and every
+    k races on that state, its patches rewritten from the tile first.
     """
     for k in ks:
         if not 0 <= k <= n * n:
@@ -608,9 +608,9 @@ def ber_supply_sweep(
             for t in range(trials):
                 for (device, variation), row, row_flips in zip(supplies, ids, flips):
                     seed = variation.rng_seed + pi * trials + t
+                    state = init_macro(geometry, device, replace(variation, rng_seed=seed))
                     for pids, pattern_flips in zip(row, row_flips):
                         if pi < len(pids):
-                            state = init_macro(geometry, device, replace(variation, rng_seed=seed))
                             state.bits[:, :used] = tiles[pids[pi]]
                             pattern_flips[pi] += filter_in_memory(state, n, device).flips_unintended
     return [

@@ -136,19 +136,30 @@ def write_box_csv(rows: Sequence[GroundTruthBox], path: Union[str, Path]) -> Non
 
 
 def read_box_csv(path: Union[str, Path]) -> list[GroundTruthBox]:
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    """The boxes of a file write_box_csv wrote; a malformed line raises an
+    InvalidParamsError naming <path>:<line>."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["frame_index", "track_id", "class", "x", "y", "w", "h"]:
-            raise InvalidParamsError(f"unexpected box csv header in {path}: {header}")
         out = []
-        for row in reader:
-            out.append(
-                GroundTruthBox(
-                    frame_index=int(row[0]), track_id=int(row[1]), label=row[2],
-                    x=int(row[3]), y=int(row[4]), w=int(row[5]), h=int(row[6]),
-                )
-            )
+        try:
+            header = next(reader, None)
+            if header != ["frame_index", "track_id", "class", "x", "y", "w", "h"]:
+                raise InvalidParamsError(f"unexpected box csv header in {path}: {header}")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if not all(map(str.isascii, row)):
+                    raise InvalidParamsError(f"{where}: non-ASCII character")
+                if len(row) != 7:
+                    raise InvalidParamsError(f"{where}: expected 7 fields, got {len(row)}")
+                try:
+                    box = GroundTruthBox(int(row[0]), int(row[1]), row[2], *map(int, row[3:]))
+                except ValueError:
+                    raise InvalidParamsError(f"{where}: non-integer field") from None
+                if box.w <= 0 or box.h <= 0:
+                    raise InvalidParamsError(f"{where}: box sides must be positive")
+                out.append(box)
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise InvalidParamsError(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 

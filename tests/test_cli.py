@@ -16,6 +16,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest itself depends on tomli
     import tomli as tomllib
 
 import imfsim.cli
+import imfsim.frames
 import imfsim.sram_macro
 from helpers import run_cli, tree_bytes
 from imfsim.frames import BinaryFrame, parse_event_stream, read_pbm, write_pbm
@@ -147,6 +148,10 @@ def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+GT_HEADER = b"frame_index,track_id,class,x,y,w,h\n"
+TRACK_EVAL = ["track-eval", "--frames", "{traffic}", "--gt", "{input}"]
+
+
 @pytest.mark.parametrize(
     "name, data, argv, expect",
     [
@@ -162,9 +167,19 @@ def test_missing_input_file_fails_cleanly(tmp_path, capsys):
          "rows 180 not divisible by n=7"),
         ("frames/frame_00000.pbm", b"P4\n240 180\n\x00\x00", ["denoise", "--frames", "{dir}"],
          "truncated PBM body"),
+        ("gt.csv", GT_HEADER + b"0,1,car,5,5,4,4\n1,1,car,5,5\n", TRACK_EVAL,
+         "gt.csv:3: expected 7 fields, got 5"),
+        ("gt.csv", GT_HEADER + b"0,1,car,5,x,4,4\n", TRACK_EVAL, "gt.csv:2: non-integer field"),
+        ("gt.csv", GT_HEADER + b"0,1,car,5,5,4,4\n1,1,v\xe9lo,5,5,4,4\n", TRACK_EVAL,
+         "gt.csv:3: non-ASCII character"),
+        ("gt.csv", GT_HEADER + b"0,1,car,5,5,0,4\n", TRACK_EVAL,
+         "gt.csv:2: box sides must be positive"),
+        ("gt.csv", GT_HEADER + b"0,1," + b"a" * 200_000 + b",5,5,4,4\n", TRACK_EVAL,
+         "gt.csv:2: field larger than field limit"),
     ],
     ids=["malformed", "non-ascii", "decreasing", "out-of-bounds", "kernel-vs-rows",
-         "truncated-pbm"],
+         "truncated-pbm", "gt-too-few-fields", "gt-non-integer", "gt-non-ascii",
+         "gt-zero-width", "gt-field-over-limit"],
 )
 def test_bad_input_exits_2(traffic_dir, tmp_path, capsys, name, data, argv, expect):
     path = tmp_path / name
@@ -172,8 +187,9 @@ def test_bad_input_exits_2(traffic_dir, tmp_path, capsys, name, data, argv, expe
     path.write_bytes(data)
     subs = {"{input}": path, "{dir}": path.parent, "{traffic}": traffic_dir / "frames"}
     assert run_cli(*(subs.get(a, a) for a in argv), "--out", tmp_path / "out") == 2
-    assert expect in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()  # rejected before anything is written
+    err = capsys.readouterr().err
+    assert expect in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # rejected, or removed after the failure
 
 
 @pytest.mark.parametrize("command", ["denoise", "simulate", "track-eval"])
@@ -227,13 +243,15 @@ def _exit_code(*argv):
         ("max_objects = -1\nn_frames = 2\n", ["gen"], "max_objects must be >= 1, got -1"),
         ("e_read = 0\nn_frames = 2\n", ["gen", "--kind", "noise"],
          "e_read must be positive, got 0.0"),
+        ("n_frames = 0\n", ["gen", "--kind", "noise"], "n_frames must be >= 1, got 0"),
+        ("n_frames = -5\n", ["gen", "--kind", "noise"], "n_frames must be >= 1, got -5"),
     ],
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
          "characterize-trials-0", "gen-events-t_f-0", "simulate-temperature-nan",
          "gen-noise-n-4", "gen-noise-vdd-nan", "perf-e_imc_pixel-0", "perf-ref_vdd-0",
          "perf-rho_lambda_mean-negative", "gen-salt_p-2", "gen-max_objects-negative",
-         "gen-noise-e_read-0"],
+         "gen-noise-e_read-0", "gen-noise-n_frames-0", "gen-noise-n_frames-negative"],
 )
 def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, argv, expect):
     frames = tmp_path / "frames"   # a valid recording with mixed patches
@@ -261,8 +279,6 @@ def _late_bad_line_recording(tmp_path):
 
 @pytest.mark.parametrize("command", ["denoise", "simulate"])
 def test_a_late_bad_line_removes_the_out_it_created(tmp_path, capsys, monkeypatch, command):
-    import imfsim.frames
-
     monkeypatch.setattr(imfsim.frames, "_READ_BLOCK", 4096)  # a block is ~230 lines
     events, cfg = _late_bad_line_recording(tmp_path)
     written = []
@@ -552,6 +568,9 @@ def tree_sha256(root):
     return h.hexdigest()
 
 
+PERF_NONDEFAULT = ("n = 5\nvdd = 1.0\nfrequency = 48e6\nalpha = 0.25\ngamma = 0.3\n"
+                   "beta_t = 7\nempty_frame_fraction = 0.2\n")
+
 # Recorded on the per-frame implementation; any change to these trees is a
 # change in results, not only in speed.
 GOLDEN_TREES = {
@@ -560,6 +579,8 @@ GOLDEN_TREES = {
     "simulate": "c4be5bbfa2701eda160b2ab63b3a02fce760dc305668bcf02fcc924813d90e32",
     "track-eval": "379f5092d702b3a3a77a07d95f32003f8f7a4f49f86baec85249ead8acd3b81f",
     "perf": "3255d1799db4ddc42b16e94910563c875cb8f8af94b03a018947aa586fbf8ae0",
+    # recorded before the cost model was rewritten as tables
+    "perf-nondefault": "15af8c268473f54487e929ef75515247d0a2263e7583d5a04255a670e6725a62",
     # recorded on the whole-recording event path, before streaming
     "gen-events": "cdd0e8151b783d18c1bd0739a30f1ef117ae253786d8235d6f507760c4598605",
     "nomf-events": "1f8c5e570e8351d815e9e6d51275bff82ed6146f70549254c3c83192d12ca35b",
@@ -567,8 +588,7 @@ GOLDEN_TREES = {
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN_TREES)
-def test_output_trees_match_golden_digests(traffic_dir, tmp_path, name):
+def assert_golden_tree(traffic_dir, tmp_path, name):
     frames, out = traffic_dir / "frames", tmp_path / "out"
     events = traffic_dir / "events.txt"
     argv = {
@@ -577,6 +597,7 @@ def test_output_trees_match_golden_digests(traffic_dir, tmp_path, name):
         "simulate": ["simulate", "--frames", frames],
         "track-eval": ["track-eval", "--frames", frames, "--gt", traffic_dir / "gt.csv"],
         "perf": ["perf"],
+        "perf-nondefault": ["perf", "--config", write_cfg(tmp_path, PERF_NONDEFAULT)],
         "gen-events": ["gen", "--kind", "traffic", "--events",
                        "--config", traffic_dir.parent / "gen.cfg"],
         "nomf-events": ["denoise", "--events", events, "--filter", "nomf"],
@@ -586,14 +607,23 @@ def test_output_trees_match_golden_digests(traffic_dir, tmp_path, name):
     assert tree_sha256(out) == GOLDEN_TREES[name]
 
 
+@pytest.mark.parametrize("name", GOLDEN_TREES)
+def test_output_trees_match_golden_digests(traffic_dir, tmp_path, name):
+    assert_golden_tree(traffic_dir, tmp_path, name)
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("name", ["simulate", "simulate-events"])
 def test_simulate_output_does_not_depend_on_the_thread_count(
         traffic_dir, tmp_path, monkeypatch, name, workers):
     monkeypatch.setattr(imfsim.sram_macro, "_MAX_WORKERS", workers)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    source = ["--frames", traffic_dir / "frames"] if name == "simulate" else [
-        "--events", traffic_dir / "events.txt"]
-    out = tmp_path / "out"
-    assert run_cli("simulate", *source, "--seed", "5", "--out", out) == 0
-    assert tree_sha256(out) == GOLDEN_TREES[name]
+    assert_golden_tree(traffic_dir, tmp_path, name)
+
+
+@pytest.mark.parametrize(
+    "name", ["nomf", "simulate", "nomf-events", "simulate-events", "track-eval"])
+def test_output_trees_do_not_depend_on_the_chunk_size(traffic_dir, tmp_path, monkeypatch, name):
+    # the 40-frame recording streams as chunks of 16, 16 and 8 frames
+    monkeypatch.setattr(imfsim.frames, "FRAME_CHUNK", 16)
+    assert_golden_tree(traffic_dir, tmp_path, name)

@@ -179,6 +179,8 @@ class BinaryFrame:
 _INT64_MAX = np.iinfo(np.int64).max
 _WRITE_CHUNK = 1 << 20    # events formatted per write
 _READ_BLOCK = 1 << 20     # bytes of event text read per block
+# The whitespace int() skips around a number; str.strip() would also drop \x1c-\x1f.
+_INT_SPACE = " \t\n\r\x0b\x0c"
 
 
 def parse_event_stream(source: Union[str, Path, TextIO, Iterable[str]]) -> EventArray:
@@ -224,6 +226,14 @@ def _event_blocks(path: Union[str, Path]) -> Iterator[EventArray]:
                 return
 
 
+def _uint(field: str) -> int:
+    """An ASCII field of digits 0-9 and the whitespace int() skips around
+    them; ValueError for anything else, such as the 1_000 or +5 int() takes."""
+    if not field.strip(_INT_SPACE).isdigit():
+        raise ValueError(f"not a run of digits: {field!r}")
+    return int(field)
+
+
 def _parse_canonical(data: bytes) -> EventArray | None:
     """The events of a canonical, valid block of lines; None for anything else."""
     seps = data.translate(None, b"0123456789")
@@ -255,11 +265,9 @@ def _parse_lines(lines: Iterable[str], first_line: int = 1, last_t: int = -1) ->
         if len(fields) != 4:
             raise MalformedLineError(line_no, f"expected 4 fields, got {len(fields)}")
         try:
-            t, x, y, pol = (int(f) for f in fields)
+            t, x, y, pol = (_uint(f) for f in fields)
         except ValueError:
             raise MalformedLineError(line_no, "non-integer field") from None
-        if t < 0 or x < 0 or y < 0:
-            raise MalformedLineError(line_no, "negative field")
         if pol not in (0, 1):
             raise MalformedLineError(line_no, f"polarity must be 0 or 1, got {pol}")
         if t < last_t:

@@ -28,10 +28,10 @@ a tiny positive value; its trip point is v_trip_nominal + sigma_vtrip * z'.  On 
 the same stream as Normal(mean, sigma) draws, so an independent
 re-implementation with the same seed reproduces the lottery bit for bit.
 Monte-Carlo trials reseed with rng_seed + trial_index.  The seed does not
-depend on the supply, so a sweep over several supplies draws each lottery
-once and rescales it per supply.  Calibration draws each frame once: without
-the floor a patch's race is linear in sigma (see _LinearRaces), so image BER
-is a step function of sigma and each bisection step is a lookup.
+depend on the supply, so ber_supply_sweep draws each lottery once and
+rescales it per supply.  Calibration draws each frame once for both supplies:
+without the floor a patch's race is linear in sigma (see _LinearRaces), so
+image BER is a step function of sigma and each bisection step is a lookup.
 
 Supply, temperature and corner enter through a square-law overdrive model:
 V_T = 0.35 V at TT / 27 C, falling 1 mV/C and shifted +/-50 mV at SS/FF;
@@ -52,8 +52,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterable, Literal, Sequence
@@ -220,43 +218,17 @@ class CalibrationResult:
 # lottery sampling and state construction
 # ---------------------------------------------------------------------------
 
-# One-entry memo of standard draws, set only inside _shared_draws().  It is a
-# context variable, not a parameter, because sample_cell_lottery keeps the
-# signature that its callers and tracing wrappers rely on.
-_draw_memo: ContextVar[dict | None] = ContextVar("_draw_memo", default=None)
-
-
-@contextmanager
-def _shared_draws():
-    """Within the block, a lottery drawn again with the same shape and seed
-    reuses the last standard draws instead of redrawing them."""
-    token = _draw_memo.set({})
-    try:
-        yield
-    finally:
-        _draw_memo.reset(token)
-
-
-def _standard_draws(shape: tuple[int, ...], seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _standard_draws(shape: tuple[int, ...], seed: int) -> np.ndarray:
     """Standard-normal current draws, then trip-point draws, from
-    default_rng(seed).  Fresh draws are writable; memoised ones are read-only."""
-    memo = _draw_memo.get()
-    if memo is not None and memo.get("key") == (shape, seed):
-        return memo["z"]
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(shape), rng.standard_normal(shape)
-    if memo is not None:
-        for a in z:
-            a.flags.writeable = False
-        memo.update(key=(shape, seed), z=z)
-    return z
+    default_rng(seed), as one (2, *shape) array."""
+    return np.random.default_rng(seed).standard_normal((2, *shape))
 
 
 def _scaled(z: np.ndarray, scale: float, loc: float) -> np.ndarray:
-    """loc + scale * z, in place when z is writable."""
-    out = np.multiply(z, scale, out=z if z.flags.writeable else None)
-    out += loc
-    return out
+    """loc + scale * z, in place."""
+    z *= scale
+    z += loc
+    return z
 
 
 def _scale_vtrips(z: np.ndarray, device: DeviceParams, variation: CellVariation) -> np.ndarray:
@@ -267,8 +239,8 @@ def _scale_vtrips(z: np.ndarray, device: DeviceParams, variation: CellVariation)
 def _scale_lottery(
     z_i: np.ndarray, z_v: np.ndarray, device: DeviceParams, variation: CellVariation
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Standard current and trip-point draws scaled to the device and
-    variation, in place where they are writable."""
+    """Standard current and trip-point draws scaled, in place, to the device
+    and variation."""
     i_s = device.i_s_nominal
     sigma_i = variation.sigma_i_over_mu * i_s
     currents = _scaled(z_i, sigma_i, i_s)
@@ -346,15 +318,7 @@ def load_frame(state: MacroState, frame: BinaryFrame) -> int:
 # the race
 # ---------------------------------------------------------------------------
 
-def race(
-    n: int,
-    k,
-    i_bl,
-    i_blb,
-    vt_ones,
-    vt_zeros,
-    device: DeviceParams,
-):
+def race(n: int, k, i_bl, i_blb, vt_ones, vt_zeros, device: DeviceParams):
     """The race equation over per-patch sums: k ones, the summed currents of
     the 0- and 1-storing cells and their summed trip points.
 
@@ -390,15 +354,22 @@ def frame_geometry(height: int, width: int, n: int) -> MacroGeometry:
     return MacroGeometry(rows=height, cols=width)
 
 
+def _in_order(terms: list[np.ndarray]) -> np.ndarray:
+    """Sum one or more same-shape arrays left to right."""
+    if len(terms) == 1:
+        return terms[0]
+    acc = terms[0] + terms[1]
+    for t in terms[2:]:
+        acc += t
+    return acc
+
+
 def _pairwise(terms: list[np.ndarray]) -> np.ndarray:
     """Sum two or more same-shape arrays in the order numpy's pairwise
     summation adds a contiguous run of len(terms) values."""
     m = len(terms)
     if m < 8:
-        acc = terms[0] + terms[1]
-        for t in terms[2:]:
-            acc += t
-        return acc
+        return _in_order(terms)
     if m <= 128:
         r = list(terms[:8])
         for i in range(8, m - m % 8, 8):
@@ -428,10 +399,36 @@ def patch_sums(a: np.ndarray, n: int) -> np.ndarray:
         return _pairwise([a[i::n, j:j + 1] for i in range(n) for j in range(n)])
     runs = a[:, :per_group * n].reshape(rows, per_group, n)
     row_sums = _pairwise([runs[:, :, j] for j in range(n)]).reshape(rows // n, n, per_group)
-    acc = row_sums[:, 0] + row_sums[:, 1]
-    for i in range(2, n):
-        acc += row_sums[:, i]
-    return acc
+    return _in_order([row_sums[:, i] for i in range(n)])
+
+
+def _cell_planes(a: np.ndarray, n: int) -> np.ndarray:
+    """The complete n x n patches of each (rows, cols) array of a stack as n^2
+    contiguous cell planes: planes[m, i, j] == a[m, i::n, j:used:n], shape
+    (groups, per_group)."""
+    m, rows, cols = a.shape
+    per_group = cols // n
+    patches = a[:, :, :per_group * n].reshape(m, rows // n, n, per_group, n)
+    return patches.transpose(0, 2, 4, 1, 3).copy()
+
+
+def _masked_plane_sums(planes: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """patch_sums(values * tile(mask), n) from the cell planes of positive
+    values and a 0/1 n x n mask holding at least one 1.
+
+    A masked-out cell adds +0.0, which leaves a positive sum unchanged.  So
+    where patch_sums adds each patch row left to right (n < 8, several
+    patches per group), only the selected planes are added.
+    """
+    n, per_group = len(mask), planes.shape[3]
+    if per_group == 1:
+        return _pairwise([planes[i, j] * mask[i, j] for i in range(n) for j in range(n)])
+    if n >= 8:
+        rows = [_pairwise([planes[i, j] * mask[i, j] for j in range(n)]) for i in range(n)]
+    else:
+        rows = [_in_order([planes[i, j] for j in range(n) if mask[i, j]])
+                for i in range(n) if mask[i].any()]
+    return _in_order(rows)
 
 
 def _split_sums(values: np.ndarray, ones: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -540,12 +537,8 @@ def pattern_to_patch(pattern_id: int, n: int) -> np.ndarray:
     """Decode a bitmask pattern id (bit i = cell (i // n, i % n)) to an n x n array."""
     if not 0 <= pattern_id < 1 << (n * n):
         raise InvalidParamsError(f"pattern id {pattern_id} out of range for n={n}")
-    bits = (pattern_id >> np.arange(n * n)) & 1
-    return bits.astype(np.uint8).reshape(n, n)
-
-
-def _all_pattern_ids(n: int, k: int) -> list[int]:
-    return [sum(1 << p for p in pos) for pos in combinations(range(n * n), k)]
+    bits = [(pattern_id >> i) & 1 for i in range(n * n)]     # ids pass 64 bits from n = 9
+    return np.array(bits, dtype=np.uint8).reshape(n, n)
 
 
 def _sample_pattern_ids(n: int, k: int, m: int, seed: int) -> list[int]:
@@ -565,27 +558,13 @@ def _sample_pattern_ids(n: int, k: int, m: int, seed: int) -> list[int]:
 
 def _pattern_ids(n: int, k: int, patterns: Literal["all"] | int, seed: int) -> list[int]:
     if patterns == "all":
-        return _all_pattern_ids(n, k)
+        return [sum(1 << p for p in pos) for pos in combinations(range(n * n), k)]
     return _sample_pattern_ids(n, k, min(patterns, math.comb(n * n, k)), seed)
 
 
-def ber_supply_sweep(
-    n: int,
-    ks: Sequence[int],
-    supplies: Sequence[tuple[DeviceParams, CellVariation]],
-    trials: int = 8,
-    patterns: Literal["all"] | int = 16,
-    geometry: MacroGeometry = DEFAULT_GEOMETRY,
-) -> list[list[BERStat]]:
-    """ber_pattern_sweep at every supply and every k: result[s][j] is the
-    BERStat of supplies[s] at ks[j].
-
-    `supplies` holds (device, variation) pairs, each variation already scaled
-    to its device.  The lottery seed rng_seed + pattern_index * trials + trial
-    depends on neither the supply nor k, so (pattern index, trial) is the
-    outer loop: each lottery is drawn once, scaled once per supply, and every
-    k races on that state, its patches rewritten from the tile first.
-    """
+def _sweep_grid(n: int, ks: Sequence[int], trials: int, patterns, geometry: MacroGeometry):
+    """Check a sweep's arguments; returns its (row groups, patches per group)."""
+    grid = _patch_grid(geometry.rows, geometry.cols, n)
     for k in ks:
         if not 0 <= k <= n * n:
             raise InvalidParamsError(f"k={k} impossible for n={n}")
@@ -593,50 +572,67 @@ def ber_supply_sweep(
         raise InvalidParamsError("trials must be positive")
     if patterns != "all" and (type(patterns) is not int or patterns <= 0):
         raise InvalidParamsError(f"patterns must be positive, an int or 'all'; got {patterns!r}")
+    return grid
+
+
+def _ber_stat(n: int, k: int, patches: int, trials: int, pids: list, flips: list) -> BERStat:
+    return BERStat(
+        n=n, k=k, patches=patches, trials=trials,
+        pattern_stats=[PatternStat(pid, trials, f, f / (patches * trials))
+                       for pid, f in zip(pids, flips)],
+        ber=sum(flips) / (patches * trials * len(pids)),
+    )
+
+
+def ber_supply_sweep(
+    n: int, ks: Sequence[int], supplies: Sequence[tuple[DeviceParams, CellVariation]],
+    trials: int = 8, patterns: Literal["all"] | int = 16,
+    geometry: MacroGeometry = DEFAULT_GEOMETRY,
+) -> list[list[BERStat]]:
+    """ber_pattern_sweep at every supply and every k: result[s][j] is the
+    BERStat of supplies[s] at ks[j], bit for bit.
+
+    `supplies` holds (device, variation) pairs, each variation already scaled
+    to its device.  The lottery seed rng_seed + pattern_index * trials + trial
+    depends on neither the supply nor k, so each lottery is drawn once, cut
+    into cell planes and scaled once per supply.  Every patch holds the same
+    pattern, so each k races the sums of the planes it selects.
+    """
+    groups, per_group = _sweep_grid(n, ks, trials, patterns, geometry)
     ids = [[_pattern_ids(n, k, patterns, var.rng_seed) for k in ks] for _, var in supplies]
-    groups, per_group = geometry.rows // n, geometry.cols // n
-    used = per_group * n
-    patches = macro_patch_count(geometry, n)
+    nn, threshold = n * n, KernelSpec(n).threshold
+    scratch = np.empty((2, n, n, groups, per_group))
 
     flips = [[[0] * len(pids) for pids in row] for row in ids]
-    with _shared_draws():
-        for pi in range(max((len(pids) for row in ids for pids in row), default=0)):
-            tiles = {
-                pids[pi]: np.tile(pattern_to_patch(pids[pi], n), (groups, per_group))
-                for row in ids for pids in row if pi < len(pids)
-            }
-            for t in range(trials):
-                for (device, variation), row, row_flips in zip(supplies, ids, flips):
-                    seed = variation.rng_seed + pi * trials + t
-                    state = init_macro(geometry, device, replace(variation, rng_seed=seed))
-                    for pids, pattern_flips in zip(row, row_flips):
-                        if pi < len(pids):
-                            state.bits[:, :used] = tiles[pids[pi]]
-                            pattern_flips[pi] += filter_in_memory(state, n, device).flips_unintended
-    return [
-        [
-            BERStat(
-                n=n, k=k, patches=patches, trials=trials,
-                pattern_stats=[
-                    PatternStat(pid, trials, f, f / (patches * trials))
-                    for pid, f in zip(pids, pattern_flips)
-                ],
-                ber=sum(pattern_flips) / (patches * trials * len(pids)),
-            )
-            for k, pids, pattern_flips in zip(ks, row, row_flips)
-        ]
-        for row, row_flips in zip(ids, flips)
-    ]
+    for pi in range(max((len(pids) for row in ids for pids in row), default=0)):
+        for t in range(trials):
+            planes: dict[int, np.ndarray] = {}
+            for (device, variation), row, row_flips in zip(supplies, ids, flips):
+                seed = variation.rng_seed + pi * trials + t
+                if seed not in planes:
+                    draws = _standard_draws((geometry.rows, geometry.cols), seed)
+                    planes[seed] = _cell_planes(draws, n)
+                np.copyto(scratch, planes[seed])
+                currents, vtrips = _scale_lottery(*scratch, device, variation)
+                for k, pids, pattern_flips in zip(ks, row, row_flips):
+                    if pi < len(pids) and 0 < k < nn:
+                        ones = pattern_to_patch(pids[pi], n)
+                        zeros = 1 - ones
+                        _, dt = race(n, k, _masked_plane_sums(currents, zeros),
+                                     _masked_plane_sums(currents, ones),
+                                     _masked_plane_sums(vtrips, ones),
+                                     _masked_plane_sums(vtrips, zeros), device)
+                        wrong = np.count_nonzero((dt > 0) != (k >= threshold))
+                        pattern_flips[pi] += nn * int(wrong)
+    patches = macro_patch_count(geometry, n)
+    return [[_ber_stat(n, k, patches, trials, pids, pattern_flips)
+             for k, pids, pattern_flips in zip(ks, row, row_flips)]
+            for row, row_flips in zip(ids, flips)]
 
 
 def ber_pattern_sweep(
-    n: int,
-    k: int,
-    device: DeviceParams,
-    variation: CellVariation,
-    trials: int = 8,
-    patterns: Literal["all"] | int = 16,
-    geometry: MacroGeometry = DEFAULT_GEOMETRY,
+    n: int, k: int, device: DeviceParams, variation: CellVariation, trials: int = 8,
+    patterns: Literal["all"] | int = 16, geometry: MacroGeometry = DEFAULT_GEOMETRY,
 ) -> BERStat:
     """Fill every complete patch of the array with a k-ones pattern and measure
     unintended flips against the majority decision, resampling the mismatch
@@ -644,16 +640,23 @@ def ber_pattern_sweep(
 
     `patterns` is "all" (every C(n^2, k) placement) or a sample size.  BER
     is unintended flips / (patches * trials), so a fully wrong patch
-    contributes n^2.
+    contributes n^2.  Each trial races a whole macro state.
     """
-    return ber_supply_sweep(n, [k], [(device, variation)], trials, patterns, geometry)[0][0]
+    groups, per_group = _sweep_grid(n, [k], trials, patterns, geometry)
+    pids = _pattern_ids(n, k, patterns, variation.rng_seed)
+    flips = [0] * len(pids)
+    for pi, pid in enumerate(pids):
+        tile = np.tile(pattern_to_patch(pid, n), (groups, per_group))
+        for t in range(trials):
+            seed = variation.rng_seed + pi * trials + t
+            state = init_macro(geometry, device, replace(variation, rng_seed=seed))
+            state.bits[:, :per_group * n] = tile
+            flips[pi] += filter_in_memory(state, n, device).flips_unintended
+    return _ber_stat(n, k, macro_patch_count(geometry, n), trials, pids, flips)
 
 
 def patch_error_trials(
-    pattern: np.ndarray,
-    device: DeviceParams,
-    variation: CellVariation,
-    trials: int,
+    pattern: np.ndarray, device: DeviceParams, variation: CellVariation, trials: int,
     seed: int | None = None,
 ) -> np.ndarray:
     """Monte-Carlo a single patch; returns a bool array, True where the race
@@ -688,10 +691,7 @@ def patch_error_trials(
 # ---------------------------------------------------------------------------
 
 def measure_image_ber(
-    frames: Sequence[BinaryFrame],
-    device: DeviceParams,
-    variation: CellVariation,
-    n: int = 3,
+    frames: Sequence[BinaryFrame], device: DeviceParams, variation: CellVariation, n: int = 3
 ) -> float:
     """Mean fraction of pixels where the in-array filter disagrees with the
     ideal majority filter, with a fresh lottery per frame (rng_seed + index).
@@ -728,8 +728,8 @@ _LINEAR_MAX_SPREAD = 0.24
 
 
 class _LinearRaces:
-    """Unintended flips of measure_image_ber as a function of the effective
-    spread s, from one lottery draw per frame.
+    """Unintended flips of measure_image_ber on `device` as a function of the
+    effective spread s, from one lottery draw per frame (see _linear_races).
 
     Without the current floor, i_blb = i_s * (k + s*Z1) and
     i_bl = i_s * (n^2 - k + s*Z0), where Z1 and Z0 sum clip(z, -4, 4) over the
@@ -747,47 +747,35 @@ class _LinearRaces:
     rounding of s, or a patch whose A is too small against its terms to trust.
     """
 
-    def __init__(
-        self,
-        frames: Sequence[BinaryFrame],
-        device: DeviceParams,
-        variation: CellVariation,
-        n: int,
-        s_range: tuple[float, float],
-    ):
-        if not frames:
-            raise InvalidParamsError("need at least one frame")
-        spec = KernelSpec(n)
-        nn = self.nn = n * n
+    def __init__(self, device: DeviceParams, n: int, s_range: tuple[float, float]):
+        self.device = device
+        self.nn = n * n
+        self.threshold = KernelSpec(n).threshold
         self.band = 0.0        # widest relative tie band of any mixed patch
         self.constant = 0      # wrong patches whose s* lies outside s_range
         self.up: list[np.ndarray] = []      # per frame, sorted s* of patches wrong above s*
         self.down: list[np.ndarray] = []    # ... and of patches wrong below s*
-        self.range = s_lo, s_hi = s_range
+        self.range = s_range
+
+    def add(self, k, z1, z0, vt1, vt0) -> None:
+        """One frame's mixed patches: their ones counts, Z1 and Z0, and their
+        summed trip points over the 1- and 0-storing cells."""
+        nn = self.nn
+        s_lo, s_hi = self.range
         window = s_lo * (1.0 - 2 * _MAX_TIE_BAND), s_hi * (1.0 + 2 * _MAX_TIE_BAND)
-        s_mid = math.sqrt(s_lo * s_hi)
-        for idx, frame in enumerate(frames):
-            _patch_grid(frame.height, frame.width, n)        # rows must be a multiple of n
-            z_i, z_v = _standard_draws(frame.pixels.shape, variation.rng_seed + idx)
-            ones = frame.pixels != 0
-            k = patch_sums(ones.astype(np.intp), n)
-            z1, z0 = _split_sums(np.clip(z_i, -4.0, 4.0), ones, n)
-            vt1, vt0 = _split_sums(_scale_vtrips(z_v, device, variation), ones, n)
-            mixed = (k > 0) & (k < nn)
-            k, z1, z0, vt1, vt0 = (a[mixed] for a in (k, z1, z0, vt1, vt0))
-            v_bl = vt1 / k
-            v_blb = (1.0 + device.delta_c) * (vt0 / (nn - k))
-            wrong_sign = np.where(k >= spec.threshold, -1.0, 1.0)   # wrong iff sign * f > 0
-            a = wrong_sign * (v_bl * k - v_blb * (nn - k))
-            b = wrong_sign * (v_bl * z1 - v_blb * z0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                band = _RACE_RTOL * (v_bl * k + v_blb * (nn - k)) / np.abs(a)
-                crit = -a / b
-            self.band = max(self.band, float(band.max(initial=0.0)))
-            moving = (crit >= window[0]) & (crit <= window[1])
-            self.constant += int(np.count_nonzero(~moving & (a + s_mid * b > 0)))
-            self.up.append(np.sort(crit[moving & (b > 0)]))
-            self.down.append(np.sort(crit[moving & (b < 0)]))
+        v_bl = vt1 / k
+        v_blb = (1.0 + self.device.delta_c) * (vt0 / (nn - k))
+        wrong_sign = np.where(k >= self.threshold, -1.0, 1.0)   # wrong iff sign * f > 0
+        a = wrong_sign * (v_bl * k - v_blb * (nn - k))
+        b = wrong_sign * (v_bl * z1 - v_blb * z0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            band = _RACE_RTOL * (v_bl * k + v_blb * (nn - k)) / np.abs(a)
+            crit = -a / b
+        self.band = max(self.band, float(band.max(initial=0.0)))
+        moving = (crit >= window[0]) & (crit <= window[1])
+        self.constant += int(np.count_nonzero(~moving & (a + math.sqrt(s_lo * s_hi) * b > 0)))
+        self.up.append(np.sort(crit[moving & (b > 0)]))
+        self.down.append(np.sort(crit[moving & (b < 0)]))
 
     def flips(self, s: float) -> int | None:
         if not self.range[0] < s < self.range[1] or s > _LINEAR_MAX_SPREAD:
@@ -804,21 +792,39 @@ class _LinearRaces:
         return self.nn * wrong
 
 
+def _linear_races(
+    frames: Sequence[BinaryFrame], variation: CellVariation, n: int,
+    closed_forms: Sequence[tuple[DeviceParams, tuple[float, float]]],
+) -> list[_LinearRaces]:
+    """One _LinearRaces per (device, spread range) over `frames`, drawing
+    each frame's lottery (seed rng_seed + index) once for all of them."""
+    if not frames:
+        raise InvalidParamsError("need at least one frame")
+    races = [_LinearRaces(device, n, s_range) for device, s_range in closed_forms]
+    for idx, frame in enumerate(frames):
+        _patch_grid(frame.height, frame.width, n)        # rows must be a multiple of n
+        z_i, z_v = _standard_draws(frame.pixels.shape, variation.rng_seed + idx)
+        ones = frame.pixels != 0
+        k = patch_sums(ones.astype(np.intp), n)
+        z1, z0 = _split_sums(np.clip(z_i, -4.0, 4.0), ones, n)
+        mixed = (k > 0) & (k < n * n)
+        for races_at in races:
+            # _scale_vtrips scales in place, so each device scales its own copy
+            vt1, vt0 = _split_sums(_scale_vtrips(z_v.copy(), races_at.device, variation), ones, n)
+            races_at.add(k[mixed], z1[mixed], z0[mixed], vt1[mixed], vt0[mixed])
+    return races
+
+
 def calibrate_current_sigma(
-    frames: Sequence[BinaryFrame],
-    device_low: DeviceParams,
-    device_high: DeviceParams,
-    variation: CellVariation,
-    target_ber: float = 2e-4,
-    sigma_bounds: tuple[float, float] = (2e-3, 0.5),
-    iters: int = 18,
-    n: int = 3,
+    frames: Sequence[BinaryFrame], device_low: DeviceParams, device_high: DeviceParams,
+    variation: CellVariation, target_ber: float = 2e-4,
+    sigma_bounds: tuple[float, float] = (2e-3, 0.5), iters: int = 18, n: int = 3,
 ) -> CalibrationResult:
     """Fit the reference sigma_i_over_mu so the low-supply image BER hits
     target_ber on `frames`, then report the high-supply BER on the same seeds.
 
     Image BER is monotone in the spread, so a log-space bisection suffices.
-    Each step takes the closed-form count of _LinearRaces, or a direct
+    Each BER is the count of a _LinearRaces at its supply, or a direct
     measure_image_ber where that count could differ from it.
     """
     lo, hi = sigma_bounds
@@ -828,29 +834,32 @@ def calibrate_current_sigma(
     def at(sigma: float) -> CellVariation:
         return replace(variation, sigma_i_over_mu=sigma)
 
-    def effective(sigma: float) -> float:
-        return variation_at_device(at(sigma), device_low).sigma_i_over_mu
+    def effective(sigma: float, device: DeviceParams) -> float:
+        return variation_at_device(at(sigma), device).sigma_i_over_mu
 
-    races = _LinearRaces(frames, device_low, variation, n, (effective(lo), effective(hi)))
+    low, high = _linear_races(frames, variation, n, [
+        (device, (effective(lo, device), effective(hi, device)))
+        for device in (device_low, device_high)
+    ])
     total_px = sum(frame.width * frame.height for frame in frames)
 
-    def ber_at(sigma: float) -> float:
-        flips = races.flips(effective(sigma))
+    def ber_at(races: _LinearRaces, sigma: float) -> float:
+        flips = races.flips(effective(sigma, races.device))
         if flips is None:
-            return measure_image_ber(frames, device_low, at(sigma), n)
+            return measure_image_ber(frames, races.device, at(sigma), n)
         return flips / total_px
 
     for _ in range(iters):
         mid = math.sqrt(lo * hi)
-        if ber_at(mid) < target_ber:
+        if ber_at(low, mid) < target_ber:
             lo = mid
         else:
             hi = mid
     fitted = math.sqrt(lo * hi)
     return CalibrationResult(
         sigma_i_over_mu=fitted,
-        ber_low_vdd=measure_image_ber(frames, device_low, at(fitted), n),
-        ber_high_vdd=measure_image_ber(frames, device_high, at(fitted), n),
+        ber_low_vdd=ber_at(low, fitted),
+        ber_high_vdd=ber_at(high, fitted),
         vdd_low=device_low.vdd,
         vdd_high=device_high.vdd,
     )

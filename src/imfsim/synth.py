@@ -19,7 +19,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamsError
-from .frames import BinaryFrame, EventArray
+from .frames import BinaryFrame, EventArray, _uint
 
 # (height, width) per class, near/mid/far distance bands
 OBJECT_SIZES: dict[str, tuple[tuple[int, int], ...]] = {
@@ -152,7 +152,8 @@ def read_box_csv(path: Union[str, Path]) -> list[GroundTruthBox]:
                 if len(row) != 7:
                     raise InvalidParamsError(f"{where}: expected 7 fields, got {len(row)}")
                 try:
-                    box = GroundTruthBox(int(row[0]), int(row[1]), row[2], *map(int, row[3:]))
+                    box = GroundTruthBox(_uint(row[0]), _uint(row[1]), row[2],
+                                         *map(_uint, row[3:]))
                 except ValueError:
                     raise InvalidParamsError(f"{where}: non-integer field") from None
                 if box.w <= 0 or box.h <= 0:

@@ -159,17 +159,30 @@ TRACK_EVAL = ["track-eval", "--frames", "{traffic}", "--gt", "{input}"]
          "malformed event line 2: non-integer field"),
         ("events.txt", b"1000,1,1,1\n2000,\xe9,1,1\n", ["denoise", "--events", "{input}"],
          "malformed event line 2: non-ASCII"),
+        ("events.txt", b"1_000,1,1,1\n2000,1,1,1\n", ["denoise", "--events", "{input}"],
+         "malformed event line 1: non-integer field"),
+        ("events.txt", b"1000,1,1,1\n2000,+1,1,1\n", ["denoise", "--events", "{input}"],
+         "malformed event line 2: non-integer field"),
         ("events.txt", b"1000,1,1,1\n999,1,1,1\n", ["denoise", "--events", "{input}"],
          "timestamp decreases at event line 2"),
         ("events.txt", b"1000,1,1,1\n2000,240,1,1\n", ["denoise", "--events", "{input}"],
          "t=2000,x=240,y=1 outside 240x180"),
         ("run.cfg", b"n = 7\n", ["simulate", "--frames", "{traffic}", "--config", "{input}"],
          "rows 180 not divisible by n=7"),
+        ("run.cfg", b"n = 7\n", ["characterize", "--config", "{input}", "--k", "20",
+                                  "--trials", "1", "--patterns", "1"],
+         "rows 240 not divisible by n=7"),
+        ("run.cfg", b"n = 9\n", ["characterize", "--config", "{input}", "--k", "40",
+                                  "--trials", "1", "--patterns", "1"],
+         "rows 240 not divisible by n=9"),
         ("frames/frame_00000.pbm", b"P4\n240 180\n\x00\x00", ["denoise", "--frames", "{dir}"],
          "truncated PBM body"),
         ("gt.csv", GT_HEADER + b"0,1,car,5,5,4,4\n1,1,car,5,5\n", TRACK_EVAL,
          "gt.csv:3: expected 7 fields, got 5"),
         ("gt.csv", GT_HEADER + b"0,1,car,5,x,4,4\n", TRACK_EVAL, "gt.csv:2: non-integer field"),
+        ("gt.csv", GT_HEADER + b"0,1,car,1_0,5,4,4\n", TRACK_EVAL,
+         "gt.csv:2: non-integer field"),
+        ("gt.csv", GT_HEADER + b"0,1,car,5,+5,4,4\n", TRACK_EVAL, "gt.csv:2: non-integer field"),
         ("gt.csv", GT_HEADER + b"0,1,car,5,5,4,4\n1,1,v\xe9lo,5,5,4,4\n", TRACK_EVAL,
          "gt.csv:3: non-ASCII character"),
         ("gt.csv", GT_HEADER + b"0,1,car,5,5,0,4\n", TRACK_EVAL,
@@ -177,9 +190,10 @@ TRACK_EVAL = ["track-eval", "--frames", "{traffic}", "--gt", "{input}"]
         ("gt.csv", GT_HEADER + b"0,1," + b"a" * 200_000 + b",5,5,4,4\n", TRACK_EVAL,
          "gt.csv:2: field larger than field limit"),
     ],
-    ids=["malformed", "non-ascii", "decreasing", "out-of-bounds", "kernel-vs-rows",
-         "truncated-pbm", "gt-too-few-fields", "gt-non-integer", "gt-non-ascii",
-         "gt-zero-width", "gt-field-over-limit"],
+    ids=["malformed", "non-ascii", "underscore-digits", "plus-sign", "decreasing",
+         "out-of-bounds", "kernel-vs-rows", "characterize-n-7", "characterize-n-9",
+         "truncated-pbm", "gt-too-few-fields", "gt-non-integer", "gt-underscore-digits",
+         "gt-plus-sign", "gt-non-ascii", "gt-zero-width", "gt-field-over-limit"],
 )
 def test_bad_input_exits_2(traffic_dir, tmp_path, capsys, name, data, argv, expect):
     path = tmp_path / name
@@ -585,6 +599,10 @@ GOLDEN_TREES = {
     "gen-events": "cdd0e8151b783d18c1bd0739a30f1ef117ae253786d8235d6f507760c4598605",
     "nomf-events": "1f8c5e570e8351d815e9e6d51275bff82ed6146f70549254c3c83192d12ca35b",
     "simulate-events": "c4be5bbfa2701eda160b2ab63b3a02fce760dc305668bcf02fcc924813d90e32",
+    # recorded on the per-state sweep, before it moved to patch space
+    "characterize": "ba4f3f045e646205e8f361730a07e2d3e63056c29e31eced91c78eaa610c36cf",
+    "characterize-n5": "394a783d3922f9007883d986b4fff4922dbaecba02423fa2907e148ba65f828a",
+    "characterize-all": "fb73fc74ad95c70090d8a10f40731cb30863b88c8134eb4c2efa9fb44aa4d855",
 }
 
 
@@ -602,6 +620,12 @@ def assert_golden_tree(traffic_dir, tmp_path, name):
                        "--config", traffic_dir.parent / "gen.cfg"],
         "nomf-events": ["denoise", "--events", events, "--filter", "nomf"],
         "simulate-events": ["simulate", "--events", events],
+        "characterize": ["characterize"],
+        "characterize-n5": ["characterize", "--config",
+                            write_cfg(tmp_path, "n = 5\n", "n5.cfg"), "--k", "0,3,12,13,20,25",
+                            "--vdd", "0.7,1.0", "--patterns", "4", "--trials", "2"],
+        "characterize-all": ["characterize", "--patterns", "all", "--k", "0,1,4,5",
+                             "--vdd", "0.6,0.8", "--trials", "2"],
     }[name]
     assert run_cli(*argv, "--seed", "5", "--out", out) == 0
     assert tree_sha256(out) == GOLDEN_TREES[name]

@@ -74,13 +74,18 @@ def test_parse_non_monotonic_names_offending_line():
     assert exc.value.line_no == 2
 
 
+def test_fields_keep_the_whitespace_int_skips():
+    assert parse_event_stream([" 5 ,\t0,0\x0b, 1\x0c\r\n"]) == events((5, 0, 0, 1))
+
+
 def test_parse_equal_timestamps_allowed():
     assert len(parse_event_stream(["5,0,0,1", "5,1,0,1"])) == 2
 
 
 @pytest.mark.parametrize(
     "line",
-    ["1,2,3", "1,2,3,4,5", "a,2,3,1", "1.5,2,3,1", "-1,2,3,1", "1,-2,3,1", "1,2,3,2"],
+    ["1,2,3", "1,2,3,4,5", "a,2,3,1", "1.5,2,3,1", "-1,2,3,1", "1,-2,3,1", "1,2,3,2",
+     "1_000,2,3,1", "+5,2,3,1", "1,2,3,+1", "1,2, -3,1", "1,\x1c2,3,1"],
 )
 def test_parse_rejects_malformed(line):
     with pytest.raises(MalformedLineError) as exc:

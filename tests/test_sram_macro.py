@@ -39,6 +39,7 @@ from imfsim.sram_macro import (
     variation_at_device,
     write_events,
 )
+from imfsim.synth import noise_frames
 
 NO_VARIATION = CellVariation(0.0, 0.0)
 
@@ -499,6 +500,28 @@ def test_patch_sums_bitwise_equal_numpy_sum(n, groups, per_group, extra, seed):
 
 
 @given(
+    n=st.sampled_from([3, 5, 9]),
+    groups=st.integers(1, 4),
+    per_group=st.integers(1, 6),
+    extra=st.integers(0, 8),
+    mask_bits=st.integers(1, 2**81 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_masked_plane_sums_bitwise_equal_patch_sums(n, groups, per_group, extra, mask_bits,
+                                                    seed):
+    # per_group == 1 is the one-patch-per-group geometry, summed as one run of n^2
+    rng = np.random.default_rng(seed)
+    cols = per_group * n + extra % n
+    values = rng.random((groups * n, cols)) * 10.0 ** rng.integers(-12, 3, (groups * n, cols))
+    mask = pattern_to_patch(mask_bits % (1 << n * n) or 1, n)
+    tiled = np.zeros_like(values)
+    tiled[:, :per_group * n] = np.tile(mask, (groups, per_group))
+    planes = sram_macro._cell_planes(values[None], n)[0]
+    assert np.array_equal(sram_macro._masked_plane_sums(planes, mask),
+                          patch_sums(values * tiled, n))
+
+
+@given(
     n=st.sampled_from([3, 5]),
     groups=st.integers(1, 5),
     cols=st.integers(3, 40),
@@ -589,25 +612,42 @@ def test_filter_stack_loses_no_frame_with_more_threads_than_cores():
     assert np.array_equal(got, want)
 
 
+# (n, rows, cols, (patterns, ks) runs)
+SWEEP_CASES = [
+    (3, 9, 14, ((4, [3, 4, 5]), ("all", [4]))),     # 14 % 3 = 2 leftover columns
+    (3, 6, 5, ((4, [3, 5, 9]),)),                   # cols < 2n: one patch per group
+    (5, 10, 23, ((3, [0, 12, 13, 24]),)),
+    (5, 5, 9, ((3, [12, 13]),)),                    # n = 5, one patch per group
+    (9, 9, 20, ((2, [40, 41]),)),                   # n > 8: patch rows summed pairwise
+]
+
+
 def test_supply_sweep_equals_separate_naive_sweeps():
-    geom = MacroGeometry(rows=9, cols=14)      # 14 % 3 = 2 leftover columns
+    for case in SWEEP_CASES:
+        _check_supply_sweep(*case)
+
+
+def _check_supply_sweep(n, rows, cols, runs):
+    geom = MacroGeometry(rows=rows, cols=cols)
     supplies = [DeviceParams(vdd=0.7), DeviceParams(vdd=1.2, delta_c=0.02)]
     ref = CellVariation(0.3, 0.01, rng_seed=4)
     pairs = [(d, variation_at_device(ref, d)) for d in supplies]
-    for patterns, ks in ((4, [3, 4, 5]), ("all", [4])):
-        got = ber_supply_sweep(3, ks, pairs, trials=3, patterns=patterns, geometry=geom)
+    flipped = 0
+    for patterns, ks in runs:
+        got = ber_supply_sweep(n, ks, pairs, trials=3, patterns=patterns, geometry=geom)
         for (d, var), per_k in zip(pairs, got):
             for k, stat in zip(ks, per_k):
-                assert stat == ber_pattern_sweep(3, k, d, var, trials=3, patterns=patterns,
+                assert stat == ber_pattern_sweep(n, k, d, var, trials=3, patterns=patterns,
                                                  geometry=geom)
                 ids = [ps.pattern_id for ps in stat.pattern_stats]
                 want = oracles.pattern_sweep_naive(
-                    3, ids, (9, 14), d.i_s_nominal, var.sigma_i_over_mu, d.v_trip_nominal,
+                    n, ids, (rows, cols), d.i_s_nominal, var.sigma_i_over_mu, d.v_trip_nominal,
                     var.sigma_vtrip, d.c_bl, d.delta_c, 3, var.rng_seed,
                 )
                 assert [ps.flips for ps in stat.pattern_stats] == want
                 assert stat.ber == sum(want) / (stat.patches * 3 * len(ids))
-    assert sum(ps.flips for row in got for stat in row for ps in stat.pattern_stats) > 0
+                flipped += sum(want)
+    assert flipped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -675,17 +715,42 @@ def test_closed_form_calibration_is_the_direct_bisection(
     high = DeviceParams(vdd=1.2, delta_c=low.delta_c)
     fit = calibrate_current_sigma(frames, low, high, var, target_ber=target,
                                   sigma_bounds=bounds, iters=18)
-    steps = len(ber_calls) - 2
+    direct = len(ber_calls)
     assert (fit.sigma_i_over_mu, fit.ber_low_vdd, fit.ber_high_vdd) == _direct_fit(
         frames, low, high, var, target, bounds, 18
     )
-    assert steps == 0 if closed_form else steps > 0
+    assert direct == 0 if closed_form else direct > 0
+
+
+def test_calibration_draws_each_frame_once(monkeypatch):
+    frames = _noise(5, 30, 32, 0.4, 1)
+    draws = []
+    standard_draws = sram_macro._standard_draws
+
+    def counted(shape, seed):
+        draws.append(seed)
+        return standard_draws(shape, seed)
+
+    monkeypatch.setattr(sram_macro, "_standard_draws", counted)
+    calibrate_current_sigma(frames, DeviceParams(vdd=0.7), DeviceParams(vdd=1.2),
+                            CellVariation(rng_seed=3), target_ber=2e-3)
+    assert draws == [3, 4, 5, 6, 7]
+
+
+def test_calibration_result_is_pinned():
+    # recorded before calibration drew each frame once for both supplies
+    fit = calibrate_current_sigma(noise_frames(8, 60, 48, 0.35, 3), DeviceParams(vdd=0.7),
+                                  DeviceParams(vdd=0.8), CellVariation(rng_seed=3),
+                                  target_ber=3e-2)
+    assert (fit.sigma_i_over_mu, fit.ber_low_vdd, fit.ber_high_vdd) == (
+        0.12510008551582283, 0.030078125, 0.016796875)
 
 
 def test_linear_races_refuse_a_spread_at_a_critical_point():
     frames = _noise(2, 30, 30, 0.45, 9)
     d = DeviceParams(vdd=0.7)
-    races = sram_macro._LinearRaces(frames, d, CellVariation(rng_seed=2), 3, (0.01, 0.2))
+    races, = sram_macro._linear_races(frames, CellVariation(rng_seed=2), 3,
+                                      [(d, (0.01, 0.2))])
     crit = np.concatenate(races.up + races.down)
     crit = crit[(crit > 0.02) & (crit < 0.19)]
     assert crit.size

@@ -65,6 +65,17 @@ def test_box_csv_round_trip(tmp_path):
     assert "\r" not in text
 
 
+@pytest.mark.parametrize("field", ["1_0", "+5", "-5", "5.0", "\x1c5", ""])
+def test_box_csv_integer_fields_are_digit_runs(tmp_path, field):
+    path = tmp_path / "gt.csv"
+    path.write_text(f"frame_index,track_id,class,x,y,w,h\n0,1,car, 10 ,\t20,4,4\n"
+                    f"1,1,car,{field},20,4,4\n")
+    with pytest.raises(InvalidParamsError, match=f"{path}:3: non-integer field"):
+        read_box_csv(path)
+    path.write_text("frame_index,track_id,class,x,y,w,h\n0,1,car, 10 ,\t20,4,4\n")
+    assert read_box_csv(path) == [GroundTruthBox(0, 1, "car", 10, 20, 4, 4)]
+
+
 def test_frames_to_events_round_trip():
     frames, _ = traffic_dataset(n_frames=12, seed=2)
     events = frames_to_events(frames, t_f=66_000)

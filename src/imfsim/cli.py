@@ -17,16 +17,13 @@ from .config import load_config
 from .errors import ImfsimError
 from .filters import median_filter_overlap_stack, nomf_stack
 from .frames import BinaryFrame, iter_recording, write_event_stream, write_pbm
-from .metrics import EvalResult, f1_curve_auc, match_counts, rates, weighted_f1
 from .perf_model import report
-from .pipeline import BoundingBox, region_proposals_stack, track_proposals
+from .pipeline import track_eval
 from .sram_macro import ber_supply_sweep, filter_in_memory_stack, variation_at_device
 # Not called here: bench/tests/test_bench.py::
 # test_install_wraps_every_namespace_and_counts_distinct_lotteries asserts
 # that the tracer wraps this second binding of init_macro.
 from .sram_macro import init_macro  # noqa: F401
-
-F1_THRESHOLDS = [round(0.1 * i, 1) for i in range(1, 10)]
 
 
 def _fmt(x) -> str:
@@ -122,60 +119,16 @@ def cmd_perf(cfg, args, out: Path) -> int:
 
 
 def cmd_track_eval(cfg, args, out: Path) -> int:
-    kernels = {"omf": median_filter_overlap_stack, "nomf": nomf_stack}
-    proposals: dict[str, list] = {filt: [] for filt in kernels}
-    for _, chunk in iter_recording(args.frames):
-        for filt, kernel in kernels.items():
-            proposals[filt] += region_proposals_stack(
-                kernel(chunk, cfg.n), cfg.rescale_a, cfg.rescale_b, cfg.min_area,
-                cfg.connectivity,
-            )
-    n_frames = len(proposals["omf"])
-    gt_rows = synth.read_box_csv(args.gt)
-    gt_by_frame: dict[int, list[BoundingBox]] = {}
-    for row in gt_rows:
-        gt_by_frame.setdefault(row.frame_index, []).append(
-            BoundingBox(row.x, row.y, row.w, row.h)
-        )
-    n_tracks = len({row.track_id for row in gt_rows})
-    tracker_cfg = cfg.tracker_config()
-    gts = sum(len(gt_by_frame.get(fi, [])) for fi in range(n_frames))
-
-    aucs = {}
-    for filt in kernels:
-        tracks, per_frame = track_proposals(proposals[filt], tracker_cfg)
-        pred_rows = [
-            synth.GroundTruthBox(fi, t.track_id, "object", bx.x, bx.y, bx.w, bx.h)
-            for t in tracks
-            for fi, bx in sorted(t.boxes.items())
-            if t.state != "tentative"
-        ]
-        pred_rows.sort(key=lambda r: (r.frame_index, r.track_id))
-        synth.write_box_csv(pred_rows, out / f"tracks_{filt}.csv")
-
-        tps = map(sum, zip(*(match_counts(per_frame[fi], gt_by_frame.get(fi, []), F1_THRESHOLDS)
-                             for fi in range(n_frames))))
-        proposed = sum(len(boxes) for boxes in per_frame.values())
-        curve = []
-        for thr, tp in zip(F1_THRESHOLDS, tps):
-            precision, recall, f1 = rates(tp, proposed, gts)
-            result = EvalResult(
-                recording_id=str(args.frames), thr=thr,
-                precision=precision, recall=recall, f1=f1, n_tracks=n_tracks,
-            )
-            curve.append((thr, weighted_f1([result])))
+    results = track_eval(cfg, iter_recording(args.frames), args.gt)
+    for filt, (rows, curve, _) in results.items():
+        synth.write_box_csv(rows, out / f"tracks_{filt}.csv")
         _write_csv(out / f"f1_curve_{filt}.csv", ["thr", "weighted_f1"], curve)
-        aucs[filt] = f1_curve_auc([c[0] for c in curve], [c[1] for c in curve])
-
-    diff = abs(aucs["omf"] - aucs["nomf"])
-    _write_csv(
-        out / "summary.csv",
-        ["metric", "value"],
-        [("auc_omf", aucs["omf"]), ("auc_nomf", aucs["nomf"]), ("auc_abs_diff", diff)],
-    )
+    omf, nomf = results["omf"][2], results["nomf"][2]
+    diff = abs(omf - nomf)
+    _write_csv(out / "summary.csv", ["metric", "value"],
+               [("auc_omf", omf), ("auc_nomf", nomf), ("auc_abs_diff", diff)])
     (out / "summary.txt").write_text(
-        f"auc omf = {aucs['omf']:.6g}\nauc nomf = {aucs['nomf']:.6g}\n"
-        f"abs diff = {diff:.6g}\n",
+        f"auc omf = {omf:.6g}\nauc nomf = {nomf:.6g}\nabs diff = {diff:.6g}\n",
         encoding="ascii",
     )
     return 0

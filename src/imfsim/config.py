@@ -91,10 +91,12 @@ class RunConfig:
                 f"rho_lambda_mean must be positive, got {self.rho_lambda_mean}")
         if not 0 <= self.salt_p <= 1:
             raise InvalidParamsError(f"salt_p must lie in [0, 1], got {self.salt_p}")
-        if self.max_objects < 1:
-            raise InvalidParamsError(f"max_objects must be >= 1, got {self.max_objects}")
-        if self.n_frames < 1:
-            raise InvalidParamsError(f"n_frames must be >= 1, got {self.n_frames}")
+        for key, low in dict(seed=0, max_objects=1, n_frames=1, rescale_a=1, rescale_b=1,
+                             trials=1, patterns=1).items():
+            if getattr(self, key) < low:
+                raise InvalidParamsError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.connectivity not in (4, 8):
+            raise InvalidParamsError(f"connectivity must be 4 or 8, got {self.connectivity}")
         self.device()
         self.variation()
         self.frame_config()
@@ -145,24 +147,23 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 _OPTIONAL_FLOATS = {"v_trip", "i_s"}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, where: str):
     raw = raw.strip()
-    if key in _OPTIONAL_FLOATS:
-        if raw.lower() in ("", "none"):
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise InvalidParamsError(f"config key {key!r}: expected a number, got {raw!r}")
-    ftype = _FIELDS[key].type
+    if key in _OPTIONAL_FLOATS and raw.lower() in ("", "none"):
+        return None
+    ftype = "float" if key in _OPTIONAL_FLOATS else _FIELDS[key].type
     try:
         if ftype == "int":
+            # a run of 0-9 within int64; a minus sign is left to the key's own check
+            if not raw.removeprefix("-").isdigit() or not -2**63 <= int(raw) < 2**63:
+                raise ValueError(raw)
             return int(raw)
         if ftype == "float":
             return float(raw)
         return raw
     except ValueError:
-        raise InvalidParamsError(f"config key {key!r}: expected {ftype}, got {raw!r}")
+        expected = "digits 0-9 within int64" if ftype == "int" else "a number"
+        raise InvalidParamsError(f"{where}: config key {key!r}: expected {expected}, got {raw!r}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -179,7 +180,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise InvalidParamsError(f"{source}:{line_no}: unknown config key {key!r}")
-        overrides[key] = _coerce(key, value)
+        overrides[key] = _coerce(key, value, f"{source}:{line_no}")
     return overrides
 
 

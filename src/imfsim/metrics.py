@@ -2,23 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidParamsError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import BoundingBox
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    recording_id: str
-    thr: float
-    precision: float
-    recall: float
-    f1: float
-    n_tracks: int
 
 
 def iou(a: "BoundingBox", b: "BoundingBox") -> float:
@@ -75,14 +64,6 @@ def rates(tp: int, proposed: int, gt: int) -> tuple[float, float, float]:
     recall = tp / gt if gt else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
-
-
-def weighted_f1(results: Sequence[EvalResult]) -> float:
-    """F1 averaged over recordings, weighted by each recording's track count."""
-    total = sum(r.n_tracks for r in results)
-    if total == 0:
-        return 0.0
-    return sum(r.n_tracks * r.f1 for r in results) / total
 
 
 def f1_curve_auc(thresholds: Sequence[float], values: Sequence[float]) -> float:

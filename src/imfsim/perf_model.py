@@ -152,7 +152,10 @@ def baseline_energy(
     arch: str, params: WorkloadParams, constants: EnergyConstants, vdd: float
 ) -> float:
     """Energy per frame in joules for a digital baseline or the in-array filter."""
-    scale = (vdd / constants.ref_vdd) ** 2 * constants.cap_ratio
+    try:
+        scale = (vdd / constants.ref_vdd) ** 2 * constants.cap_ratio
+    except OverflowError:
+        raise InvalidParamsError(f"vdd {vdd} / ref_vdd {constants.ref_vdd} overflows") from None
     return _formula(_ENERGY, "arch", arch)(params.pixels, params.n, constants, scale)
 
 
@@ -201,6 +204,8 @@ def system_energy_per_frame(
     inference on every frame."""
     if denoise_energy < 0:
         raise InvalidParamsError("denoise energy must be non-negative")
+    if constants.dnn_energy <= 0:
+        raise InvalidParamsError(f"dnn_energy must be positive, got {constants.dnn_energy}")
     average = denoise_energy + (1.0 - params.empty_frame_fraction) * constants.dnn_energy
     baseline = constants.dnn_energy
     return SystemEnergy(average=average, baseline=baseline, savings=1.0 - average / baseline)

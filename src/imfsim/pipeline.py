@@ -1,4 +1,4 @@
-"""Region proposals and overlap tracking on filtered frames.
+"""Region proposals, overlap tracking and their scoring on filtered frames.
 
 Frames are OR-downscaled by (a, b), connected components of the small image
 become proposals (tiny specks dropped), proposal boxes are mapped back to
@@ -12,12 +12,21 @@ on a stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Union
 
 import numpy as np
 
 from .errors import InvalidParamsError
+from .filters import median_filter_overlap_stack, nomf_stack
 from .frames import BinaryFrame
-from .metrics import greedy_matches
+from .metrics import f1_curve_auc, greedy_matches, match_counts, rates
+from .synth import GroundTruthBox, read_box_csv
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .config import RunConfig
+
+F1_THRESHOLDS = [round(0.1 * i, 1) for i in range(1, 10)]
 
 
 @dataclass(frozen=True)
@@ -58,8 +67,6 @@ DEAD = "dead"
 class Track:
     track_id: int
     boxes: dict[int, BoundingBox] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
     consecutive_hits: int = 0
     consecutive_misses: int = 0
     state: str = TENTATIVE
@@ -193,13 +200,11 @@ def track_update(
     for ti, t in enumerate(live):
         if ti in assignment:
             t.boxes[frame_index] = proposals[assignment[ti]]
-            t.hits += 1
             t.consecutive_hits += 1
             t.consecutive_misses = 0
             if t.state == TENTATIVE and t.consecutive_hits >= cfg.confirm_hits:
                 t.state = CONFIRMED
         else:
-            t.misses += 1
             t.consecutive_misses += 1
             t.consecutive_hits = 0
             if t.consecutive_misses >= cfg.kill_misses:
@@ -209,29 +214,58 @@ def track_update(
     for pi, p in enumerate(proposals):
         if pi in matched_props:
             continue
-        t = Track(track_id=next_id, state=TENTATIVE, hits=1, consecutive_hits=1)
-        t.boxes[frame_index] = p
-        tracks.append(t)
+        tracks.append(Track(next_id, {frame_index: p}, consecutive_hits=1))
         next_id += 1
     return tracks
 
 
-def confirmed_boxes(tracks: list[Track], frame_index: int) -> list[BoundingBox]:
-    """Boxes of tracks confirmed as of this frame, by ascending track id."""
-    out = []
-    for t in tracks:
-        if t.state == CONFIRMED and frame_index in t.boxes:
-            out.append(t.boxes[frame_index])
-    return out
-
-
 def track_proposals(
     proposals: list[list[BoundingBox]], cfg: TrackerConfig
-) -> tuple[list[Track], dict[int, list[BoundingBox]]]:
-    """Track per-frame proposals; returns the tracks and the per-frame confirmed boxes."""
+) -> tuple[list[Track], list[list[BoundingBox]]]:
+    """Track per-frame proposals; returns the tracks and, per frame, the boxes
+    of the tracks confirmed as of that frame, by ascending track id."""
     tracks: list[Track] = []
-    per_frame: dict[int, list[BoundingBox]] = {}
+    per_frame = []
     for idx, frame_proposals in enumerate(proposals):
         tracks = track_update(tracks, frame_proposals, idx, cfg)
-        per_frame[idx] = confirmed_boxes(tracks, idx)
+        per_frame.append([t.boxes[idx] for t in tracks
+                          if t.state == CONFIRMED and idx in t.boxes])
     return tracks, per_frame
+
+
+def track_eval(cfg: "RunConfig", chunks: Iterable[tuple[int, np.ndarray]],
+               gt_path: Union[str, Path]) -> dict[str, tuple[list, list, float]]:
+    """Proposals of the omf- and nomf-filtered frames of a recording streamed
+    as (first index, stack) chunks, tracked and matched against the boxes of
+    `gt_path`, which is read after the chunks.  Per filter, omf then nomf:
+    the boxes of every track not tentative as rows by (frame, track id), the
+    (thr, weighted F1) curve over F1_THRESHOLDS and its AUC."""
+    kernels = {"omf": median_filter_overlap_stack, "nomf": nomf_stack}
+    proposals: dict[str, list] = {filt: [] for filt in kernels}
+    for _, chunk in chunks:
+        for filt, kernel in kernels.items():
+            proposals[filt] += region_proposals_stack(
+                kernel(chunk, cfg.n), cfg.rescale_a, cfg.rescale_b, cfg.min_area,
+                cfg.connectivity,
+            )
+    gt_rows = read_box_csv(gt_path)
+    gt: list[list[BoundingBox]] = [[] for _ in proposals["omf"]]
+    for row in gt_rows:
+        if row.frame_index < len(gt):
+            gt[row.frame_index].append(BoundingBox(row.x, row.y, row.w, row.h))
+    n_tracks, gts = len({row.track_id for row in gt_rows}), sum(map(len, gt))
+    results = {}
+    for filt, filt_proposals in proposals.items():
+        tracks, per_frame = track_proposals(filt_proposals, cfg.tracker_config())
+        rows = sorted((GroundTruthBox(fi, t.track_id, "object", bx.x, bx.y, bx.w, bx.h)
+                       for t in tracks if t.state != TENTATIVE
+                       for fi, bx in t.boxes.items()),
+                      key=lambda r: (r.frame_index, r.track_id))
+        tps = map(sum, zip(*(match_counts(b, g, F1_THRESHOLDS) for b, g in zip(per_frame, gt))))
+        proposed = sum(map(len, per_frame))
+        # the recording's F1 weighted by its track count, as (n * f1) / n:
+        # that is not always bitwise f1, and the curve files hold the weighted value
+        curve = [(thr, n_tracks * rates(tp, proposed, gts)[2] / n_tracks if n_tracks else 0.0)
+                 for thr, tp in zip(F1_THRESHOLDS, tps)]
+        results[filt] = rows, curve, f1_curve_auc(F1_THRESHOLDS, [v for _, v in curve])
+    return results

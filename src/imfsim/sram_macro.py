@@ -120,9 +120,11 @@ class DeviceParams:
                 f"v_trip_nominal {self.v_trip_nominal} must lie inside (0, vdd)"
             )
         if self.i_s_nominal is None:
-            object.__setattr__(
-                self, "i_s_nominal", I_S_REF * (self.overdrive / REF_OVERDRIVE) ** 2
-            )
+            try:
+                i_s = I_S_REF * (self.overdrive / REF_OVERDRIVE) ** 2
+            except OverflowError:
+                raise InvalidParamsError(f"overdrive {self.overdrive} V is out of range") from None
+            object.__setattr__(self, "i_s_nominal", i_s)
         if self.i_s_nominal <= 0:
             raise InvalidParamsError("i_s_nominal must be positive")
 
@@ -565,6 +567,8 @@ def _pattern_ids(n: int, k: int, patterns: Literal["all"] | int, seed: int) -> l
 def _sweep_grid(n: int, ks: Sequence[int], trials: int, patterns, geometry: MacroGeometry):
     """Check a sweep's arguments; returns its (row groups, patches per group)."""
     grid = _patch_grid(geometry.rows, geometry.cols, n)
+    if not grid[1]:
+        raise DimensionMismatchError(f"cols {geometry.cols} hold no complete patch of n={n}")
     for k in ks:
         if not 0 <= k <= n * n:
             raise InvalidParamsError(f"k={k} impossible for n={n}")

@@ -1,14 +1,20 @@
+import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -19,6 +25,7 @@ import imfsim.cli
 import imfsim.frames
 import imfsim.sram_macro
 from helpers import run_cli, tree_bytes
+from imfsim.config import RunConfig
 from imfsim.frames import BinaryFrame, parse_event_stream, read_pbm, write_pbm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -259,13 +266,32 @@ def _exit_code(*argv):
          "e_read must be positive, got 0.0"),
         ("n_frames = 0\n", ["gen", "--kind", "noise"], "n_frames must be >= 1, got 0"),
         ("n_frames = -5\n", ["gen", "--kind", "noise"], "n_frames must be >= 1, got -5"),
+        # integer values are runs of 0-9 within int64, and the seed is not negative
+        ("", ["gen", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ("seed = -3\n", ["simulate", "--frames", "FRAMES"], "seed must be >= 0, got -3"),
+        ("vdd = 0.8\nbeta_t = 1" + "0" * 400 + "\n", ["perf"],
+         "run.cfg:2: config key 'beta_t': expected digits 0-9 within int64"),
+        ("t_f = " + str(10**30) + "\nn_frames = 2\n", ["gen", "--kind", "noise", "--events"],
+         "run.cfg:1: config key 't_f': expected digits 0-9 within int64"),
+        ("n_frames = 1_000\n", ["perf"], "run.cfg:1: config key 'n_frames': expected digits"),
+        ("seed = +5\n", ["perf"], "run.cfg:1: config key 'seed': expected digits"),
+        # keys that only their readers checked before
+        ("rescale_a = 0\n", ["perf"], "rescale_a must be >= 1, got 0"),
+        ("rescale_b = 0\n", ["perf"], "rescale_b must be >= 1, got 0"),
+        ("connectivity = 5\n", ["perf"], "connectivity must be 4 or 8, got 5"),
+        ("trials = 0\n", ["perf"], "trials must be >= 1, got 0"),
+        ("patterns = 0\n", ["perf"], "patterns must be >= 1, got 0"),
     ],
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
          "characterize-trials-0", "gen-events-t_f-0", "simulate-temperature-nan",
          "gen-noise-n-4", "gen-noise-vdd-nan", "perf-e_imc_pixel-0", "perf-ref_vdd-0",
          "perf-rho_lambda_mean-negative", "gen-salt_p-2", "gen-max_objects-negative",
-         "gen-noise-e_read-0", "gen-noise-n_frames-0", "gen-noise-n_frames-negative"],
+         "gen-noise-e_read-0", "gen-noise-n_frames-0", "gen-noise-n_frames-negative",
+         "gen-seed-flag-negative", "simulate-seed-negative", "perf-beta_t-huge",
+         "gen-noise-events-t_f-huge", "perf-n_frames-underscore", "perf-seed-plus-sign",
+         "perf-rescale_a-0", "perf-rescale_b-0", "perf-connectivity-5", "perf-trials-0",
+         "perf-patterns-0"],
 )
 def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, argv, expect):
     frames = tmp_path / "frames"   # a valid recording with mixed patches
@@ -280,6 +306,38 @@ def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, a
     err = capsys.readouterr().err
     assert expect in err and "Traceback" not in err
     assert not out.exists()
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from(["+5", "-1", "-0", "1_000", "nan", "-inf", "inf", "", "  ", "caf\u00e9",
+                     "\u0663", "0", "1", "3", "0.5", "-0.5", "1e308", "1e-320", "TT", "none",
+                     str(2**63 - 1), str(-2**63), str(2**63), "1" + "0" * 400]),
+    st.integers(-10, 10).map(str),
+    st.builds(str.__mul__, st.sampled_from("19"), st.integers(12, 400)),  # huge digit runs
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+CONFIG_LINES = st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), HOSTILE_VALUES), max_size=4)
+
+
+@settings(max_examples=60)
+@given(command=st.sampled_from([("perf",), ("gen", "--kind", "noise", "--events")]),
+       lines=CONFIG_LINES)
+@example(command=("gen", "--kind", "noise", "--events"), lines=[("seed", "-3")])
+@example(command=("gen", "--kind", "noise", "--events"), lines=[("t_f", "1" + "0" * 30)])
+@example(command=("perf",), lines=[("beta_t", "1" + "0" * 400)])
+@example(command=("perf",), lines=[("dnn_energy", "0")])
+@example(command=("perf",), lines=[("vdd", "1" + "0" * 200)])
+@example(command=("perf",), lines=[("ref_vdd", "1e-300")])
+def test_hostile_config_values_exit_0_or_2_and_leave_no_out(command, lines):
+    text = "".join(f"{key} = {value}\n" for key, value in lines) + "n_frames = 2\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out, err = Path(tmp) / "run.cfg", Path(tmp) / "out", io.StringIO()
+        cfg.write_bytes(text.encode())
+        with contextlib.redirect_stderr(err):
+            code = run_cli(*command, "--config", cfg, "--out", out)
+        assert code in (0, 2) and "Traceback" not in err.getvalue()
+        assert code == 0 or not out.exists()
 
 
 def _late_bad_line_recording(tmp_path):
@@ -551,8 +609,22 @@ def test_track_eval_outputs(traffic_dir, tmp_path):
 def test_track_eval_requires_inputs(tmp_path, capsys):
     rc = run_cli("track-eval", "--frames", tmp_path, "--gt", tmp_path / "gt.csv",
                  "--out", tmp_path / "out")
-    assert rc == 2  # no frames found
-    capsys.readouterr()
+    assert rc == 2  # the frames are read first, so the missing gt.csv is not reached
+    assert "no .pbm frames" in capsys.readouterr().err
+
+
+def test_track_eval_scores_zero_without_ground_truth_tracks(traffic_dir, tmp_path):
+    # a recording with no ground-truth track weights every F1 by zero tracks
+    gt = tmp_path / "gt.csv"
+    gt.write_bytes(GT_HEADER)
+    out = tmp_path / "out"
+    assert run_cli("track-eval", "--frames", traffic_dir / "frames", "--gt", gt,
+                   "--out", out) == 0
+    for filt in ("omf", "nomf"):
+        assert [float(r["weighted_f1"]) for r in read_csv(out / f"f1_curve_{filt}.csv")] == [
+            0.0] * 9
+    assert {r["metric"]: float(r["value"]) for r in read_csv(out / "summary.csv")} == {
+        "auc_omf": 0.0, "auc_nomf": 0.0, "auc_abs_diff": 0.0}
 
 
 # ---------------------------------------------------------------------------

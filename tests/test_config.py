@@ -49,6 +49,11 @@ def test_parse_rejects_line_without_assignment():
 def test_parse_rejects_bad_value_types():
     with pytest.raises(InvalidParamsError):
         parse_config_text("seed = 1.5\n")
+    for value in ["1_000", "+5", "- 5", "--5", "0x10", "", "-", str(2**63), str(-2**63 - 1)]:
+        with pytest.raises(InvalidParamsError, match=r"run.cfg:2: config key 'n_frames'"):
+            parse_config_text(f"seed = 1\nn_frames = {value}\n", source="run.cfg")
+    assert parse_config_text(f"seed = {2**63 - 1}\nn = -{2**63}\n") == {
+        "seed": 2**63 - 1, "n": -2**63}
     with pytest.raises(InvalidParamsError):
         parse_config_text("vdd = fast\n")
 
@@ -101,7 +106,8 @@ def test_device_at_another_supply_derives_its_own_nominals():
 @pytest.mark.parametrize("key, value", [
     ("rho_lambda_mean", 0.0), ("salt_p", -0.01), ("salt_p", 1.01), ("max_objects", 0),
     ("e_read", 0.0), ("e_write", 0.0), ("ref_vdd", 0.0), ("cap_ratio", 0.0),
-    ("e_imc_pixel", 0.0), ("e_imc_pixel", -1e-15), ("dnn_energy", -1e-9),
+    ("e_imc_pixel", 0.0), ("e_imc_pixel", -1e-15), ("dnn_energy", -1e-9), ("seed", -1),
+    ("rescale_a", 0), ("rescale_b", 0), ("connectivity", 6), ("trials", 0), ("patterns", 0),
 ])
 def test_load_time_check_rejects_out_of_range_keys(key, value):
     with pytest.raises(InvalidParamsError, match=key):
@@ -109,5 +115,6 @@ def test_load_time_check_rejects_out_of_range_keys(key, value):
 
 
 def test_load_time_check_accepts_the_range_ends():
-    for key, value in [("salt_p", 0.0), ("salt_p", 1.0), ("max_objects", 1), ("dnn_energy", 0.0)]:
+    for key, value in [("salt_p", 0.0), ("salt_p", 1.0), ("max_objects", 1), ("dnn_energy", 0.0),
+                       ("seed", 0), ("connectivity", 4), ("rescale_a", 1), ("patterns", 1)]:
         assert getattr(RunConfig(**{key: value}), key) == value

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 import oracles
 from imfsim.errors import InvalidParamsError
 from imfsim.metrics import (
-    EvalResult,
     f1_curve_auc,
     greedy_matches,
     iou,
     match_counts,
     rates,
-    weighted_f1,
 )
 from imfsim.pipeline import BoundingBox
 
@@ -145,28 +143,6 @@ def test_precision_recall_f1_empty_inputs():
     assert precision_recall_f1([], box, 0.5) == (0.0, 0.0, 0.0)
     assert precision_recall_f1(box, [], 0.5) == (0.0, 0.0, 0.0)
     assert precision_recall_f1(box, box, 0.5) == (1.0, 1.0, 1.0)
-
-
-def test_weighted_f1():
-    results = [
-        EvalResult("a", 0.5, 1, 1, 1.0, n_tracks=3),
-        EvalResult("b", 0.5, 0, 0, 0.0, n_tracks=1),
-    ]
-    assert weighted_f1(results) == pytest.approx(0.75)
-    assert weighted_f1([EvalResult("a", 0.5, 0, 0, 0.4, n_tracks=7)]) == pytest.approx(0.4)
-    assert weighted_f1([EvalResult("a", 0.5, 0, 0, 1.0, n_tracks=0)]) == 0.0
-    assert weighted_f1([]) == 0.0
-
-
-def test_weighted_f1_random_recompute():
-    rng = np.random.default_rng(3)
-    results = [
-        EvalResult(f"r{i}", 0.5, 0, 0, float(rng.random()), int(rng.integers(0, 9)))
-        for i in range(20)
-    ]
-    total = sum(r.n_tracks for r in results)
-    want = sum(r.f1 * r.n_tracks for r in results) / total
-    assert weighted_f1(results) == pytest.approx(want)
 
 
 # ---------------------------------------------------------------------------

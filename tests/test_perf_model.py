@@ -210,3 +210,5 @@ def test_system_energy_edge_cases():
     assert free.savings == pytest.approx(0.0)
     with pytest.raises(InvalidParamsError):
         system_energy_per_frame(DEFAULTS, c, -1e-9)
+    with pytest.raises(InvalidParamsError, match="dnn_energy must be positive"):
+        system_energy_per_frame(DEFAULTS, EnergyConstants(dnn_energy=0.0), 1e-9)

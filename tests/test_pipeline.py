@@ -7,26 +7,29 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from imfsim.config import RunConfig
 from imfsim.errors import InvalidParamsError
 from imfsim.frames import BinaryFrame
-from imfsim.metrics import iou
+from imfsim.metrics import iou, rates
 from imfsim.pipeline import (
     CONFIRMED,
     DEAD,
+    F1_THRESHOLDS,
     TENTATIVE,
     BoundingBox,
     Track,
     TrackerConfig,
-    confirmed_boxes,
     connected_components,
     connected_components_stack,
     downscale_or,
     downscale_or_stack,
     region_proposals,
     region_proposals_stack,
+    track_eval,
     track_proposals,
     track_update,
 )
+from imfsim.synth import GroundTruthBox, write_box_csv
 
 
 def boxes_as_tuples(boxes):
@@ -163,9 +166,10 @@ def test_track_confirms_after_three_consecutive_hits():
     tracks = []
     for idx in range(3):
         tracks = track_update(tracks, [box], idx, cfg)
-        assert confirmed_boxes(tracks, idx) == ([] if idx < 2 else [box])
+        assert [t.state for t in tracks] == [CONFIRMED if idx == 2 else TENTATIVE]
     (t,) = tracks
-    assert t.state == CONFIRMED and t.hits == 3 and t.consecutive_hits == 3
+    assert t.consecutive_hits == 3 and t.boxes == {0: box, 1: box, 2: box}
+    assert track_proposals([[box]] * 3, cfg)[1] == [[], [], [box]]
 
 
 def test_track_dies_after_five_consecutive_misses():
@@ -384,3 +388,22 @@ def test_stack_kernels_validate_parameters():
     with pytest.raises(InvalidParamsError):
         connected_components_stack(stack, 6)
     assert connected_components_stack(stack, 8).shape == (0, 5)
+
+
+def test_track_eval_weights_the_f1_by_the_track_count(tmp_path):
+    # six frames of one still box, confirmed from frame 2: 4 of 6 ground-truth
+    # boxes found, F1 = 0.8; two more ground-truth tracks lie past the last
+    # frame, so n = 3, and (3 * 0.8) / 3 is not bitwise 0.8
+    stack = np.zeros((6, 36, 72), dtype=np.uint8)
+    stack[:, 12:24, 24:48] = 1
+    gt = [GroundTruthBox(fi, 0, "car", 24, 12, 24, 12) for fi in range(6)]
+    write_box_csv(gt + [GroundTruthBox(9, tid, "car", 0, 0, 4, 4) for tid in (1, 2)],
+                  tmp_path / "gt.csv")
+    f1 = rates(4, 4, 6)[2]
+    assert 3 * f1 / 3 != f1
+    results = track_eval(RunConfig(), [(0, stack)], tmp_path / "gt.csv")
+    assert list(results) == ["omf", "nomf"]
+    for rows, curve, auc in results.values():
+        assert [(r.frame_index, r.track_id) for r in rows] == [(fi, 0) for fi in range(6)]
+        assert curve == [(thr, 3 * f1 / 3) for thr in F1_THRESHOLDS]
+        assert auc == pytest.approx(0.8 * 0.8)

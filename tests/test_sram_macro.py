@@ -424,6 +424,18 @@ def test_ber_sweep_rejects_a_pattern_count_that_is_not_an_int(patterns):
                           patterns=patterns, geometry=MacroGeometry(rows=3, cols=3))
 
 
+@pytest.mark.parametrize("sweep", ["supply", "pattern"])
+def test_ber_sweeps_reject_a_geometry_without_a_complete_patch(sweep):
+    d, geometry = DeviceParams(vdd=0.7), MacroGeometry(rows=3, cols=2)
+    with pytest.raises(DimensionMismatchError, match="cols 2 hold no complete patch of n=3"):
+        if sweep == "supply":
+            ber_supply_sweep(3, [4], [(d, CellVariation())], trials=1, patterns=1,
+                             geometry=geometry)
+        else:
+            ber_pattern_sweep(3, 4, d, CellVariation(), trials=1, patterns=1,
+                              geometry=geometry)
+
+
 def test_ber_sweep_sampled_patterns_deterministic():
     d = DeviceParams(vdd=0.7)
     v = CellVariation(0.1, 0.005, rng_seed=9)

@@ -8,12 +8,13 @@ byte-identical output for identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from pathlib import Path
 
 from . import synth
-from .config import load_config
+from .config import load_config, parse_float, parse_int
 from .errors import ImfsimError
 from .filters import median_filter_overlap_stack, nomf_stack
 from .frames import BinaryFrame, iter_recording, write_event_stream, write_pbm
@@ -136,18 +137,19 @@ def cmd_track_eval(cfg, args, out: Path) -> int:
 
 def cmd_gen(cfg, args, out: Path) -> int:
     if args.kind == "noise":
-        frames = synth.noise_frames(
-            cfg.n_frames, cfg.width, cfg.height, cfg.salt_p, cfg.seed
-        )
-        gt: list[synth.GroundTruthBox] = []
+        chunks = synth.noise_chunks(cfg.n_frames, cfg.width, cfg.height, cfg.salt_p, cfg.seed)
     else:
-        frames, gt = synth.traffic_dataset(
+        chunks = synth.traffic_chunks(
             cfg.n_frames, cfg.width, cfg.height, cfg.salt_p, cfg.max_objects, cfg.seed
         )
-    _write_frames((f.pixels for f in frames), out / "frames")
-    synth.write_box_csv(gt, out / "gt.csv")
-    if args.events:
-        write_event_stream(synth.event_batches(frames, cfg.t_f), out / "events.txt")
+    with open(out / "gt.csv", "w", encoding="ascii", newline="") as gt_csv, \
+            open(out / "events.txt", "wb") if args.events else contextlib.nullcontext() as events:
+        gt = synth.box_writer(gt_csv)
+        for first, chunk, boxes in chunks:  # each chunk is written before the next is drawn
+            _write_frames(chunk, out / "frames", first)
+            gt(boxes)
+            if events:
+                write_event_stream(synth.event_batches(chunk, cfg.t_f, first * cfg.t_f), events)
     return 0
 
 
@@ -156,7 +158,8 @@ def cmd_gen(cfg, args, out: Path) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
-    common.add_argument("--seed", type=int, help="override the config seed")
+    common.add_argument("--seed", type=_arg(parse_int, "an integer"),
+                        help="override the config seed")
     common.add_argument("--out", default="out", help="output directory (default: out)")
 
     parser = argparse.ArgumentParser(
@@ -180,12 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("characterize", parents=[common], help="pattern error-rate sweep")
     p.add_argument("--vdd", default="0.7,0.8,1.0,1.2", help="comma list of supplies",
-                   type=_arg(lambda s: [float(v) for v in s.split(",")], "a comma list of numbers"))
+                   type=_arg(lambda s: [*map(parse_float, s.split(","))], "a comma list of numbers"))
     p.add_argument("--k", default="4,5", help="comma list of ones counts",
-                   type=_arg(lambda s: [int(v) for v in s.split(",")], "a comma list of integers"))
-    p.add_argument("--trials", type=int, help="lottery resamples per pattern")
+                   type=_arg(lambda s: [*map(parse_int, s.split(","))], "a comma list of integers"))
+    p.add_argument("--trials", type=_arg(parse_int, "an integer"),
+                   help="lottery resamples per pattern")
     p.add_argument("--patterns", help="pattern sample size or 'all'",
-                   type=_arg(lambda s: s if s == "all" else int(s), "a pattern count or 'all'"))
+                   type=_arg(lambda s: s if s == "all" else parse_int(s), "a pattern count or 'all'"))
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("perf", parents=[common], help="analytic cost model report")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -92,7 +93,7 @@ class RunConfig:
         if not 0 <= self.salt_p <= 1:
             raise InvalidParamsError(f"salt_p must lie in [0, 1], got {self.salt_p}")
         for key, low in dict(seed=0, max_objects=1, n_frames=1, rescale_a=1, rescale_b=1,
-                             trials=1, patterns=1).items():
+                             min_area=1, trials=1, patterns=1).items():
             if getattr(self, key) < low:
                 raise InvalidParamsError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.connectivity not in (4, 8):
@@ -147,20 +148,37 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 _OPTIONAL_FLOATS = {"v_trip", "i_s"}
 
 
+# A number as the config and the CLI spell it: an optional minus, then digits
+# (an integer, within int64) or digits with an optional fraction and exponent
+# (a float, or nan / inf, which RunConfig rejects by name).  No '+' or '_'.
+# Compiled on first use (re caches them), not when the CLI starts.
+_INT = r"-?[0-9]+"
+_FLOAT = r"-?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|(?i:nan|inf|infinity))"
+
+
+def parse_int(text: str) -> int:
+    """A config or CLI integer; ValueError unless -?[0-9]+ within int64."""
+    if not re.fullmatch(_INT, text) or not -2**63 <= int(text) < 2**63:
+        raise ValueError(f"not an integer within int64: {text!r}")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """A config or CLI float; ValueError for a '+', a '_' or anything but a
+    decimal number or nan / inf."""
+    if not re.fullmatch(_FLOAT, text):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
 def _coerce(key: str, raw: str, where: str):
     raw = raw.strip()
     if key in _OPTIONAL_FLOATS and raw.lower() in ("", "none"):
         return None
     ftype = "float" if key in _OPTIONAL_FLOATS else _FIELDS[key].type
     try:
-        if ftype == "int":
-            # a run of 0-9 within int64; a minus sign is left to the key's own check
-            if not raw.removeprefix("-").isdigit() or not -2**63 <= int(raw) < 2**63:
-                raise ValueError(raw)
-            return int(raw)
-        if ftype == "float":
-            return float(raw)
-        return raw
+        # a minus sign is left to the key's own check
+        return {"int": parse_int, "float": parse_float}.get(ftype, str)(raw)
     except ValueError:
         expected = "digits 0-9 within int64" if ftype == "int" else "a number"
         raise InvalidParamsError(f"{where}: config key {key!r}: expected {expected}, got {raw!r}")

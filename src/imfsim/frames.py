@@ -26,11 +26,12 @@ chunks of at most FRAME_CHUNK frames, so memory is bounded by a chunk.
 
 from __future__ import annotations
 
+import contextlib
 import io
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO, Union
+from typing import BinaryIO, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
@@ -178,7 +179,7 @@ class BinaryFrame:
 # np.fromstring saturates a value beyond int64 at its maximum, as strtoll does.
 _INT64_MAX = np.iinfo(np.int64).max
 _WRITE_CHUNK = 1 << 20    # events formatted per write
-_READ_BLOCK = 1 << 20     # bytes of event text read per block
+_READ_BLOCK = 1 << 18     # bytes of event text read per block
 # The whitespace int() skips around a number; str.strip() would also drop \x1c-\x1f.
 _INT_SPACE = " \t\n\r\x0b\x0c"
 
@@ -198,32 +199,48 @@ def _event_blocks(path: Union[str, Path]) -> Iterator[EventArray]:
     """The events of a file, one EventArray per block of about _READ_BLOCK
     bytes cut after a line end (a final CR may be half a CRLF, so not there).
 
-    A canonical block (only `t,x,y,p` lines of digits, each ending in a
-    newline) continuing the stream is parsed as whole columns.  Any other goes
-    through the line-by-line parser, which alone raises the located errors;
-    lines are counted as text mode counts them, so line numbers are absolute.
+    A block is copied once out of the read buffer and dropped once parsed; the
+    line after the cut stays in the buffer.  Lines are counted as text mode
+    counts them, so line numbers are absolute.
     """
-    line_no, last_t, rest = 1, -1, b""
+    line_no, last_t, text = 1, -1, bytearray()
     with open(path, "rb") as fh:
         while True:
-            data = fh.read(_READ_BLOCK)
-            text = rest + data
-            cut = max(text.rfind(b"\n"), text.rfind(b"\r", 0, -1)) + 1 if data else len(text)
-            block, rest = text[:cut], text[cut:]
-            if block:
-                events = _parse_canonical(block)
-                if events is not None and events.t[0] >= last_t:
-                    lines = len(events)  # one event per canonical line
-                else:
-                    decoded = io.StringIO(block.decode("ascii", "surrogateescape"), newline=None)
-                    events = _parse_lines(decoded, line_no, last_t)
-                    lines = block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            size = len(text)
+            text += fh.read(_READ_BLOCK)
+            eof = len(text) == size
+            cut = len(text) if eof else max(text.rfind(b"\n"), text.rfind(b"\r", 0, -1)) + 1
+            if cut:
+                events, lines = _parse_block(_pop_front(text, cut), line_no, last_t)
                 if len(events):
                     last_t = int(events.t[-1])
-                yield events
                 line_no += lines
-            if not data:
+                yield events
+            if eof:
                 return
+
+
+def _pop_front(buf: bytearray, n: int) -> bytes:
+    """The first n bytes of buf, removed from it."""
+    head = bytes(memoryview(buf)[:n])
+    del buf[:n]
+    return head
+
+
+def _parse_block(block: bytes, line_no: int, last_t: int) -> tuple[EventArray, int]:
+    """The events of a block of whole lines, numbered from line_no and
+    following last_t, and its line count.
+
+    A canonical block (only `t,x,y,p` lines of digits, each ending in a
+    newline) continuing the stream is parsed as whole columns.  Any other goes
+    through the line-by-line parser, which alone raises the located errors.
+    """
+    events = _parse_canonical(block)
+    if events is not None and events.t[0] >= last_t:
+        return events, len(events)  # one event per canonical line
+    decoded = io.StringIO(block.decode("ascii", "surrogateescape"), newline=None)
+    lines = block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+    return _parse_lines(decoded, line_no, last_t), lines
 
 
 def _uint(field: str) -> int:
@@ -281,10 +298,11 @@ def _parse_lines(lines: Iterable[str], first_line: int = 1, last_t: int = -1) ->
     return EventArray(*(np.frombuffer(col, dtype=np.int64) for col in columns))
 
 
-def write_event_stream(events, path: Union[str, Path]) -> None:
+def write_event_stream(events, dest: Union[str, Path, BinaryIO]) -> None:
     """Write an EventArray, or each of an iterable of them in turn, in the
-    canonical text format parse_event_stream reads."""
-    with open(path, "wb") as fh:
+    canonical text format parse_event_stream reads, to a new file at a path
+    or on to the end of an open binary file."""
+    with open(dest, "wb") if isinstance(dest, (str, Path)) else contextlib.nullcontext(dest) as fh:
         for batch in [events] if isinstance(events, EventArray) else events:
             for lo in range(0, len(batch), _WRITE_CHUNK):
                 fh.write(_format_rows(batch, slice(lo, lo + _WRITE_CHUNK)))

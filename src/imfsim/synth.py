@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
+from . import frames as _frames
 from .errors import DimensionMismatchError, InvalidParamsError
 from .frames import BinaryFrame, EventArray, _uint
 
@@ -29,6 +30,7 @@ OBJECT_SIZES: dict[str, tuple[tuple[int, int], ...]] = {
     "truck": ((22, 50), (35, 61), (50, 104)),
 }
 EVENT_BATCH = 1 << 15   # events per frames_to_events call in event_batches
+BOX_HEADER = ["frame_index", "track_id", "class", "x", "y", "w", "h"]
 
 
 @dataclass(frozen=True)
@@ -53,28 +55,41 @@ class _Object:
     vx: float
 
 
-def noise_frames(
+def noise_chunks(
     count: int, width: int = 240, height: int = 180, p: float = 0.35, seed: int = 0
-) -> list[BinaryFrame]:
-    """Bernoulli(p) salt fields; the calibration workload."""
+) -> Iterator[tuple[int, np.ndarray, list[GroundTruthBox]]]:
+    """Bernoulli(p) salt fields, the calibration workload, as (first frame
+    index, (frames, height, width) uint8 stack, no boxes) chunks of
+    frames.FRAME_CHUNK frames, the last one maybe shorter."""
     if not 0 <= p <= 1:
         raise InvalidParamsError(f"noise rate must be a probability, got {p}")
     rng = np.random.default_rng(seed)
-    return [
-        BinaryFrame((rng.random((height, width)) < p).astype(np.uint8))
-        for _ in range(count)
-    ]
+    for lo in range(0, count, _frames.FRAME_CHUNK):
+        chunk = np.empty((min(_frames.FRAME_CHUNK, count - lo), height, width), dtype=np.uint8)
+        for canvas in chunk:
+            canvas[...] = rng.random((height, width)) < p
+        yield lo, chunk, []
 
 
-def traffic_dataset(
+def noise_frames(
+    count: int, width: int = 240, height: int = 180, p: float = 0.35, seed: int = 0
+) -> list[BinaryFrame]:
+    """noise_chunks as one list of frames."""
+    return [BinaryFrame(px)
+            for _, chunk, _ in noise_chunks(count, width, height, p, seed) for px in chunk]
+
+
+def traffic_chunks(
     n_frames: int = 500,
     width: int = 240,
     height: int = 180,
     salt_p: float = 0.01,
     max_objects: int = 3,
     seed: int = 0,
-) -> tuple[list[BinaryFrame], list[GroundTruthBox]]:
-    """Moving-rectangle scenes with salt noise and per-frame ground truth.
+) -> Iterator[tuple[int, np.ndarray, list[GroundTruthBox]]]:
+    """Moving-rectangle scenes with salt noise, as (first frame index,
+    (frames, height, width) uint8 stack, ground-truth boxes of those frames)
+    chunks of frames.FRAME_CHUNK frames, the last one maybe shorter.
 
     Objects stay fully visible: they spawn at a frame edge, cross at constant
     velocity, and despawn before leaving.  The first object spawns at frame 0.
@@ -82,8 +97,6 @@ def traffic_dataset(
     if n_frames < 1:
         raise InvalidParamsError("need at least one frame")
     rng = np.random.default_rng(seed)
-    frames: list[BinaryFrame] = []
-    gt: list[GroundTruthBox] = []
     objects: list[_Object] = []
     next_id = 0
     labels = sorted(OBJECT_SIZES)
@@ -104,35 +117,56 @@ def traffic_dataset(
         next_id += 1
         return obj
 
-    for k in range(n_frames):
-        if (not objects and k == 0) or (len(objects) < max_objects and rng.random() < 0.08):
-            objects.append(spawn())
-        canvas = (rng.random((height, width)) < salt_p).astype(np.uint8)
-        survivors = []
-        for obj in objects:
-            xi = int(round(obj.x))
-            canvas[obj.y : obj.y + obj.h, xi : xi + obj.w] = 1
-            gt.append(
-                GroundTruthBox(
-                    frame_index=k, track_id=obj.track_id, label=obj.label,
-                    x=xi, y=obj.y, w=obj.w, h=obj.h,
-                )
-            )
-            obj.x += obj.vx
-            if 0 <= obj.x and obj.x + obj.w <= width:
-                survivors.append(obj)
-        objects = survivors
-        frames.append(BinaryFrame(canvas))
+    for lo in range(0, n_frames, _frames.FRAME_CHUNK):
+        chunk = np.empty((min(_frames.FRAME_CHUNK, n_frames - lo), height, width),
+                         dtype=np.uint8)
+        gt: list[GroundTruthBox] = []
+        for k, canvas in enumerate(chunk, lo):
+            if (not objects and k == 0) or (len(objects) < max_objects and rng.random() < 0.08):
+                objects.append(spawn())
+            canvas[...] = rng.random((height, width)) < salt_p
+            survivors = []
+            for obj in objects:
+                xi = int(round(obj.x))
+                canvas[obj.y : obj.y + obj.h, xi : xi + obj.w] = 1
+                gt.append(GroundTruthBox(k, obj.track_id, obj.label, xi, obj.y, obj.w, obj.h))
+                obj.x += obj.vx
+                if 0 <= obj.x and obj.x + obj.w <= width:
+                    survivors.append(obj)
+            objects = survivors
+        yield lo, chunk, gt
+
+
+def traffic_dataset(
+    n_frames: int = 500,
+    width: int = 240,
+    height: int = 180,
+    salt_p: float = 0.01,
+    max_objects: int = 3,
+    seed: int = 0,
+) -> tuple[list[BinaryFrame], list[GroundTruthBox]]:
+    """traffic_chunks as one list of frames and one list of boxes."""
+    frames: list[BinaryFrame] = []
+    gt: list[GroundTruthBox] = []
+    for _, chunk, boxes in traffic_chunks(n_frames, width, height, salt_p, max_objects, seed):
+        frames += map(BinaryFrame, chunk)
+        gt += boxes
     return frames, gt
 
 
-def write_box_csv(rows: Sequence[GroundTruthBox], path: Union[str, Path]) -> None:
+def box_writer(fh: TextIO) -> Callable[[Iterable[GroundTruthBox]], None]:
+    """Write the box table header to the text file fh; return a function that
+    appends boxes to it as rows."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(BOX_HEADER)
+    return lambda rows: writer.writerows(
+        (r.frame_index, r.track_id, r.label, r.x, r.y, r.w, r.h) for r in rows)
+
+
+def write_box_csv(rows: Iterable[GroundTruthBox], path: Union[str, Path]) -> None:
     """Ground-truth / track box table: frame_index,track_id,class,x,y,w,h."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["frame_index", "track_id", "class", "x", "y", "w", "h"])
-        for r in rows:
-            writer.writerow([r.frame_index, r.track_id, r.label, r.x, r.y, r.w, r.h])
+        box_writer(fh)(rows)
 
 
 def read_box_csv(path: Union[str, Path]) -> list[GroundTruthBox]:
@@ -143,7 +177,7 @@ def read_box_csv(path: Union[str, Path]) -> list[GroundTruthBox]:
         out = []
         try:
             header = next(reader, None)
-            if header != ["frame_index", "track_id", "class", "x", "y", "w", "h"]:
+            if header != BOX_HEADER:
                 raise InvalidParamsError(f"unexpected box csv header in {path}: {header}")
             for row in reader:
                 where = f"{path}:{reader.line_num}"
@@ -164,31 +198,33 @@ def read_box_csv(path: Union[str, Path]) -> list[GroundTruthBox]:
     return out
 
 
-def frames_to_events(frames: list[BinaryFrame], t_f: int = 66_000, t0: int = 0) -> EventArray:
-    """One +1 event per on pixel at its frame's epoch, t0 + index * t_f,
-    frame by frame in row-major order.
+def frames_to_events(stack: np.ndarray, t_f: int = 66_000, t0: int = 0) -> EventArray:
+    """One +1 event per on pixel of a (frames, height, width) stack at its
+    frame's epoch, t0 + index * t_f, frame by frame in row-major order.
 
     Re-accumulating with the same t_f reproduces the frames exactly when the
     first and last frames are nonempty (the accumulator anchors at the first
     event and stops at the last).
     """
-    if len({f.pixels.shape for f in frames}) > 1:
-        raise DimensionMismatchError("frames of one recording must share one size")
-    if not frames:
-        return EventArray([], [], [], [])
-    ks, ys, xs = np.nonzero(np.stack([f.pixels for f in frames]))
+    if np.ndim(stack) != 3:
+        raise DimensionMismatchError(
+            f"frames_to_events takes a (frames, height, width) stack, got shape {np.shape(stack)}")
+    ks, ys, xs = np.nonzero(stack)
     return EventArray(t0 + ks * t_f, xs, ys, np.ones_like(ks))
 
 
-def event_batches(frames: list[BinaryFrame], t_f: int = 66_000) -> Iterator[EventArray]:
-    """frames_to_events of all frames, as consecutive runs of frames holding
-    at most EVENT_BATCH events each (a frame holding more is a run alone)."""
+def event_batches(stack: np.ndarray, t_f: int = 66_000, t0: int = 0) -> Iterator[EventArray]:
+    """frames_to_events of a stack, as consecutive runs of frames holding at
+    most EVENT_BATCH events each (a frame holding more is a run alone).
+
+    A recording streamed as chunks passes each chunk with t0 = its first frame
+    index * t_f, so the epochs continue across chunks.
+    """
     lo = events = 0
-    for hi, frame in enumerate(frames):
-        ones = frame.popcount()
+    for hi, ones in enumerate(stack.sum(axis=(1, 2)).tolist()):
         if events + ones > EVENT_BATCH and hi > lo:
-            yield frames_to_events(frames[lo:hi], t_f, lo * t_f)
+            yield frames_to_events(stack[lo:hi], t_f, t0 + lo * t_f)
             lo, events = hi, 0
         events += ones
-    if frames:
-        yield frames_to_events(frames[lo:], t_f, lo * t_f)
+    if len(stack):
+        yield frames_to_events(stack[lo:], t_f, t0 + lo * t_f)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -281,6 +282,18 @@ def _exit_code(*argv):
         ("connectivity = 5\n", ["perf"], "connectivity must be 4 or 8, got 5"),
         ("trials = 0\n", ["perf"], "trials must be >= 1, got 0"),
         ("patterns = 0\n", ["perf"], "patterns must be >= 1, got 0"),
+        ("min_area = 0\n", ["perf"], "min_area must be >= 1, got 0"),
+        # CLI integers and floats follow the config's rules
+        ("", ["perf", "--seed", "1_0"], "argument --seed: expected an integer, got '1_0'"),
+        ("", ["perf", "--seed", "+5"], "argument --seed: expected an integer, got '+5'"),
+        ("", ["characterize", "--trials", "1_0"],
+         "argument --trials: expected an integer, got '1_0'"),
+        ("", ["characterize", "--k", "4,+5"],
+         "argument --k: expected a comma list of integers, got '4,+5'"),
+        ("", ["characterize", "--patterns", "1_6"], "argument --patterns: expected"),
+        ("", ["characterize", "--vdd", "0.7,+0.8"],
+         "argument --vdd: expected a comma list of numbers, got '0.7,+0.8'"),
+        ("vdd = +1_0.0\n", ["perf"], "run.cfg:1: config key 'vdd': expected a number"),
     ],
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
@@ -291,7 +304,10 @@ def _exit_code(*argv):
          "gen-seed-flag-negative", "simulate-seed-negative", "perf-beta_t-huge",
          "gen-noise-events-t_f-huge", "perf-n_frames-underscore", "perf-seed-plus-sign",
          "perf-rescale_a-0", "perf-rescale_b-0", "perf-connectivity-5", "perf-trials-0",
-         "perf-patterns-0"],
+         "perf-patterns-0", "perf-min_area-0", "perf-seed-flag-underscore",
+         "perf-seed-flag-plus-sign", "characterize-trials-underscore",
+         "characterize-k-plus-sign", "characterize-patterns-underscore",
+         "characterize-vdd-plus-sign", "perf-vdd-plus-underscore"],
 )
 def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, argv, expect):
     frames = tmp_path / "frames"   # a valid recording with mixed patches
@@ -408,6 +424,23 @@ def test_gen_events_round_trip_to_frames(traffic_dir, tmp_path):
                  "--filter", "nomf", "--out", tmp_path / "from_frames")
     assert rc == 0
     assert tree_bytes(tmp_path / "from_events") == tree_bytes(tmp_path / "from_frames")
+
+
+def test_gen_streams_in_bounded_memory(tmp_path):
+    def peak(n_frames):
+        cfg = write_cfg(tmp_path, f"n_frames = {n_frames}\n", f"{n_frames}.cfg")
+        tracemalloc.start()
+        try:
+            assert run_cli("gen", "--kind", "traffic", "--events", "--config", cfg,
+                           "--out", tmp_path / f"out{n_frames}") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call allocations, kept apart
+    small, large = peak(3 * imfsim.frames.FRAME_CHUNK), peak(6 * imfsim.frames.FRAME_CHUNK)
+    # three more chunks of 240 x 180 frames held at once would take 8.3 MB
+    assert large <= small + 65536
 
 
 def test_gen_noise_kind(tmp_path):
@@ -669,6 +702,8 @@ GOLDEN_TREES = {
     "perf-nondefault": "15af8c268473f54487e929ef75515247d0a2263e7583d5a04255a670e6725a62",
     # recorded on the whole-recording event path, before streaming
     "gen-events": "cdd0e8151b783d18c1bd0739a30f1ef117ae253786d8235d6f507760c4598605",
+    # recorded while gen still drew the whole recording as one list
+    "gen-noise-events": "e175c2d8d2a820e604f0545a7961b075912406e0b017e64c2778dbce4012009b",
     "nomf-events": "1f8c5e570e8351d815e9e6d51275bff82ed6146f70549254c3c83192d12ca35b",
     "simulate-events": "c4be5bbfa2701eda160b2ab63b3a02fce760dc305668bcf02fcc924813d90e32",
     # recorded on the per-state sweep, before it moved to patch space
@@ -690,6 +725,8 @@ def assert_golden_tree(traffic_dir, tmp_path, name):
         "perf-nondefault": ["perf", "--config", write_cfg(tmp_path, PERF_NONDEFAULT)],
         "gen-events": ["gen", "--kind", "traffic", "--events",
                        "--config", traffic_dir.parent / "gen.cfg"],
+        "gen-noise-events": ["gen", "--kind", "noise", "--events", "--config",
+                             write_cfg(tmp_path, "n_frames = 40\nsalt_p = 0.05\n", "noise.cfg")],
         "nomf-events": ["denoise", "--events", events, "--filter", "nomf"],
         "simulate-events": ["simulate", "--events", events],
         "characterize": ["characterize"],
@@ -717,9 +754,9 @@ def test_simulate_output_does_not_depend_on_the_thread_count(
     assert_golden_tree(traffic_dir, tmp_path, name)
 
 
-@pytest.mark.parametrize(
-    "name", ["nomf", "simulate", "nomf-events", "simulate-events", "track-eval"])
+@pytest.mark.parametrize("name", ["nomf", "simulate", "nomf-events", "simulate-events",
+                                  "track-eval", "gen-events", "gen-noise-events"])
 def test_output_trees_do_not_depend_on_the_chunk_size(traffic_dir, tmp_path, monkeypatch, name):
-    # the 40-frame recording streams as chunks of 16, 16 and 8 frames
+    # the 40-frame recordings are read or drawn as chunks of 16, 16 and 8 frames
     monkeypatch.setattr(imfsim.frames, "FRAME_CHUNK", 16)
     assert_golden_tree(traffic_dir, tmp_path, name)

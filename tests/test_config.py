@@ -58,6 +58,19 @@ def test_parse_rejects_bad_value_types():
         parse_config_text("vdd = fast\n")
 
 
+def test_float_values_are_plain_decimals():
+    for value, want in [("0.7", 0.7), (".5", 0.5), ("140e-15", 140e-15), ("1e+3", 1e3),
+                        ("-2.", -2.0), ("1E-3", 1e-3)]:
+        assert parse_config_text(f"c_bl = {value}\n") == {"c_bl": want}
+    for value in ["+1_0.0", "1_0.0", "+0.7", "1e1_0", "0x1p-2", ".", "e5", "1e", "- 0.7",
+                  "--0.7", "1.5.2"]:
+        with pytest.raises(InvalidParamsError, match=r"run.cfg:2: config key 'vdd': expected a"):
+            parse_config_text(f"seed = 1\nvdd = {value}\n", source="run.cfg")
+    assert parse_config_text("v_trip = 0.3\n") == {"v_trip": 0.3}
+    with pytest.raises(InvalidParamsError, match="config key 'i_s'"):
+        parse_config_text("i_s = +2e-5\n")
+
+
 def test_keyword_overrides_beat_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 3\nn = 5\n")
@@ -108,6 +121,7 @@ def test_device_at_another_supply_derives_its_own_nominals():
     ("e_read", 0.0), ("e_write", 0.0), ("ref_vdd", 0.0), ("cap_ratio", 0.0),
     ("e_imc_pixel", 0.0), ("e_imc_pixel", -1e-15), ("dnn_energy", -1e-9), ("seed", -1),
     ("rescale_a", 0), ("rescale_b", 0), ("connectivity", 6), ("trials", 0), ("patterns", 0),
+    ("min_area", 0), ("min_area", -3),
 ])
 def test_load_time_check_rejects_out_of_range_keys(key, value):
     with pytest.raises(InvalidParamsError, match=key):
@@ -116,5 +130,6 @@ def test_load_time_check_rejects_out_of_range_keys(key, value):
 
 def test_load_time_check_accepts_the_range_ends():
     for key, value in [("salt_p", 0.0), ("salt_p", 1.0), ("max_objects", 1), ("dnn_energy", 0.0),
-                       ("seed", 0), ("connectivity", 4), ("rescale_a", 1), ("patterns", 1)]:
+                       ("seed", 0), ("connectivity", 4), ("rescale_a", 1), ("patterns", 1),
+                       ("min_area", 1)]:
         assert getattr(RunConfig(**{key: value}), key) == value

@@ -597,6 +597,27 @@ def test_a_gap_is_streamed_as_zero_chunks_in_bounded_memory(tmp_path):
     assert peak_5000 <= peak_500 + 4096
 
 
+def test_event_blocks_peak_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(frames_module, "_READ_BLOCK", 1 << 14)
+
+    def peak(n):
+        path = tmp_path / f"events{n}.txt"
+        write_event_stream(EventArray(np.arange(n) // 7, np.arange(n) % 240,
+                                      np.arange(n) % 180, np.ones(n, int)), path)
+        tracemalloc.start()
+        try:
+            count = sum(len(block) for block in frames_module._event_blocks(path))
+            return count, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (count_small, peak_small), (count_large, peak_large) = peak(20_000), peak(80_000)
+    assert (count_small, count_large) == (20_000, 80_000)  # 16 and 64 blocks of text
+    assert peak_large <= peak_small + 4096
+    # a block's bytes, its parsed columns and the previous block's columns
+    assert peak_large <= 11 * frames_module._READ_BLOCK
+
+
 def test_empty_event_file_is_an_empty_recording(tmp_path):
     path = tmp_path / "events.txt"
     path.write_text("# nothing\n\n")

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 import oracles
+from imfsim import frames as frames_module
 from imfsim.errors import DimensionMismatchError, InvalidParamsError
 from imfsim.frames import BinaryFrame, EventArray, FrameConfig, aggregate_frames
 from imfsim.synth import (
     OBJECT_SIZES,
     GroundTruthBox,
+    event_batches,
     frames_to_events,
+    noise_chunks,
     noise_frames,
     read_box_csv,
+    traffic_chunks,
     traffic_dataset,
     write_box_csv,
 )
@@ -76,9 +80,13 @@ def test_box_csv_integer_fields_are_digit_runs(tmp_path, field):
     assert read_box_csv(path) == [GroundTruthBox(0, 1, "car", 10, 20, 4, 4)]
 
 
+def stack(frames):
+    return np.stack([f.pixels for f in frames])
+
+
 def test_frames_to_events_round_trip():
     frames, _ = traffic_dataset(n_frames=12, seed=2)
-    events = frames_to_events(frames, t_f=66_000)
+    events = frames_to_events(stack(frames), t_f=66_000)
     assert (events.polarity == 1).all()
     assert (events.t == (events.t // 66_000) * 66_000).all()
     rebuilt = aggregate_frames(
@@ -94,14 +102,14 @@ def test_frames_to_events_round_trip():
 def test_frames_to_events_matches_naive_loop():
     frames, _ = traffic_dataset(n_frames=12, seed=2)
     want = oracles.frames_to_events_naive([f.pixels for f in frames], 1000)
-    assert frames_to_events(frames, t_f=1000) == EventArray(*want)
+    assert frames_to_events(stack(frames), t_f=1000) == EventArray(*want)
 
 
 def test_frames_to_events_edge_cases():
-    assert len(frames_to_events([], t_f=10)) == 0
-    assert len(frames_to_events([BinaryFrame.zeros(4, 3)], t_f=10)) == 0
+    assert len(frames_to_events(np.zeros((0, 3, 4), np.uint8), t_f=10)) == 0
+    assert len(frames_to_events(stack([BinaryFrame.zeros(4, 3)]), t_f=10)) == 0
     with pytest.raises(DimensionMismatchError):
-        frames_to_events([BinaryFrame.zeros(4, 3), BinaryFrame.zeros(3, 4)])
+        frames_to_events(BinaryFrame.zeros(4, 3).pixels)
 
 
 def test_synth_validation():
@@ -110,3 +118,41 @@ def test_synth_validation():
         noise_frames(3, p=1.5)
     with pytest.raises(InvalidParamsError):
         traffic_dataset(n_frames=0)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunk_generators_concatenate_to_the_list_wrappers(monkeypatch, chunk):
+    frames, gt = traffic_dataset(n_frames=30, seed=4)
+    noise = noise_frames(30, 24, 18, p=0.35, seed=4)
+    monkeypatch.setattr(frames_module, "FRAME_CHUNK", chunk)
+    for got, want_frames, want_gt in ((list(traffic_chunks(30, seed=4)), frames, gt),
+                                      (list(noise_chunks(30, 24, 18, p=0.35, seed=4)), noise, [])):
+        assert [first for first, _, _ in got] == list(range(0, 30, chunk))
+        assert [len(stack) for _, stack, _ in got[:-1]] == [chunk] * (len(got) - 1)
+        assert np.array_equal(np.concatenate([stack for _, stack, _ in got]),
+                              [f.pixels for f in want_frames])
+        assert [box for _, _, boxes in got for box in boxes] == want_gt
+        for first, stack, boxes in got:
+            assert all(first <= box.frame_index < first + len(stack) for box in boxes)
+
+
+def test_list_wrapper_frames_survive_the_next_chunk(monkeypatch):
+    monkeypatch.setattr(frames_module, "FRAME_CHUNK", 4)
+    for chunks, frames in ((traffic_chunks(12, seed=6), traffic_dataset(12, seed=6)[0]),
+                           (noise_chunks(12, seed=6), noise_frames(12, seed=6))):
+        _, first, _ = next(chunks)
+        kept = first.copy()
+        next(chunks)
+        assert np.array_equal(first, kept)
+        assert all(np.array_equal(f.pixels, px) for f, px in zip(frames, kept))
+
+
+def test_event_batches_carry_the_epoch_across_chunks(monkeypatch):
+    frames, _ = traffic_dataset(n_frames=20, seed=2)
+    whole = frames_to_events(stack(frames), t_f=1000)
+    monkeypatch.setattr("imfsim.synth.EVENT_BATCH", 500)
+    batches = [batch for first in range(0, 20, 6)
+               for batch in event_batches(stack(frames[first:first + 6]), 1000, first * 1000)]
+    assert all(len(b) <= 500 or len(np.unique(b.t)) == 1 for b in batches)
+    assert EventArray(*(np.concatenate([getattr(b, c) for b in batches])
+                        for c in ("t", "x", "y", "polarity"))) == whole

@@ -93,11 +93,8 @@ def cmd_characterize(cfg, args, out: Path) -> int:
     vdds, ks = args.vdd, args.k
     patterns = cfg.patterns if args.patterns is None else args.patterns
     trials = cfg.trials if args.trials is None else args.trials
-    devices = [cfg.device(vdd=vdd) for vdd in vdds]
-    stats = ber_supply_sweep(
-        cfg.n, ks, [(d, variation_at_device(cfg.variation(), d)) for d in devices],
-        trials=trials, patterns=patterns,
-    )
+    stats = ber_supply_sweep(cfg.n, ks, [cfg.device(vdd=v) for v in vdds], cfg.variation(),
+                             trials=trials, patterns=patterns)
     rows = [
         (vdd, cfg.temperature, cfg.corner, cfg.n, stat.k, ps.pattern_id, ps.trials, ps.ber)
         for vdd, per_k in zip(vdds, stats)

@@ -387,9 +387,8 @@ def _accumulate(blocks: Iterable[EventArray], cfg: FrameConfig) -> Iterator[tupl
         yield lo, buf[: last - lo + 1]
 
 
-def aggregate_stack(events: EventArray, cfg: FrameConfig) -> np.ndarray:
-    """OR-accumulate events into t_f windows anchored at the first event, as
-    one (frames, height, width) uint8 stack.
+def aggregate_frames(events: EventArray, cfg: FrameConfig) -> list[BinaryFrame]:
+    """OR-accumulate events into t_f windows anchored at the first event.
 
     Both polarities mark the pixel.  An event exactly on a window boundary
     belongs to the later window.  Raises NonMonotonicTimestampError, naming
@@ -399,13 +398,7 @@ def aggregate_stack(events: EventArray, cfg: FrameConfig) -> np.ndarray:
     decreasing = events.t[1:] < events.t[:-1]
     if decreasing.any():
         raise NonMonotonicTimestampError(int(np.argmax(decreasing)) + 2, "event")
-    empty = np.zeros((0, cfg.sensor_height, cfg.sensor_width), dtype=np.uint8)
-    return np.concatenate([empty, *(chunk for _, chunk in _accumulate([events], cfg))])
-
-
-def aggregate_frames(events: EventArray, cfg: FrameConfig) -> list[BinaryFrame]:
-    """aggregate_stack as a list of frames."""
-    return [BinaryFrame(px) for px in aggregate_stack(events, cfg)]
+    return [BinaryFrame(px) for _, chunk in _accumulate([events], cfg) for px in chunk]
 
 
 # ---------------------------------------------------------------------------

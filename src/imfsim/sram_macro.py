@@ -28,10 +28,11 @@ a tiny positive value; its trip point is v_trip_nominal + sigma_vtrip * z'.  On 
 the same stream as Normal(mean, sigma) draws, so an independent
 re-implementation with the same seed reproduces the lottery bit for bit.
 Monte-Carlo trials reseed with rng_seed + trial_index.  The seed does not
-depend on the supply, so ber_supply_sweep draws each lottery once and
-rescales it per supply.  Calibration draws each frame once for both supplies:
-without the floor a patch's race is linear in sigma (see _LinearRaces), so
-image BER is a step function of sigma and each bisection step is a lookup.
+depend on the supply, so ber_supply_sweep draws each lottery once and scales
+it to every supply, from the one reference variation scaled per supply.
+Calibration draws each frame once for both supplies: without the floor a
+patch's race is linear in sigma (see _LinearRaces), so image BER is a step
+function of sigma and each bisection step is a lookup.
 
 Supply, temperature and corner enter through a square-law overdrive model:
 V_T = 0.35 V at TT / 27 C, falling 1 mV/C and shifted +/-50 mV at SS/FF;
@@ -43,7 +44,7 @@ to get the effective spread.  Trip points are 0.3 * vdd nominal, so
 beta = 1 - v_trip/vdd = 0.7 by construction.
 
 Timing: clearing strobes 16 word lines per cycle; writing costs one cycle per
-listed pixel; filtering costs two cycles (precharge + resolve) per row group.
+on pixel; filtering costs two cycles (precharge + resolve) per row group.
 Only complete n-wide column groups are filtered; the cols % n leftover
 columns pass through untouched and are excluded from flip accounting.
 """
@@ -52,13 +53,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParamsError, OutOfBoundsError
+from .errors import DimensionMismatchError, InvalidParamsError
 from .filters import KernelSpec
 from .frames import MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH, BinaryFrame
 
@@ -212,18 +213,16 @@ class CalibrationResult:
     sigma_i_over_mu: float      # fitted reference spread
     ber_low_vdd: float
     ber_high_vdd: float
-    vdd_low: float
-    vdd_high: float
 
 
 # ---------------------------------------------------------------------------
 # lottery sampling and state construction
 # ---------------------------------------------------------------------------
 
-def _standard_draws(shape: tuple[int, ...], seed: int) -> np.ndarray:
+def _standard_draws(shape: tuple[int, ...], seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """Standard-normal current draws, then trip-point draws, from
-    default_rng(seed), as one (2, *shape) array."""
-    return np.random.default_rng(seed).standard_normal((2, *shape))
+    default_rng(seed), as one (2, *shape) array; into `out` when given."""
+    return np.random.default_rng(seed).standard_normal((2, *shape), out=out)
 
 
 def _scaled(z: np.ndarray, scale: float, loc: float) -> np.ndarray:
@@ -282,38 +281,19 @@ def clear_memory(state: MacroState) -> int:
     return cycles
 
 
-def write_events(state: MacroState, pixels: Iterable[tuple[int, int]]) -> int:
-    """Set (row, col) cells to 1, one cycle per listed pixel (duplicates idempotent).
-
-    Nothing is written if any pixel lies outside the array; the error names
-    the first such pixel.
-    """
-    rc = np.asarray(pixels if isinstance(pixels, np.ndarray) else list(pixels), dtype=np.int64)
-    if rc.size == 0:
-        rc = rc.reshape(0, 2)
-    if rc.ndim != 2 or rc.shape[1] != 2:
-        raise InvalidParamsError(f"pixels must be (row, col) pairs, got shape {rc.shape}")
-    rows, cols = state.geometry.rows, state.geometry.cols
-    r, c = rc[:, 0], rc[:, 1]
-    outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise OutOfBoundsError(f"pixel ({r[i]}, {c[i]}) outside {rows}x{cols} array")
-    state.bits[r, c] = 1
-    state.cycle_count += len(rc)
-    return len(rc)
-
-
 def load_frame(state: MacroState, frame: BinaryFrame) -> int:
-    """clear_memory + write_events of the frame's on pixels in row-major order."""
+    """clear_memory, then write the frame into the array at one cycle per on
+    pixel; returns the cycles spent on both."""
     if frame.height != state.geometry.rows or frame.width != state.geometry.cols:
         raise DimensionMismatchError(
             f"frame {frame.width}x{frame.height} does not fit array "
             f"{state.geometry.cols}x{state.geometry.rows}"
         )
     cycles = clear_memory(state)
-    cycles += write_events(state, np.argwhere(frame.pixels))
-    return cycles
+    state.bits[:] = frame.pixels
+    written = int(np.count_nonzero(frame.pixels))
+    state.cycle_count += written
+    return cycles + written
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +486,11 @@ def filter_in_memory_stack(
     reports: list = [None] * count
 
     def work(first: int) -> None:
-        z_i, z_v = np.empty((rows, cols)), np.empty((rows, cols))
+        draws = np.empty((2, rows, cols))
         for i in range(first, count, workers):
-            rng = np.random.default_rng(first_seed + i)
-            rng.standard_normal(out=z_i)
-            rng.standard_normal(out=z_v)
+            _standard_draws((rows, cols), first_seed + i, draws)
             written = int(np.count_nonzero(frames[i]))
-            flips = _race_in_place(frames[i], *_scale_lottery(z_i, z_v, device, variation),
+            flips = _race_in_place(frames[i], *_scale_lottery(*draws, device, variation),
                                    n, device)
             reports[i] = (int(frames[i].any()), *flips, fixed_cycles + written)
 
@@ -589,36 +567,35 @@ def _ber_stat(n: int, k: int, patches: int, trials: int, pids: list, flips: list
 
 
 def ber_supply_sweep(
-    n: int, ks: Sequence[int], supplies: Sequence[tuple[DeviceParams, CellVariation]],
+    n: int, ks: Sequence[int], devices: Sequence[DeviceParams], variation: CellVariation,
     trials: int = 8, patterns: Literal["all"] | int = 16,
     geometry: MacroGeometry = DEFAULT_GEOMETRY,
 ) -> list[list[BERStat]]:
-    """ber_pattern_sweep at every supply and every k: result[s][j] is the
-    BERStat of supplies[s] at ks[j], bit for bit.
+    """ber_pattern_sweep at every supply and every k, with the reference
+    `variation` scaled to each supply: result[s][j] == ber_pattern_sweep(n,
+    ks[j], devices[s], variation_at_device(variation, devices[s])), bit for
+    bit.
 
-    `supplies` holds (device, variation) pairs, each variation already scaled
-    to its device.  The lottery seed rng_seed + pattern_index * trials + trial
-    depends on neither the supply nor k, so each lottery is drawn once, cut
-    into cell planes and scaled once per supply.  Every patch holds the same
+    The lottery seed rng_seed + pattern_index * trials + trial depends on
+    neither the supply nor k, so each lottery is drawn and cut into cell
+    planes once, then scaled once per supply.  Every patch holds the same
     pattern, so each k races the sums of the planes it selects.
     """
     groups, per_group = _sweep_grid(n, ks, trials, patterns, geometry)
-    ids = [[_pattern_ids(n, k, patterns, var.rng_seed) for k in ks] for _, var in supplies]
+    ids = [_pattern_ids(n, k, patterns, variation.rng_seed) for k in ks]
+    scaled = [variation_at_device(variation, device) for device in devices]
     nn, threshold = n * n, KernelSpec(n).threshold
     scratch = np.empty((2, n, n, groups, per_group))
 
-    flips = [[[0] * len(pids) for pids in row] for row in ids]
-    for pi in range(max((len(pids) for row in ids for pids in row), default=0)):
+    flips = [[[0] * len(pids) for pids in ids] for _ in devices]
+    for pi in range(max(map(len, ids), default=0)):
         for t in range(trials):
-            planes: dict[int, np.ndarray] = {}
-            for (device, variation), row, row_flips in zip(supplies, ids, flips):
-                seed = variation.rng_seed + pi * trials + t
-                if seed not in planes:
-                    draws = _standard_draws((geometry.rows, geometry.cols), seed)
-                    planes[seed] = _cell_planes(draws, n)
-                np.copyto(scratch, planes[seed])
-                currents, vtrips = _scale_lottery(*scratch, device, variation)
-                for k, pids, pattern_flips in zip(ks, row, row_flips):
+            seed = variation.rng_seed + pi * trials + t
+            planes = _cell_planes(_standard_draws((geometry.rows, geometry.cols), seed), n)
+            for device, var, row_flips in zip(devices, scaled, flips):
+                np.copyto(scratch, planes)
+                currents, vtrips = _scale_lottery(*scratch, device, var)
+                for k, pids, pattern_flips in zip(ks, ids, row_flips):
                     if pi < len(pids) and 0 < k < nn:
                         ones = pattern_to_patch(pids[pi], n)
                         zeros = 1 - ones
@@ -630,8 +607,8 @@ def ber_supply_sweep(
                         pattern_flips[pi] += nn * int(wrong)
     patches = macro_patch_count(geometry, n)
     return [[_ber_stat(n, k, patches, trials, pids, pattern_flips)
-             for k, pids, pattern_flips in zip(ks, row, row_flips)]
-            for row, row_flips in zip(ids, flips)]
+             for k, pids, pattern_flips in zip(ks, ids, row_flips)]
+            for row_flips in flips]
 
 
 def ber_pattern_sweep(
@@ -864,6 +841,4 @@ def calibrate_current_sigma(
         sigma_i_over_mu=fitted,
         ber_low_vdd=ber_at(low, fitted),
         ber_high_vdd=ber_at(high, fitted),
-        vdd_low=device_low.vdd,
-        vdd_high=device_high.vdd,
     )

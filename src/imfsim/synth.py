@@ -96,6 +96,8 @@ def traffic_chunks(
     """
     if n_frames < 1:
         raise InvalidParamsError("need at least one frame")
+    if width < 3 or height < 3:     # objects keep a one-pixel margin
+        raise InvalidParamsError(f"traffic frames must be at least 3x3, got {width}x{height}")
     rng = np.random.default_rng(seed)
     objects: list[_Object] = []
     next_id = 0

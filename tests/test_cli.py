@@ -267,6 +267,11 @@ def _exit_code(*argv):
          "e_read must be positive, got 0.0"),
         ("n_frames = 0\n", ["gen", "--kind", "noise"], "n_frames must be >= 1, got 0"),
         ("n_frames = -5\n", ["gen", "--kind", "noise"], "n_frames must be >= 1, got -5"),
+        # traffic objects keep a one-pixel margin, so a frame side needs 3 pixels
+        ("width = 2\nn_frames = 2\n", ["gen"], "traffic frames must be at least 3x3, got 2x180"),
+        ("width = 1\nheight = 1\nn_frames = 2\n", ["gen", "--events"],
+         "traffic frames must be at least 3x3, got 1x1"),
+        ("height = 2\nn_frames = 2\n", ["gen"], "traffic frames must be at least 3x3, got 240x2"),
         # integer values are runs of 0-9 within int64, and the seed is not negative
         ("", ["gen", "--seed", "-1"], "seed must be >= 0, got -1"),
         ("seed = -3\n", ["simulate", "--frames", "FRAMES"], "seed must be >= 0, got -3"),
@@ -301,6 +306,7 @@ def _exit_code(*argv):
          "gen-noise-n-4", "gen-noise-vdd-nan", "perf-e_imc_pixel-0", "perf-ref_vdd-0",
          "perf-rho_lambda_mean-negative", "gen-salt_p-2", "gen-max_objects-negative",
          "gen-noise-e_read-0", "gen-noise-n_frames-0", "gen-noise-n_frames-negative",
+         "gen-width-2", "gen-events-1x1", "gen-height-2",
          "gen-seed-flag-negative", "simulate-seed-negative", "perf-beta_t-huge",
          "gen-noise-events-t_f-huge", "perf-n_frames-underscore", "perf-seed-plus-sign",
          "perf-rescale_a-0", "perf-rescale_b-0", "perf-connectivity-5", "perf-trials-0",

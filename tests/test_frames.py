@@ -24,7 +24,6 @@ from imfsim.frames import (
     EventArray,
     FrameConfig,
     aggregate_frames,
-    aggregate_stack,
     iter_recording,
     parse_event_stream,
     read_pbm,
@@ -338,15 +337,6 @@ def test_aggregate_frame_count_and_window_popcounts(offsets, t_f):
         assert fr.popcount() == len(per_window.get(k, ()))
 
 
-def test_aggregate_stack_is_the_frames_as_one_array():
-    cfg = FrameConfig(t_f=100, sensor_width=5, sensor_height=3)
-    stream = events((0, 1, 1, 1), (250, 4, 2, -1), (260, 0, 0, 1))
-    stack = aggregate_stack(stream, cfg)
-    assert stack.shape == (3, 3, 5) and stack.dtype == np.uint8
-    assert [BinaryFrame(px) for px in stack] == aggregate_frames(stream, cfg)
-    assert aggregate_stack(events(), cfg).shape == (0, 3, 5)
-
-
 def test_aggregate_idempotent_under_duplicate_events():
     cfg = FrameConfig(t_f=100, sensor_width=4, sensor_height=4)
     once = aggregate_frames(events((0, 1, 1, 1)), cfg)
@@ -528,7 +518,8 @@ def test_streamed_recording_equals_the_whole_file(lines, final_newline, block, c
         assert all(len(c) == chunk for _, c in got[:-1])
         stream = np.concatenate([c for _, c in got]) if got else np.zeros((0, 4, 5))
         assert np.array_equal(stream, np.array(want).reshape(-1, 4, 5))
-        assert np.array_equal(stream, aggregate_stack(parse_event_stream(path), cfg))
+        whole = aggregate_frames(parse_event_stream(path), cfg)
+        assert np.array_equal(stream, np.array([f.pixels for f in whole]).reshape(-1, 4, 5))
 
 
 def test_late_bad_line_is_located_as_in_the_whole_file(tmp_path, monkeypatch):

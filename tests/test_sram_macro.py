@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import imfsim.sram_macro as sram_macro
 import oracles
-from imfsim.errors import DimensionMismatchError, InvalidParamsError, OutOfBoundsError
+from imfsim.errors import DimensionMismatchError, InvalidParamsError
 from imfsim.filters import KernelSpec, nomf
 from imfsim.frames import BinaryFrame
 from imfsim.sram_macro import (
@@ -37,7 +37,6 @@ from imfsim.sram_macro import (
     sample_cell_lottery,
     threshold_voltage,
     variation_at_device,
-    write_events,
 )
 from imfsim.synth import noise_frames
 
@@ -177,31 +176,6 @@ def test_clear_memory_cycles_and_effect():
     assert clear_memory(st17) == 2
 
 
-def test_write_events_cycles_bounds_and_idempotence():
-    state = init_macro(DEFAULT_GEOMETRY, DeviceParams(), NO_VARIATION)
-    assert write_events(state, []) == 0
-    assert write_events(state, [(0, 0), (239, 319)]) == 2
-    assert state.bits[0, 0] == 1 and state.bits[239, 319] == 1
-    assert write_events(state, [(0, 0), (0, 0)]) == 2  # duplicates cost cycles
-    assert state.bits[0, 0] == 1
-    assert state.cycle_count == 4
-    with pytest.raises(OutOfBoundsError):
-        write_events(state, [(240, 0)])
-    with pytest.raises(OutOfBoundsError):
-        write_events(state, [(0, -1)])
-
-
-def test_write_events_names_first_outside_pixel_and_writes_nothing():
-    state = init_macro(MacroGeometry(rows=6, cols=6), DeviceParams(), NO_VARIATION)
-    with pytest.raises(OutOfBoundsError, match=r"pixel \(6, 1\) outside 6x6"):
-        write_events(state, [(1, 1), (6, 1), (2, -1)])
-    assert not state.bits.any() and state.cycle_count == 0
-    assert write_events(state, np.array([[5, 5], [0, 3], [5, 5]])) == 3
-    assert state.bits.sum() == 2 and state.cycle_count == 3
-    with pytest.raises(InvalidParamsError):
-        write_events(state, [(1, 2, 3)])
-
-
 def test_load_frame_round_trip_and_cycle_invariant():
     rng = np.random.default_rng(2)
     geom = MacroGeometry(rows=24, cols=30)
@@ -213,6 +187,12 @@ def test_load_frame_round_trip_and_cycle_invariant():
     assert cycles == math.ceil(24 / 16) + int(px.sum())
     filter_in_memory(state, 3, state.device)
     assert state.cycle_count == math.ceil(24 / 16) + int(px.sum()) + 2 * 24 // 3
+    # a second frame loaded over the first leaves exactly the second frame
+    before = state.cycle_count
+    px2 = (rng.random((24, 30)) < 0.4).astype(np.uint8)
+    assert load_frame(state, BinaryFrame(px2)) == math.ceil(24 / 16) + int(px2.sum())
+    assert np.array_equal(state.bits, px2)
+    assert state.cycle_count == before + math.ceil(24 / 16) + int(px2.sum())
 
 
 def test_load_frame_rejects_wrong_size():
@@ -429,7 +409,7 @@ def test_ber_sweeps_reject_a_geometry_without_a_complete_patch(sweep):
     d, geometry = DeviceParams(vdd=0.7), MacroGeometry(rows=3, cols=2)
     with pytest.raises(DimensionMismatchError, match="cols 2 hold no complete patch of n=3"):
         if sweep == "supply":
-            ber_supply_sweep(3, [4], [(d, CellVariation())], trials=1, patterns=1,
+            ber_supply_sweep(3, [4], [d], CellVariation(), trials=1, patterns=1,
                              geometry=geometry)
         else:
             ber_pattern_sweep(3, 4, d, CellVariation(), trials=1, patterns=1,
@@ -643,11 +623,12 @@ def _check_supply_sweep(n, rows, cols, runs):
     geom = MacroGeometry(rows=rows, cols=cols)
     supplies = [DeviceParams(vdd=0.7), DeviceParams(vdd=1.2, delta_c=0.02)]
     ref = CellVariation(0.3, 0.01, rng_seed=4)
-    pairs = [(d, variation_at_device(ref, d)) for d in supplies]
     flipped = 0
     for patterns, ks in runs:
-        got = ber_supply_sweep(n, ks, pairs, trials=3, patterns=patterns, geometry=geom)
-        for (d, var), per_k in zip(pairs, got):
+        got = ber_supply_sweep(n, ks, supplies, ref, trials=3, patterns=patterns, geometry=geom)
+        assert len(got) == len(supplies)
+        for d, per_k in zip(supplies, got):
+            var = variation_at_device(ref, d)
             for k, stat in zip(ks, per_k):
                 assert stat == ber_pattern_sweep(n, k, d, var, trials=3, patterns=patterns,
                                                  geometry=geom)
@@ -660,6 +641,22 @@ def _check_supply_sweep(n, rows, cols, runs):
                 assert stat.ber == sum(want) / (stat.patches * 3 * len(ids))
                 flipped += sum(want)
     assert flipped > 0
+
+
+def test_supply_sweep_draws_each_lottery_once(monkeypatch):
+    draws = []
+    standard_draws = sram_macro._standard_draws
+
+    def counted(shape, seed):
+        draws.append(seed)
+        return standard_draws(shape, seed)
+
+    monkeypatch.setattr(sram_macro, "_standard_draws", counted)
+    supplies = [DeviceParams(vdd=0.7), DeviceParams(vdd=1.2)]
+    got = ber_supply_sweep(3, [4, 5], supplies, CellVariation(0.3, 0.01, rng_seed=7), trials=2,
+                           patterns=3, geometry=MacroGeometry(rows=6, cols=9))
+    assert [[len(stat.pattern_stats) for stat in per_k] for per_k in got] == [[3, 3], [3, 3]]
+    assert draws == list(range(7, 7 + 3 * 2))
 
 
 # ---------------------------------------------------------------------------

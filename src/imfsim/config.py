@@ -15,16 +15,9 @@ from pathlib import Path
 from typing import Union
 
 from .errors import InvalidParamsError
-from .filters import KernelSpec
-from .frames import FrameConfig
-from .perf_model import EnergyConstants, WorkloadParams
-from .pipeline import TrackerConfig
-from .sram_macro import (
-    CALIBRATED_SIGMA_I_OVER_MU,
-    DEFAULT_SIGMA_VTRIP,
-    CellVariation,
-    DeviceParams,
-)
+from .params import (CALIBRATED_SIGMA_I_OVER_MU, DEFAULT_SIGMA_VTRIP, CellVariation,
+                     DeviceParams, EnergyConstants, FrameConfig, KernelSpec, TrackerConfig,
+                     WorkloadParams)
 
 
 @dataclass(frozen=True)

@@ -16,26 +16,11 @@ frames.iter_recording; the per-frame functions call it on a stack of one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError
 from .frames import BinaryFrame
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    n: int = 3
-
-    def __post_init__(self):
-        if self.n < 3 or self.n % 2 == 0:
-            raise InvalidParamsError(f"kernel size must be odd and >= 3, got {self.n}")
-
-    @property
-    def threshold(self) -> int:
-        # ceil(n^2 / 2)
-        return (self.n * self.n + 1) // 2
+from .params import KernelSpec
 
 
 class StrideMode(enum.Enum):

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, TextIO, Union
 
@@ -42,10 +42,8 @@ from .errors import (
     NonMonotonicTimestampError,
     OutOfBoundsError,
 )
+from .params import MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH, FrameConfig
 
-# The filtering macro is 320 columns by 240 rows; frames must fit in it.
-MAX_FRAME_WIDTH = 320
-MAX_FRAME_HEIGHT = 240
 FRAME_CHUNK = 64    # frames per chunk of a streamed recording
 
 
@@ -97,27 +95,6 @@ def _int_column(name: str, values) -> np.ndarray:
             f"event column {name} must be 1-d integers, got {arr.dtype} shape {arr.shape}"
         )
     return arr.astype(np.int64, copy=False)
-
-
-@dataclass(frozen=True)
-class FrameConfig:
-    """Accumulation parameters: window length (us) and sensor dimensions."""
-
-    t_f: int = 66_000           # 66 ms windows, ~15 frames per second
-    sensor_width: int = 240
-    sensor_height: int = 180
-
-    def __post_init__(self):
-        if self.t_f <= 0:
-            raise InvalidParamsError(f"t_f must be positive, got {self.t_f}")
-        if not (0 < self.sensor_width <= MAX_FRAME_WIDTH):
-            raise InvalidParamsError(
-                f"sensor_width must be in 1..{MAX_FRAME_WIDTH}, got {self.sensor_width}"
-            )
-        if not (0 < self.sensor_height <= MAX_FRAME_HEIGHT):
-            raise InvalidParamsError(
-                f"sensor_height must be in 1..{MAX_FRAME_HEIGHT}, got {self.sensor_height}"
-            )
 
 
 class BinaryFrame:
@@ -413,40 +390,49 @@ def write_pbm(frame: BinaryFrame, path: Union[str, Path]) -> None:
         fh.write(packed.tobytes())
 
 
+def _pbm_header(fh: BinaryIO, path: Union[str, Path]) -> list[bytes]:
+    """Up to three header tokens (magic, width, height), read through the one
+    whitespace byte after the last; '#' starts a comment through end of line.
+    A token is at most 20 bytes, more digits than any int64 has."""
+    tokens, token = [], bytearray()
+    while len(tokens) < 3:
+        c = fh.read(1)
+        if c == b"#" and not token:
+            while (line := fh.readline(4096)) and line[-1:] != b"\n":
+                pass
+        elif c and not c.isspace():
+            token += c
+            if len(token) > 20:
+                raise InvalidParamsError(f"PBM header field longer than 20 bytes in {path}")
+        elif token:  # whitespace or the end of the file ends a token
+            tokens.append(bytes(token))
+            token = bytearray()
+        elif not c:
+            break
+    return tokens
+
+
 def read_pbm(path: Union[str, Path]) -> BinaryFrame:
+    """A P4 frame.  Reads the header, then exactly the body that it declares;
+    a shorter body or any byte after it is an error."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    tokens = []
-    i = 0
-    # header: magic, width, height; '#' starts a comment through end of line
-    while len(tokens) < 3 and i < len(data):
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    if len(tokens) != 3 or tokens[0] != b"P4":
-        raise InvalidParamsError(f"not a binary PBM file: {path}")
-    if not (tokens[1].isdigit() and tokens[2].isdigit()):
-        raise InvalidParamsError(f"PBM width and height must be integers in {path}")
-    width, height = int(tokens[1]), int(tokens[2])
-    if width < 1 or height < 1:
-        raise InvalidParamsError(f"PBM frame {width}x{height} is empty in {path}")
-    i += 1  # single whitespace byte after the header
-    row_bytes = (width + 7) // 8
-    if len(data) - i < height * row_bytes:
-        raise InvalidParamsError(
-            f"truncated PBM body in {path}: {width}x{height} needs "
-            f"{height * row_bytes} bytes, got {max(len(data) - i, 0)}"
-        )
-    raw = np.frombuffer(data, dtype=np.uint8, count=height * row_bytes, offset=i)
+        tokens = _pbm_header(fh, path)
+        if len(tokens) != 3 or tokens[0] != b"P4":
+            raise InvalidParamsError(f"not a binary PBM file: {path}")
+        if not (tokens[1].isdigit() and tokens[2].isdigit()):
+            raise InvalidParamsError(f"PBM width and height must be integers in {path}")
+        width, height = int(tokens[1]), int(tokens[2])
+        if width < 1 or height < 1:
+            raise InvalidParamsError(f"PBM frame {width}x{height} is empty in {path}")
+        row_bytes = (width + 7) // 8
+        need, left = height * row_bytes, os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < need:
+            raise InvalidParamsError(
+                f"truncated PBM body in {path}: {width}x{height} needs {need} bytes, got {left}")
+        if left > need:
+            raise InvalidParamsError(
+                f"{left - need} trailing bytes in {path}: {width}x{height} needs {need} bytes")
+        raw = np.frombuffer(fh.read(need), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width]
     return BinaryFrame(bits)
 

@@ -22,56 +22,12 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatchError, InvalidParamsError
-from .sram_macro import DEFAULT_GEOMETRY, DeviceParams
+from .params import DEFAULT_GEOMETRY, DeviceParams, EnergyConstants, WorkloadParams
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import RunConfig
 
 BITFLIP_CURRENT_FRACTION = 0.0068   # of i_ch
-
-
-@dataclass(frozen=True)
-class WorkloadParams:
-    width: int = 240
-    height: int = 180
-    n: int = 3
-    alpha: float = 0.015            # flipped-pixel fraction
-    beta_t: int = 16                # temporal window, frames
-    gamma: float = 0.127            # event density
-    empty_frame_fraction: float = 0.51
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidParamsError("frame dimensions must be positive")
-        if self.n < 3 or self.n % 2 == 0:
-            raise InvalidParamsError(f"n must be odd and >= 3, got {self.n}")
-        if not 0 <= self.alpha <= 1 or not 0 <= self.gamma <= 1:
-            raise InvalidParamsError("alpha and gamma are fractions")
-        if self.beta_t <= 0:
-            raise InvalidParamsError("beta_t must be positive")
-        if not 0 <= self.empty_frame_fraction <= 1:
-            raise InvalidParamsError("empty_frame_fraction is a fraction")
-
-    @property
-    def pixels(self) -> int:
-        return self.width * self.height
-
-
-@dataclass(frozen=True)
-class EnergyConstants:
-    e_read: float = 0.916e-12       # J per bit, measured baseline array
-    e_write: float = 6.0e-12        # J per bit
-    ref_vdd: float = 1.0            # V at which e_read/e_write were measured
-    cap_ratio: float = 89.0 / 140.0  # baseline / filtering array bit-line capacitance
-    e_imc_pixel: float = 39e-15     # J per pixel, in-array filtering
-    dnn_energy: float = 1076.6e-9   # J per frame of downstream inference
-
-    def __post_init__(self):
-        for name in ("e_read", "e_write", "ref_vdd", "cap_ratio", "e_imc_pixel"):
-            if getattr(self, name) <= 0:
-                raise InvalidParamsError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.dnn_energy < 0:
-            raise InvalidParamsError(f"dnn_energy must be non-negative, got {self.dnn_energy}")
 
 
 @dataclass(frozen=True)

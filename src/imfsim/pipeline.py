@@ -21,6 +21,7 @@ from .errors import InvalidParamsError
 from .filters import median_filter_overlap_stack, nomf_stack
 from .frames import BinaryFrame
 from .metrics import f1_curve_auc, greedy_matches, match_counts, rates
+from .params import TrackerConfig
 from .synth import GroundTruthBox, read_box_csv
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,19 +44,6 @@ class BoundingBox:
     @property
     def area(self) -> int:
         return self.w * self.h
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    iou_match_threshold: float = 0.3
-    confirm_hits: int = 3       # consecutive hits to confirm (spawn counts as the first)
-    kill_misses: int = 5        # consecutive misses to kill
-
-    def __post_init__(self):
-        if not 0 < self.iou_match_threshold <= 1:
-            raise InvalidParamsError("iou_match_threshold must be in (0, 1]")
-        if self.confirm_hits < 1 or self.kill_misses < 1:
-            raise InvalidParamsError("confirm_hits and kill_misses must be >= 1")
 
 
 TENTATIVE = "tentative"

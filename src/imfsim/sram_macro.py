@@ -34,15 +34,6 @@ Calibration draws each frame once for both supplies: without the floor a
 patch's race is linear in sigma (see _LinearRaces), so image BER is a step
 function of sigma and each bisection step is a lookup.
 
-Supply, temperature and corner enter through a square-law overdrive model:
-V_T = 0.35 V at TT / 27 C, falling 1 mV/C and shifted +/-50 mV at SS/FF;
-i_s scales with (vdd - V_T)^2 from a 50 uA reference at 1.0 V TT, and the
-relative current spread scales inversely with overdrive (variation_at_device).
-sigma_i_over_mu in CellVariation is therefore quoted at the 1.0 V TT
-reference; harnesses that sweep the operating point call variation_at_device
-to get the effective spread.  Trip points are 0.3 * vdd nominal, so
-beta = 1 - v_trip/vdd = 0.7 by construction.
-
 Timing: clearing strobes 16 word lines per cycle; writing costs one cycle per
 on pixel; filtering costs two cycles (precharge + resolve) per row group.
 Only complete n-wide column groups are filtered; the cols % n leftover
@@ -60,115 +51,12 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamsError
-from .filters import KernelSpec
-from .frames import MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH, BinaryFrame
-
-# Reference operating point for the overdrive model.
-TEMP_REF_C = 27.0
-VDD_REF = 1.0
-V_T0 = 0.35                 # V, threshold at TT / 27 C
-VT_TEMP_SLOPE = 1.0e-3      # V per C; threshold drops as temperature rises
-CORNER_VT_SHIFT = {"TT": 0.0, "SS": 0.05, "FF": -0.05}
-I_S_REF = 50e-6             # A, unit-cell discharge current at the reference point
-BETA_NOMINAL = 0.7          # 1 - v_trip / vdd
-
-# Relative current spread at the reference overdrive, fitted by
-# calibrate_current_sigma against the dense-noise workload so that 0.7 V image
-# BER lands in [1e-4, 1e-3] while 1.2 V stays below 1e-5 (see tests).
-CALIBRATED_SIGMA_I_OVER_MU = 0.0547
-DEFAULT_SIGMA_VTRIP = 0.005  # V
+from .frames import BinaryFrame
+from .params import (DEFAULT_GEOMETRY, MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH, CellVariation,
+                     DeviceParams, KernelSpec, MacroGeometry, variation_at_device)
 
 _CURRENT_FLOOR = 1e-12       # A, keeps clipped samples strictly positive
 _VTRIP_FLOOR = 1e-9          # V
-
-
-def threshold_voltage(temperature: float, corner: str) -> float:
-    if corner not in CORNER_VT_SHIFT:
-        raise InvalidParamsError(f"corner must be one of {sorted(CORNER_VT_SHIFT)}, got {corner!r}")
-    return V_T0 + CORNER_VT_SHIFT[corner] - VT_TEMP_SLOPE * (temperature - TEMP_REF_C)
-
-
-REF_OVERDRIVE = VDD_REF - V_T0  # 0.65 V
-
-
-@dataclass(frozen=True)
-class DeviceParams:
-    """Electrical operating point of the array."""
-
-    vdd: float = 0.7
-    temperature: float = 27.0
-    corner: str = "TT"
-    c_bl: float = 140e-15
-    c_wl: float = 330e-15
-    delta_c: float = 0.0            # BLB capacitance imbalance, C_BLB = c_bl*(1+delta_c)
-    v_trip_nominal: float | None = None   # default 0.3*vdd
-    i_s_nominal: float | None = None      # default overdrive-scaled from I_S_REF
-
-    def __post_init__(self):
-        vt = threshold_voltage(self.temperature, self.corner)
-        if self.vdd <= vt:
-            raise InvalidParamsError(
-                f"vdd {self.vdd} V leaves no overdrive above V_T {vt:.3f} V"
-            )
-        if self.c_bl <= 0 or self.c_wl <= 0:
-            raise InvalidParamsError("bit-line and word-line capacitances must be positive")
-        if 1.0 + self.delta_c <= 0:
-            raise InvalidParamsError(f"delta_c {self.delta_c} makes C_BLB non-positive")
-        if self.v_trip_nominal is None:
-            object.__setattr__(self, "v_trip_nominal", (1.0 - BETA_NOMINAL) * self.vdd)
-        if not 0 < self.v_trip_nominal < self.vdd:
-            raise InvalidParamsError(
-                f"v_trip_nominal {self.v_trip_nominal} must lie inside (0, vdd)"
-            )
-        if self.i_s_nominal is None:
-            try:
-                i_s = I_S_REF * (self.overdrive / REF_OVERDRIVE) ** 2
-            except OverflowError:
-                raise InvalidParamsError(f"overdrive {self.overdrive} V is out of range") from None
-            object.__setattr__(self, "i_s_nominal", i_s)
-        if self.i_s_nominal <= 0:
-            raise InvalidParamsError("i_s_nominal must be positive")
-
-    @property
-    def overdrive(self) -> float:
-        return self.vdd - threshold_voltage(self.temperature, self.corner)
-
-    @property
-    def beta(self) -> float:
-        return 1.0 - self.v_trip_nominal / self.vdd
-
-
-@dataclass(frozen=True)
-class CellVariation:
-    """Mismatch magnitudes; sigma_i_over_mu is quoted at the 1.0 V TT reference."""
-
-    sigma_i_over_mu: float = CALIBRATED_SIGMA_I_OVER_MU
-    sigma_vtrip: float = DEFAULT_SIGMA_VTRIP
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma_i_over_mu < 0 or self.sigma_vtrip < 0:
-            raise InvalidParamsError("variation sigmas must be non-negative")
-
-
-def variation_at_device(variation: CellVariation, device: DeviceParams) -> CellVariation:
-    """Scale the reference current spread to the device's overdrive (sigma ~ 1/overdrive)."""
-    scaled = variation.sigma_i_over_mu * REF_OVERDRIVE / device.overdrive
-    return replace(variation, sigma_i_over_mu=scaled)
-
-
-@dataclass(frozen=True)
-class MacroGeometry:
-    rows: int = MAX_FRAME_HEIGHT
-    cols: int = MAX_FRAME_WIDTH
-    clear_group: int = 16       # word lines strobed per clear cycle
-
-    def __post_init__(self):
-        if min(self.rows, self.cols, self.clear_group) <= 0:
-            raise InvalidParamsError(f"geometry fields must be positive: {self}")
-
-
-DEFAULT_GEOMETRY = MacroGeometry()
 
 
 @dataclass

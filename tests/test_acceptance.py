@@ -16,6 +16,7 @@ import oracles
 from helpers import run_cli, tree_bytes
 from imfsim.filters import KernelSpec, nomf
 from imfsim.frames import BinaryFrame
+from imfsim.params import CALIBRATED_SIGMA_I_OVER_MU
 from imfsim.perf_model import (
     EnergyConstants,
     FilterCost,
@@ -29,7 +30,6 @@ from imfsim.perf_model import (
 )
 from imfsim.sram_macro import (
     DEFAULT_GEOMETRY,
-    CALIBRATED_SIGMA_I_OVER_MU,
     CellVariation,
     DeviceParams,
     MacroGeometry,

@@ -185,6 +185,10 @@ TRACK_EVAL = ["track-eval", "--frames", "{traffic}", "--gt", "{input}"]
          "rows 240 not divisible by n=9"),
         ("frames/frame_00000.pbm", b"P4\n240 180\n\x00\x00", ["denoise", "--frames", "{dir}"],
          "truncated PBM body"),
+        ("frames/frame_00000.pbm", b"P4 8 1\n\xff\xff", ["denoise", "--frames", "{dir}"],
+         "1 trailing bytes in"),
+        ("frames/frame_00000.pbm", b"P4 " + b"9" * 5000 + b" 1\n\x00",
+         ["denoise", "--frames", "{dir}"], "PBM header field longer than 20 bytes"),
         ("gt.csv", GT_HEADER + b"0,1,car,5,5,4,4\n1,1,car,5,5\n", TRACK_EVAL,
          "gt.csv:3: expected 7 fields, got 5"),
         ("gt.csv", GT_HEADER + b"0,1,car,5,x,4,4\n", TRACK_EVAL, "gt.csv:2: non-integer field"),
@@ -200,8 +204,9 @@ TRACK_EVAL = ["track-eval", "--frames", "{traffic}", "--gt", "{input}"]
     ],
     ids=["malformed", "non-ascii", "underscore-digits", "plus-sign", "decreasing",
          "out-of-bounds", "kernel-vs-rows", "characterize-n-7", "characterize-n-9",
-         "truncated-pbm", "gt-too-few-fields", "gt-non-integer", "gt-underscore-digits",
-         "gt-plus-sign", "gt-non-ascii", "gt-zero-width", "gt-field-over-limit"],
+         "truncated-pbm", "trailing-pbm", "pbm-long-width", "gt-too-few-fields",
+         "gt-non-integer", "gt-underscore-digits", "gt-plus-sign", "gt-non-ascii",
+         "gt-zero-width", "gt-field-over-limit"],
 )
 def test_bad_input_exits_2(traffic_dir, tmp_path, capsys, name, data, argv, expect):
     path = tmp_path / name
@@ -376,13 +381,13 @@ def test_a_late_bad_line_removes_the_out_it_created(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(imfsim.frames, "_READ_BLOCK", 4096)  # a block is ~230 lines
     events, cfg = _late_bad_line_recording(tmp_path)
     written = []
-    real = imfsim.cli.write_pbm
+    real = imfsim.frames.write_pbm
 
     def spy(frame, path):
         written.append(path)
         return real(frame, path)
 
-    monkeypatch.setattr(imfsim.cli, "write_pbm", spy)
+    monkeypatch.setattr(imfsim.frames, "write_pbm", spy)
     out = tmp_path / "out"
     assert run_cli(command, "--events", events, "--config", cfg, "--out", out) == 2
     assert "malformed event line 2001: non-integer field" in capsys.readouterr().err

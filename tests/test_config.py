@@ -4,11 +4,15 @@ import pytest
 
 from imfsim.config import RunConfig, load_config, parse_config_text
 from imfsim.errors import InvalidParamsError
-from imfsim.filters import KernelSpec
-from imfsim.frames import FrameConfig
-from imfsim.perf_model import EnergyConstants, WorkloadParams
-from imfsim.pipeline import TrackerConfig
-from imfsim.sram_macro import CellVariation, DeviceParams
+from imfsim.params import (
+    CellVariation,
+    DeviceParams,
+    EnergyConstants,
+    FrameConfig,
+    KernelSpec,
+    TrackerConfig,
+    WorkloadParams,
+)
 
 
 def test_empty_config_is_all_defaults(tmp_path):

@@ -396,6 +396,7 @@ def test_pbm_rejects_other_magic(tmp_path):
         b"P4\n2 -1\n\x80",                  # signed height
         b"P4\n0 4\n",                       # zero width
         b"P4\n8 0\n",                       # zero height
+        b"P4\n8 1\n\xff\xff",               # a byte after the body
     ],
 )
 def test_pbm_rejects_bad_size_or_body(tmp_path, data):
@@ -403,6 +404,21 @@ def test_pbm_rejects_bad_size_or_body(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(InvalidParamsError, match="bad.pbm"):
         read_pbm(path)
+
+
+def test_read_pbm_reads_no_more_than_the_header_declares(tmp_path):
+    path = tmp_path / "long.pbm"
+    path.write_bytes(b"P4\n8 1\n")
+    with open(path, "r+b") as fh:  # an 8x1 header over a 32 MiB body
+        fh.truncate(7 + (32 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParamsError, match="trailing bytes in .*long.pbm"):
+            read_pbm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_iter_recording_reads_pbm_frames_in_name_order(tmp_path, rng):

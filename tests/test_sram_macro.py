@@ -15,6 +15,7 @@ import oracles
 from imfsim.errors import DimensionMismatchError, InvalidParamsError
 from imfsim.filters import KernelSpec, nomf
 from imfsim.frames import BinaryFrame
+from imfsim.params import threshold_voltage
 from imfsim.sram_macro import (
     DEFAULT_GEOMETRY,
     CellVariation,
@@ -35,7 +36,6 @@ from imfsim.sram_macro import (
     patch_sums,
     race,
     sample_cell_lottery,
-    threshold_voltage,
     variation_at_device,
 )
 from imfsim.synth import noise_frames

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config, parse_float, parse_int
-from .errors import ImfsimError
+from .errors import ImfsimError, shown
 
 
 def __getattr__(name: str):
@@ -39,7 +39,7 @@ def _arg(parse, expected: str):
         try:
             return parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {shown(text)}") from None
     return convert
 
 

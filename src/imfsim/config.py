@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, shown
 from .params import (CALIBRATED_SIGMA_I_OVER_MU, DEFAULT_SIGMA_VTRIP, CellVariation,
                      DeviceParams, EnergyConstants, FrameConfig, KernelSpec, TrackerConfig,
                      WorkloadParams)
@@ -174,7 +174,8 @@ def _coerce(key: str, raw: str, where: str):
         return {"int": parse_int, "float": parse_float}.get(ftype, str)(raw)
     except ValueError:
         expected = "digits 0-9 within int64" if ftype == "int" else "a number"
-        raise InvalidParamsError(f"{where}: config key {key!r}: expected {expected}, got {raw!r}")
+        raise InvalidParamsError(
+            f"{where}: config key {key!r}: expected {expected}, got {shown(raw)}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -187,10 +188,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise InvalidParamsError(f"{source}:{line_no}: expected 'key = value', got {raw!r}")
+            raise InvalidParamsError(
+                f"{source}:{line_no}: expected 'key = value', got {shown(raw)}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
-            raise InvalidParamsError(f"{source}:{line_no}: unknown config key {key!r}")
+            raise InvalidParamsError(f"{source}:{line_no}: unknown config key {shown(key)}")
         overrides[key] = _coerce(key, value, f"{source}:{line_no}")
     return overrides
 

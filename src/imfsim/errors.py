@@ -35,3 +35,11 @@ class InvalidParamsError(ImfsimError):
 
 class DimensionMismatchError(ImfsimError):
     """Array or geometry dimensions are incompatible with the requested operation."""
+
+
+def shown(value: object, limit: int = 40) -> str:
+    """repr(value) for an error message; a string longer than `limit` shows
+    only its first `limit` characters and its length."""
+    if not isinstance(value, str) or len(value) <= limit:
+        return repr(value)
+    return f"{value[:limit]!r}... ({len(value)} characters)"

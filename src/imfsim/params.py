@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, shown
 
 # The filtering macro is 320 columns by 240 rows; frames must fit in it.
 MAX_FRAME_WIDTH = 320
@@ -75,7 +75,8 @@ DEFAULT_SIGMA_VTRIP = 0.005  # V
 
 def threshold_voltage(temperature: float, corner: str) -> float:
     if corner not in CORNER_VT_SHIFT:
-        raise InvalidParamsError(f"corner must be one of {sorted(CORNER_VT_SHIFT)}, got {corner!r}")
+        raise InvalidParamsError(
+            f"corner must be one of {sorted(CORNER_VT_SHIFT)}, got {shown(corner)}")
     return V_T0 + CORNER_VT_SHIFT[corner] - VT_TEMP_SLOPE * (temperature - TEMP_REF_C)
 
 

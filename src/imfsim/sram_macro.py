@@ -28,11 +28,11 @@ a tiny positive value; its trip point is v_trip_nominal + sigma_vtrip * z'.  On 
 the same stream as Normal(mean, sigma) draws, so an independent
 re-implementation with the same seed reproduces the lottery bit for bit.
 Monte-Carlo trials reseed with rng_seed + trial_index.  The seed does not
-depend on the supply, so ber_supply_sweep draws each lottery once and scales
-it to every supply, from the one reference variation scaled per supply.
-Calibration draws each frame once for both supplies: without the floor a
-patch's race is linear in sigma (see _LinearRaces), so image BER is a step
-function of sigma and each bisection step is a lookup.
+depend on the supply, so ber_supply_sweep draws each lottery once for every
+supply, and without the floors a race's sign is a closed form in per-patch
+sums of the standard draws.  Calibration draws each frame once for both
+supplies: there a patch's race is linear in sigma (see _LinearRaces), so image
+BER is a step function of sigma and each bisection step is a lookup.
 
 Timing: clearing strobes 16 word lines per cycle; writing costs one cycle per
 on pixel; filtering costs two cycles (precharge + resolve) per row group.
@@ -274,12 +274,12 @@ def patch_sums(a: np.ndarray, n: int) -> np.ndarray:
 
 def _cell_planes(a: np.ndarray, n: int) -> np.ndarray:
     """The complete n x n patches of each (rows, cols) array of a stack as n^2
-    contiguous cell planes: planes[m, i, j] == a[m, i::n, j:used:n], shape
+    cell planes, a view: planes[m, i, j] == a[m, i::n, j:used:n], shape
     (groups, per_group)."""
     m, rows, cols = a.shape
     per_group = cols // n
     patches = a[:, :, :per_group * n].reshape(m, rows // n, n, per_group, n)
-    return patches.transpose(0, 2, 4, 1, 3).copy()
+    return patches.transpose(0, 2, 4, 1, 3)
 
 
 def _masked_plane_sums(planes: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -454,6 +454,37 @@ def _ber_stat(n: int, k: int, patches: int, trials: int, pids: list, flips: list
     )
 
 
+def _closed_form_wins(sums: np.ndarray, k: int, nn: int, device: DeviceParams,
+                      variation: CellVariation, trip_range: tuple[float, float]) -> int | None:
+    """The patches where the 1-side wins (dt > 0), from the closed form of the
+    race, or None where it might differ from the direct race.
+
+    sums[side, q] sum the clipped current (q = 0) and trip-point (q = 1) draws
+    over each patch's 1-storing (side 0) and 0-storing cells (side 1); the
+    trip-point draws span trip_range.  Without the floors, dt > 0 exactly when
+    the f of _LinearRaces is positive, with v_bl = v_nom + sigma_vtrip * W1 / k
+    and v_blb = v_nom + sigma_vtrip * W0 / (n^2 - k).  The count is trusted when
+    no floor applies, trip points stray no further from nominal than clipped
+    currents, no scale is extreme, and each |f| exceeds _RACE_RTOL of its terms.
+    """
+    s, sigma_v = variation.sigma_i_over_mu, variation.sigma_vtrip
+    i_s, v_nom, c_blb = device.i_s_nominal, device.v_trip_nominal, 1.0 + device.delta_c
+    z_min, z_max = trip_range
+    if (s > _LINEAR_MAX_SPREAD or i_s - 4.0 * (s * i_s) <= _CURRENT_FLOOR
+            or z_min * sigma_v + v_nom <= _VTRIP_FLOOR
+            or sigma_v * max(-z_min, z_max) > 4.0 * _LINEAR_MAX_SPREAD * v_nom
+            or not all(1e-60 < x < 1e60 for x in (i_s, v_nom, device.c_bl, c_blb))):
+        return None
+    side = np.array([k, nn - k], dtype=float).reshape(2, 1, 1)
+    terms = sums[:, 1] * (sigma_v / side)
+    terms += v_nom                              # v_bl, v_blb
+    terms *= sums[:, 0] * s + side              # times i_blb / i_s, i_bl / i_s
+    ratio = terms[0] / terms[1]                 # f > 0 iff ratio > 1 + delta_c
+    wins = np.count_nonzero(ratio > c_blb * (1.0 + _RACE_RTOL) / (1.0 - _RACE_RTOL))
+    losses = np.count_nonzero(ratio < c_blb * (1.0 - _RACE_RTOL) / (1.0 + _RACE_RTOL))
+    return wins if wins + losses == ratio.size else None
+
+
 def ber_supply_sweep(
     n: int, ks: Sequence[int], devices: Sequence[DeviceParams], variation: CellVariation,
     trials: int = 8, patterns: Literal["all"] | int = 16,
@@ -465,35 +496,62 @@ def ber_supply_sweep(
     bit.
 
     The lottery seed rng_seed + pattern_index * trials + trial depends on
-    neither the supply nor k, so each lottery is drawn and cut into cell
-    planes once, then scaled once per supply.  Every patch holds the same
-    pattern, so each k races the sums of the planes it selects.
+    neither the supply nor k, so each lottery is drawn once, one ahead on a
+    worker thread.  Every patch holds the same pattern, so for each k a
+    lottery reduces to per-patch sums of its standard draws, and a supply's
+    races to a closed-form sign on them (_closed_form_wins).  Where that sign
+    is not sure, they run directly on the scaled lottery.
     """
     groups, per_group = _sweep_grid(n, ks, trials, patterns, geometry)
     ids = [_pattern_ids(n, k, patterns, variation.rng_seed) for k in ks]
     scaled = [variation_at_device(variation, device) for device in devices]
-    nn, threshold = n * n, KernelSpec(n).threshold
-    scratch = np.empty((2, n, n, groups, per_group))
-
+    nn, threshold, patches = n * n, KernelSpec(n).threshold, groups * per_group
+    shape, count = (geometry.rows, geometry.cols), max(map(len, ids), default=0) * trials
+    buffers, scratch = np.empty((2, 2, *shape)), np.empty((2, *shape))
     flips = [[[0] * len(pids) for pids in ids] for _ in devices]
-    for pi in range(max(map(len, ids), default=0)):
-        for t in range(trials):
-            seed = variation.rng_seed + pi * trials + t
-            planes = _cell_planes(_standard_draws((geometry.rows, geometry.cols), seed), n)
+
+    from concurrent.futures import ThreadPoolExecutor  # only here, so startup stays lean
+    # One worker draws the next lottery while this thread races the last.  It
+    # calls only a private helper, as bench/spans.py's tracer is not
+    # thread-safe.  Leaving the block joins it, also when a race raises.
+    with ThreadPoolExecutor(1) as pool:
+        def draw(idx: int):     # seed rng_seed + pattern_index * trials + trial
+            return pool.submit(_standard_draws, shape, variation.rng_seed + idx, buffers[idx % 2])
+
+        ahead = draw(0) if count else None
+        for idx in range(count):
+            z = ahead.result()
+            if idx + 1 < count:
+                ahead = draw(idx + 1)
+            pi = idx // trials
+            # i_s + sigma_i * clip(z, -4, 4) rounds to exactly the clipped
+            # current of _scale_lottery, so both race paths read clipped draws.
+            np.clip(z[0], -4.0, 4.0, out=z[0])
+            cells = _cell_planes(z, n)
+            trip_range = float(z[1].min()), float(z[1].max())
+            races = []
+            for j, (k, pids) in enumerate(zip(ks, ids)):
+                if pi < len(pids) and 0 < k < nn:
+                    ones = pattern_to_patch(pids[pi], n)
+                    races.append((j, k, ones, np.stack([
+                        _in_order([cells[:, i, jj] for i, jj in zip(*mask.nonzero())])
+                        for mask in (ones, 1 - ones)])))
             for device, var, row_flips in zip(devices, scaled, flips):
-                np.copyto(scratch, planes)
-                currents, vtrips = _scale_lottery(*scratch, device, var)
-                for k, pids, pattern_flips in zip(ks, ids, row_flips):
-                    if pi < len(pids) and 0 < k < nn:
-                        ones = pattern_to_patch(pids[pi], n)
-                        zeros = 1 - ones
-                        _, dt = race(n, k, _masked_plane_sums(currents, zeros),
+                planes = None           # the scaled lottery, cut only for a direct race
+                for j, k, ones, sums in races:
+                    wins = _closed_form_wins(sums, k, nn, device, var, trip_range)
+                    if wins is None:
+                        if planes is None:
+                            np.copyto(scratch, z)
+                            _scale_lottery(*scratch, device, var)
+                            planes = _cell_planes(scratch, n)
+                        currents, vtrips = planes
+                        _, dt = race(n, k, _masked_plane_sums(currents, 1 - ones),
                                      _masked_plane_sums(currents, ones),
                                      _masked_plane_sums(vtrips, ones),
-                                     _masked_plane_sums(vtrips, zeros), device)
-                        wrong = np.count_nonzero((dt > 0) != (k >= threshold))
-                        pattern_flips[pi] += nn * int(wrong)
-    patches = macro_patch_count(geometry, n)
+                                     _masked_plane_sums(vtrips, 1 - ones), device)
+                        wins = np.count_nonzero(dt > 0)
+                    row_flips[j][pi] += nn * int(wins if k < threshold else patches - wins)
     return [[_ber_stat(n, k, patches, trials, pids, pattern_flips)
              for k, pids, pattern_flips in zip(ks, ids, row_flips)]
             for row_flips in flips]
@@ -583,10 +641,14 @@ def measure_image_ber(
     return total_flips / total_px
 
 
-# A direct race decides its sign as f (see _LinearRaces) does whenever |f|
-# exceeds this fraction of v_bl*k + (1+delta_c)*v_blb*(n^2-k).  Its rounding,
-# and that of A and B here, stays below 1e-13 of that sum for any practical n
-# and any spread up to _LINEAR_MAX_SPREAD.
+# A direct race decides its sign as the closed form f of _LinearRaces and
+# _closed_form_wins does whenever |f| exceeds this fraction of f's terms.
+# There every current and trip point lies within [0.04, 1.96] of nominal, so
+# each per-patch sum of n^2 cells, in either form, is off by at most about
+# 25 n^2 ulps, and f by about 1e-12 of its terms at n = 15, the largest odd n
+# that divides the macro's 240 rows.  That bound grows as n^2 and reaches
+# this band near n = 130.  On the default characterize sweep the term ratios
+# of the two forms differ by at most 1.1e-15.
 _RACE_RTOL = 1e-10
 # Closed-form races whose tie band is relatively wider than this are not trusted.
 _MAX_TIE_BAND = 1e-6

@@ -335,6 +335,24 @@ def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cfg_text, argv, where",
+    [
+        ("seed = " + "9" * 5000 + "\n", [], "run.cfg:1: config key 'seed': expected digits"),
+        ("", ["--seed", "9" * 5000], "argument --seed: expected an integer"),
+        ("corner = " + "X" * 5000 + "\n", [], "corner must be one of"),
+    ],
+    ids=["config-seed", "flag-seed", "config-corner"],
+)
+def test_a_huge_rejected_value_is_cut_in_the_error(tmp_path, capsys, cfg_text, argv, where):
+    cfg = write_cfg(tmp_path, cfg_text)
+    assert _exit_code("perf", *argv, "--config", cfg, "--out", tmp_path / "out") == 2
+    # the temporary directory's path, whose length varies, is not counted
+    lines = capsys.readouterr().err.replace(str(tmp_path), "").splitlines()
+    assert any(where in line and "(5000 characters)" in line for line in lines)
+    assert max(map(len, lines)) < 200
+
+
 CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
 HOSTILE_VALUES = st.one_of(
     st.sampled_from(["+5", "-1", "-0", "1_000", "nan", "-inf", "inf", "", "  ", "caf\u00e9",
@@ -763,6 +781,23 @@ def test_simulate_output_does_not_depend_on_the_thread_count(
     monkeypatch.setattr(imfsim.sram_macro, "_MAX_WORKERS", workers)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert_golden_tree(traffic_dir, tmp_path, name)
+
+
+@pytest.mark.parametrize("name", ["characterize", "characterize-n5", "characterize-all"])
+def test_characterize_trees_do_not_depend_on_the_closed_form(
+        traffic_dir, tmp_path, monkeypatch, name):
+    # with an infinite band no closed-form sign is sure, so every race runs directly
+    monkeypatch.setattr(imfsim.sram_macro, "_RACE_RTOL", float("inf"))
+    raced = []
+    race = imfsim.sram_macro.race
+
+    def counted(*args):
+        raced.append(args)
+        return race(*args)
+
+    monkeypatch.setattr(imfsim.sram_macro, "race", counted)
+    assert_golden_tree(traffic_dir, tmp_path, name)
+    assert raced
 
 
 @pytest.mark.parametrize("name", ["nomf", "simulate", "nomf-events", "simulate-events",

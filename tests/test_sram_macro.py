@@ -612,17 +612,60 @@ SWEEP_CASES = [
     (5, 5, 9, ((3, [12, 13]),)),                    # n = 5, one patch per group
     (9, 9, 20, ((2, [40, 41]),)),                   # n > 8: patch rows summed pairwise
 ]
+# (supplies, reference variation, whether each supply races directly)
+SUPPLY_CASES = [
+    # effective spreads 0.557 and 0.229, on either side of _LINEAR_MAX_SPREAD
+    ((DeviceParams(vdd=0.7), DeviceParams(vdd=1.2, delta_c=0.02)),
+     CellVariation(0.3, 0.01, rng_seed=4), (True, False)),
+    ((DeviceParams(vdd=1.1), DeviceParams(vdd=1.2)), CellVariation(0.3, 0.01, rng_seed=4),
+     (True, False)),
+    # i_s - 4 sigma_i passes the current floor, which about 5% of currents take
+    ((DeviceParams(vdd=1.0, i_s_nominal=1.5e-12), DeviceParams(vdd=1.0)),
+     CellVariation(0.2, 0.01, rng_seed=5), (True, False)),
+    # 0.36 V trip points with a 0.2 V spread: about 4% take the trip-point floor
+    ((DeviceParams(vdd=1.2, delta_c=-0.05),), CellVariation(0.1, 0.2, rng_seed=6), (True,)),
+    # 1.2 nV trip points with a 0.1 nV spread: within the spread limit, but about
+    # 2% take the trip-point floor
+    ((DeviceParams(vdd=1.2, v_trip_nominal=1.2e-9),), CellVariation(0.25, 1e-10, rng_seed=8),
+     (True,)),
+    # C_BLB imbalances that leave the k = 5 (0.25) or k = 4 (-0.2) races balanced,
+    # so about half of those go to the minority
+    ((DeviceParams(vdd=0.8, delta_c=0.25), DeviceParams(vdd=1.0, delta_c=-0.2)),
+     CellVariation(0.1, 0.005, rng_seed=7), (False, False)),
+]
 
 
 def test_supply_sweep_equals_separate_naive_sweeps():
     for case in SWEEP_CASES:
-        _check_supply_sweep(*case)
+        _check_supply_sweep(*case, *SUPPLY_CASES[0][:2])
 
 
-def _check_supply_sweep(n, rows, cols, runs):
+@pytest.fixture
+def raced(monkeypatch):
+    """The device of every direct race run through sram_macro.race."""
+    devices = []
+    direct = sram_macro.race
+
+    def counted(*args):
+        devices.append(args[-1])
+        return direct(*args)
+
+    monkeypatch.setattr(sram_macro, "race", counted)
+    return devices
+
+
+@pytest.mark.parametrize("supplies, ref, direct", SUPPLY_CASES)
+def test_supply_sweep_race_paths_agree(raced, supplies, ref, direct):
+    for case in (SWEEP_CASES[0], SWEEP_CASES[2]):
+        _check_supply_sweep(*case, supplies, ref)
+    raced.clear()       # ber_pattern_sweep races every patch directly
+    ber_supply_sweep(3, [3, 4, 5], supplies, ref, trials=3, patterns=4,
+                     geometry=MacroGeometry(rows=9, cols=14))
+    assert tuple(d in raced for d in supplies) == direct
+
+
+def _check_supply_sweep(n, rows, cols, runs, supplies, ref):
     geom = MacroGeometry(rows=rows, cols=cols)
-    supplies = [DeviceParams(vdd=0.7), DeviceParams(vdd=1.2, delta_c=0.02)]
-    ref = CellVariation(0.3, 0.01, rng_seed=4)
     flipped = 0
     for patterns, ks in runs:
         got = ber_supply_sweep(n, ks, supplies, ref, trials=3, patterns=patterns, geometry=geom)
@@ -647,9 +690,9 @@ def test_supply_sweep_draws_each_lottery_once(monkeypatch):
     draws = []
     standard_draws = sram_macro._standard_draws
 
-    def counted(shape, seed):
+    def counted(shape, seed, out=None):
         draws.append(seed)
-        return standard_draws(shape, seed)
+        return standard_draws(shape, seed, out)
 
     monkeypatch.setattr(sram_macro, "_standard_draws", counted)
     supplies = [DeviceParams(vdd=0.7), DeviceParams(vdd=1.2)]
@@ -657,6 +700,40 @@ def test_supply_sweep_draws_each_lottery_once(monkeypatch):
                            patterns=3, geometry=MacroGeometry(rows=6, cols=9))
     assert [[len(stat.pattern_stats) for stat in per_k] for per_k in got] == [[3, 3], [3, 3]]
     assert draws == list(range(7, 7 + 3 * 2))
+
+
+def test_default_supply_sweep_races_nothing_directly(raced):
+    ber_supply_sweep(3, [4, 5], [DeviceParams(vdd=v) for v in (0.7, 0.8, 1.0, 1.2)],
+                     CellVariation())
+    assert raced == []
+
+
+def test_supply_sweep_joins_its_draw_thread(monkeypatch):
+    args = (3, [4], [DeviceParams(vdd=0.7), DeviceParams(vdd=1.2)],
+            CellVariation(0.3, 0.01, rng_seed=2))
+    kwargs = dict(trials=2, patterns=3, geometry=MacroGeometry(rows=12, cols=20))
+    want = ber_supply_sweep(*args, **kwargs)
+    calls = []
+    closed_form_wins = sram_macro._closed_form_wins
+
+    def failing(*a):
+        calls.append(a)
+        if len(calls) == 5:     # one call per supply and k: the third lottery's first
+            raise RuntimeError("third lottery")
+        return closed_form_wins(*a)
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter allows
+    try:
+        assert ber_supply_sweep(*args, **kwargs) == want
+        assert threading.active_count() == before
+        monkeypatch.setattr(sram_macro, "_closed_form_wins", failing)
+        with pytest.raises(RuntimeError, match="third lottery"):
+            ber_supply_sweep(*args, **kwargs)
+        assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,22 @@ def _arg(parse, expected: str):
     return convert
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with each rejected value cut by errors.shown in its error."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {shown(value)} (choose from {choices})")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(map(shown, extras))}")
+        return args
+
+
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -165,13 +181,13 @@ def cmd_gen(cfg, args, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--seed", type=_arg(parse_int, "an integer"),
                         help="override the config seed")
     common.add_argument("--out", default="out", help="output directory (default: out)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="imfsim",
         description="Event-frame denoising, in-array filter simulation, and evaluation",
     )

@@ -45,6 +45,7 @@ from .errors import (
 from .params import MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH, FrameConfig
 
 FRAME_CHUNK = 64    # frames per chunk of a streamed recording
+MAX_RECORDING_FRAMES = 1 << 17  # windows an event recording may span: 2.4 h at t_f = 66 ms
 
 
 class EventArray:
@@ -337,7 +338,8 @@ def iter_recording(source: Union[str, Path],
 
 def _accumulate(blocks: Iterable[EventArray], cfg: FrameConfig) -> Iterator[tuple[int, np.ndarray]]:
     """OR-accumulate the blocks of a non-decreasing event stream into t_f
-    windows, FRAME_CHUNK at a time, up to the last event's window."""
+    windows, FRAME_CHUNK at a time, up to the last event's window (below
+    MAX_RECORDING_FRAMES, checked before a block yields any chunk)."""
     shape = (FRAME_CHUNK, cfg.sensor_height, cfg.sensor_width)
     t0, lo, buf = None, 0, None     # buf holds windows lo .. lo + FRAME_CHUNK - 1
     for events in blocks:
@@ -352,6 +354,10 @@ def _accumulate(blocks: Iterable[EventArray], cfg: FrameConfig) -> Iterator[tupl
             )
         t0 = int(events.t[0]) if t0 is None else t0
         k = (events.t - t0) // cfg.t_f
+        if k[-1] >= MAX_RECORDING_FRAMES:
+            i = int(np.argmax(k >= MAX_RECORDING_FRAMES))
+            raise InvalidParamsError(f"event t={events.t[i]} falls in window {k[i]}, past the "
+                                     f"{MAX_RECORDING_FRAMES}-frame limit of a recording")
         edges = [0, *(np.flatnonzero(np.diff(k // FRAME_CHUNK)) + 1).tolist(), len(k)]
         for a, b in zip(edges, edges[1:]):
             while lo + FRAME_CHUNK <= k[a]:  # the chunk at lo is complete

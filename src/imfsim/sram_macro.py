@@ -24,15 +24,29 @@ default_rng(seed) stream, currents for the whole array first, then trip
 points, row-major.  They are scaled at use: a cell's discharge current is
 i_s_nominal + sigma_i * z with sigma_i = sigma_i_over_mu * i_s_nominal,
 truncated at +/-4 sigma (a clip, so the draw count is fixed) and floored at
-a tiny positive value; its trip point is v_trip_nominal + sigma_vtrip * z'.  On numpy's Generator this is bitwise
-the same stream as Normal(mean, sigma) draws, so an independent
-re-implementation with the same seed reproduces the lottery bit for bit.
-Monte-Carlo trials reseed with rng_seed + trial_index.  The seed does not
-depend on the supply, so ber_supply_sweep draws each lottery once for every
-supply, and without the floors a race's sign is a closed form in per-patch
-sums of the standard draws.  Calibration draws each frame once for both
-supplies: there a patch's race is linear in sigma (see _LinearRaces), so image
-BER is a step function of sigma and each bisection step is a lookup.
+a tiny positive value; its trip point is v_trip_nominal + sigma_vtrip * z',
+floored likewise.  On numpy's Generator this is bitwise the same stream as
+Normal(mean, sigma) draws, so an independent re-implementation with the same
+seed reproduces the lottery bit for bit.  Monte-Carlo trials reseed with
+rng_seed + trial_index; the seed does not depend on the supply.
+
+One race, two ways.  Every direct race runs through _race_in_place on a
+scaled lottery.  Without the floors, a mixed patch with k ones comes out 1
+exactly when, at effective spread s,
+
+    f = v_bl * (k + s*Z1) - (1 + delta_c) * v_blb * (n^2 - k + s*Z0) > 0,
+
+with Z1, Z0 the clipped standard current draws summed over its 1- and
+0-storing cells and v_bl, v_blb their mean trip points (_trip_points).
+characterize (ber_supply_sweep) draws each lottery once for every supply and
+counts each supply's wins from f (_closed_form_wins); calibration draws each
+frame once for both supplies, and f is linear in s, so image BER is a step
+function of sigma and each bisection step is a lookup (_LinearRaces).
+Both trust f under one rule, _closed_form_holds: s is at most
+_LINEAR_MAX_SPREAD, no current or trip point can reach its floor, trip
+points stray no further from nominal than clipped currents, no scale is
+extreme, and no patch lies within _RACE_RTOL of a tie.  Anywhere else the
+race runs directly, so f only stands where it equals the direct race.
 
 Timing: clearing strobes 16 word lines per cycle; writing costs one cycle per
 on pixel; filtering costs two cycles (precharge + resolve) per row group.
@@ -113,29 +127,21 @@ def _standard_draws(shape: tuple[int, ...], seed: int, out: np.ndarray | None = 
     return np.random.default_rng(seed).standard_normal((2, *shape), out=out)
 
 
-def _scaled(z: np.ndarray, scale: float, loc: float) -> np.ndarray:
-    """loc + scale * z, in place."""
-    z *= scale
-    z += loc
-    return z
-
-
-def _scale_vtrips(z: np.ndarray, device: DeviceParams, variation: CellVariation) -> np.ndarray:
-    vtrips = _scaled(z, variation.sigma_vtrip, device.v_trip_nominal)
-    return np.maximum(vtrips, _VTRIP_FLOOR, out=vtrips)
-
-
 def _scale_lottery(
     z_i: np.ndarray, z_v: np.ndarray, device: DeviceParams, variation: CellVariation
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standard current and trip-point draws scaled, in place, to the device
-    and variation."""
+    and variation: each is loc + scale * z, clipped and floored."""
     i_s = device.i_s_nominal
     sigma_i = variation.sigma_i_over_mu * i_s
-    currents = _scaled(z_i, sigma_i, i_s)
-    np.clip(currents, i_s - 4.0 * sigma_i, i_s + 4.0 * sigma_i, out=currents)
-    np.maximum(currents, _CURRENT_FLOOR, out=currents)
-    return currents, _scale_vtrips(z_v, device, variation)
+    z_i *= sigma_i
+    z_i += i_s
+    np.clip(z_i, i_s - 4.0 * sigma_i, i_s + 4.0 * sigma_i, out=z_i)
+    np.maximum(z_i, _CURRENT_FLOOR, out=z_i)
+    z_v *= variation.sigma_vtrip
+    z_v += device.v_trip_nominal
+    np.maximum(z_v, _VTRIP_FLOOR, out=z_v)
+    return z_i, z_v
 
 
 def sample_cell_lottery(
@@ -282,25 +288,6 @@ def _cell_planes(a: np.ndarray, n: int) -> np.ndarray:
     return patches.transpose(0, 2, 4, 1, 3)
 
 
-def _masked_plane_sums(planes: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """patch_sums(values * tile(mask), n) from the cell planes of positive
-    values and a 0/1 n x n mask holding at least one 1.
-
-    A masked-out cell adds +0.0, which leaves a positive sum unchanged.  So
-    where patch_sums adds each patch row left to right (n < 8, several
-    patches per group), only the selected planes are added.
-    """
-    n, per_group = len(mask), planes.shape[3]
-    if per_group == 1:
-        return _pairwise([planes[i, j] * mask[i, j] for i in range(n) for j in range(n)])
-    if n >= 8:
-        rows = [_pairwise([planes[i, j] * mask[i, j] for j in range(n)]) for i in range(n)]
-    else:
-        rows = [_in_order([planes[i, j] for j in range(n) if mask[i, j]])
-                for i in range(n) if mask[i].any()]
-    return _in_order(rows)
-
-
 def _split_sums(values: np.ndarray, ones: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch sums of `values` over the 1-storing cells and over the 0-storing cells."""
     part = values * ones
@@ -314,17 +301,13 @@ def _race_in_place(
 ) -> tuple[int, int]:
     """Race every complete n x n patch of a (rows, cols) array, overwrite the
     patches with the outcomes and return (flips_intended, flips_unintended)."""
-    spec = KernelSpec(n)
-    _, per_group = _patch_grid(*bits.shape, n)
-    used = per_group * n
-    nn = n * n
-
+    used, nn = _patch_grid(*bits.shape, n)[1] * n, n * n
     ones = bits != 0
     k = patch_sums(ones.astype(np.intp), n)
     i_blb, i_bl = _split_sums(currents, ones, n)
     vt_ones, vt_zeros = _split_sums(vtrips, ones, n)
     outcome, _ = race(n, k, i_bl, i_blb, vt_ones, vt_zeros, device)
-    ideal = k >= spec.threshold
+    ideal = k >= KernelSpec(n).threshold
 
     flips_intended = int(np.where(ideal, nn - k, k).sum())
     flips_unintended = nn * int(np.count_nonzero(outcome != ideal))
@@ -393,13 +376,49 @@ def filter_in_memory_stack(
 
 
 # ---------------------------------------------------------------------------
-# characterization
+# the race in closed form
 # ---------------------------------------------------------------------------
 
-def macro_patch_count(geometry: MacroGeometry, n: int) -> int:
-    """Complete n x n patches per array."""
-    return (geometry.rows // n) * (geometry.cols // n)
+# A direct race decides its sign as the closed form f does whenever |f|
+# exceeds this fraction of f's terms.  There every current and trip point
+# lies within [0.04, 1.96] of nominal, so each per-patch sum of n^2 cells, in
+# either form, is off by at most about 25 n^2 ulps, and f by about 1e-12 of
+# its terms at n = 15, the largest odd n that divides the macro's 240 rows.
+# That bound grows as n^2 and reaches this band near n = 130.  On the default
+# characterize sweep the term ratios of the two forms differ by at most 1.1e-15.
+_RACE_RTOL = 1e-10
+# Closed-form races whose tie band is relatively wider than this are not trusted.
+_MAX_TIE_BAND = 1e-6
+# Largest effective spread the closed form handles.  Clipped currents then
+# stay above 4% of i_s: never floored, and never so small that rounding of a
+# single current matters.
+_LINEAR_MAX_SPREAD = 0.24
 
+
+def _closed_form_holds(device: DeviceParams, s: float, sigma_vtrip: float,
+                       trip_range: tuple[float, float]) -> bool:
+    """Whether f may stand in for the direct race at effective spread s, by
+    the module docstring's rule, each floor computed as _scale_lottery does;
+    each caller still refuses a patch within _RACE_RTOL of a tie."""
+    i_s, v_nom = device.i_s_nominal, device.v_trip_nominal
+    z_min, z_max = trip_range
+    return (s <= _LINEAR_MAX_SPREAD and i_s - 4.0 * (s * i_s) > _CURRENT_FLOOR
+            and z_min * sigma_vtrip + v_nom > _VTRIP_FLOOR
+            and sigma_vtrip * max(-z_min, z_max) <= 4.0 * _LINEAR_MAX_SPREAD * v_nom
+            and all(1e-60 < x < 1e60
+                    for x in (i_s, v_nom, device.c_bl, 1.0 + device.delta_c)))
+
+
+def _trip_points(sums: np.ndarray, counts, device: DeviceParams, sigma_vtrip: float):
+    """Mean trip points v_nom + sigma_vtrip * W / count, W = sums[side, 1]."""
+    means = sums[:, 1] * (sigma_vtrip / counts)
+    means += device.v_trip_nominal
+    return means
+
+
+# ---------------------------------------------------------------------------
+# characterization
+# ---------------------------------------------------------------------------
 
 def pattern_to_patch(pattern_id: int, n: int) -> np.ndarray:
     """Decode a bitmask pattern id (bit i = cell (i // n, i % n)) to an n x n array."""
@@ -409,25 +428,15 @@ def pattern_to_patch(pattern_id: int, n: int) -> np.ndarray:
     return np.array(bits, dtype=np.uint8).reshape(n, n)
 
 
-def _sample_pattern_ids(n: int, k: int, m: int, seed: int) -> list[int]:
-    rng = np.random.default_rng([seed, n, k])
-    seen: set[int] = set()
-    out: list[int] = []
-    while len(out) < m:
-        pos = rng.choice(n * n, size=k, replace=False)
-        pid = int(sum(1 << int(p) for p in pos))
-        if pid not in seen:
-            seen.add(pid)
-            out.append(pid)
-        if len(seen) >= math.comb(n * n, k):
-            break
-    return sorted(out)
-
-
 def _pattern_ids(n: int, k: int, patterns: Literal["all"] | int, seed: int) -> list[int]:
+    """Every k-ones pattern id, or `patterns` distinct ones drawn from
+    default_rng([seed, n, k]), sorted."""
     if patterns == "all":
         return [sum(1 << p for p in pos) for pos in combinations(range(n * n), k)]
-    return _sample_pattern_ids(n, k, min(patterns, math.comb(n * n, k)), seed)
+    rng, seen = np.random.default_rng([seed, n, k]), set()
+    while len(seen) < min(patterns, math.comb(n * n, k)):
+        seen.add(int(sum(1 << int(p) for p in rng.choice(n * n, size=k, replace=False))))
+    return sorted(seen)
 
 
 def _sweep_grid(n: int, ks: Sequence[int], trials: int, patterns, geometry: MacroGeometry):
@@ -459,25 +468,18 @@ def _closed_form_wins(sums: np.ndarray, k: int, nn: int, device: DeviceParams,
     """The patches where the 1-side wins (dt > 0), from the closed form of the
     race, or None where it might differ from the direct race.
 
-    sums[side, q] sum the clipped current (q = 0) and trip-point (q = 1) draws
-    over each patch's 1-storing (side 0) and 0-storing cells (side 1); the
-    trip-point draws span trip_range.  Without the floors, dt > 0 exactly when
-    the f of _LinearRaces is positive, with v_bl = v_nom + sigma_vtrip * W1 / k
-    and v_blb = v_nom + sigma_vtrip * W0 / (n^2 - k).  The count is trusted when
-    no floor applies, trip points stray no further from nominal than clipped
-    currents, no scale is extreme, and each |f| exceeds _RACE_RTOL of its terms.
+    sums[side, q] sum the clipped current (q = 0) and standard trip-point
+    (q = 1) draws over each patch's 1-storing (side 0) and 0-storing cells
+    (side 1); the trip-point draws span trip_range.  The 1-side wins exactly
+    when f > 0 (module docstring).  The count is trusted where
+    _closed_form_holds and each |f| exceeds _RACE_RTOL of its terms.
     """
     s, sigma_v = variation.sigma_i_over_mu, variation.sigma_vtrip
-    i_s, v_nom, c_blb = device.i_s_nominal, device.v_trip_nominal, 1.0 + device.delta_c
-    z_min, z_max = trip_range
-    if (s > _LINEAR_MAX_SPREAD or i_s - 4.0 * (s * i_s) <= _CURRENT_FLOOR
-            or z_min * sigma_v + v_nom <= _VTRIP_FLOOR
-            or sigma_v * max(-z_min, z_max) > 4.0 * _LINEAR_MAX_SPREAD * v_nom
-            or not all(1e-60 < x < 1e60 for x in (i_s, v_nom, device.c_bl, c_blb))):
+    if not _closed_form_holds(device, s, sigma_v, trip_range):
         return None
+    c_blb = 1.0 + device.delta_c
     side = np.array([k, nn - k], dtype=float).reshape(2, 1, 1)
-    terms = sums[:, 1] * (sigma_v / side)
-    terms += v_nom                              # v_bl, v_blb
+    terms = _trip_points(sums, side, device, sigma_v)     # v_bl, v_blb
     terms *= sums[:, 0] * s + side              # times i_blb / i_s, i_bl / i_s
     ratio = terms[0] / terms[1]                 # f > 0 iff ratio > 1 + delta_c
     wins = np.count_nonzero(ratio > c_blb * (1.0 + _RACE_RTOL) / (1.0 - _RACE_RTOL))
@@ -500,14 +502,15 @@ def ber_supply_sweep(
     worker thread.  Every patch holds the same pattern, so for each k a
     lottery reduces to per-patch sums of its standard draws, and a supply's
     races to a closed-form sign on them (_closed_form_wins).  Where that sign
-    is not sure, they run directly on the scaled lottery.
+    is not sure, _race_in_place races the tiled pattern on the lottery, scaled
+    at most once per supply.
     """
     groups, per_group = _sweep_grid(n, ks, trials, patterns, geometry)
     ids = [_pattern_ids(n, k, patterns, variation.rng_seed) for k in ks]
     scaled = [variation_at_device(variation, device) for device in devices]
     nn, threshold, patches = n * n, KernelSpec(n).threshold, groups * per_group
     shape, count = (geometry.rows, geometry.cols), max(map(len, ids), default=0) * trials
-    buffers, scratch = np.empty((2, 2, *shape)), np.empty((2, *shape))
+    buffers, scratch = np.empty((2, 2, *shape)), np.empty((2, geometry.rows, per_group * n))
     flips = [[[0] * len(pids) for pids in ids] for _ in devices]
 
     from concurrent.futures import ThreadPoolExecutor  # only here, so startup stays lean
@@ -537,21 +540,17 @@ def ber_supply_sweep(
                         _in_order([cells[:, i, jj] for i, jj in zip(*mask.nonzero())])
                         for mask in (ones, 1 - ones)])))
             for device, var, row_flips in zip(devices, scaled, flips):
-                planes = None           # the scaled lottery, cut only for a direct race
+                lottery = None          # the scaled lottery, made only for a direct race
                 for j, k, ones, sums in races:
                     wins = _closed_form_wins(sums, k, nn, device, var, trip_range)
-                    if wins is None:
-                        if planes is None:
-                            np.copyto(scratch, z)
-                            _scale_lottery(*scratch, device, var)
-                            planes = _cell_planes(scratch, n)
-                        currents, vtrips = planes
-                        _, dt = race(n, k, _masked_plane_sums(currents, 1 - ones),
-                                     _masked_plane_sums(currents, ones),
-                                     _masked_plane_sums(vtrips, ones),
-                                     _masked_plane_sums(vtrips, 1 - ones), device)
-                        wins = np.count_nonzero(dt > 0)
-                    row_flips[j][pi] += nn * int(wins if k < threshold else patches - wins)
+                    if wins is not None:
+                        row_flips[j][pi] += nn * int(wins if k < threshold else patches - wins)
+                        continue
+                    if lottery is None:
+                        np.copyto(scratch, z[:, :, :per_group * n])
+                        lottery = _scale_lottery(*scratch, device, var)
+                    tile = np.tile(ones, (groups, per_group))
+                    row_flips[j][pi] += _race_in_place(tile, *lottery, n, device)[1]
     return [[_ber_stat(n, k, patches, trials, pids, pattern_flips)
              for k, pids, pattern_flips in zip(ks, ids, row_flips)]
             for row_flips in flips]
@@ -579,7 +578,7 @@ def ber_pattern_sweep(
             state = init_macro(geometry, device, replace(variation, rng_seed=seed))
             state.bits[:, :per_group * n] = tile
             flips[pi] += filter_in_memory(state, n, device).flips_unintended
-    return _ber_stat(n, k, macro_patch_count(geometry, n), trials, pids, flips)
+    return _ber_stat(n, k, groups * per_group, trials, pids, flips)
 
 
 def patch_error_trials(
@@ -641,64 +640,43 @@ def measure_image_ber(
     return total_flips / total_px
 
 
-# A direct race decides its sign as the closed form f of _LinearRaces and
-# _closed_form_wins does whenever |f| exceeds this fraction of f's terms.
-# There every current and trip point lies within [0.04, 1.96] of nominal, so
-# each per-patch sum of n^2 cells, in either form, is off by at most about
-# 25 n^2 ulps, and f by about 1e-12 of its terms at n = 15, the largest odd n
-# that divides the macro's 240 rows.  That bound grows as n^2 and reaches
-# this band near n = 130.  On the default characterize sweep the term ratios
-# of the two forms differ by at most 1.1e-15.
-_RACE_RTOL = 1e-10
-# Closed-form races whose tie band is relatively wider than this are not trusted.
-_MAX_TIE_BAND = 1e-6
-# Largest effective spread the closed form handles.  Clipped currents then
-# stay above 4% of i_s: never floored, and never so small that rounding of a
-# single current matters.
-_LINEAR_MAX_SPREAD = 0.24
-
-
 class _LinearRaces:
     """Unintended flips of measure_image_ber on `device` as a function of the
     effective spread s, from one lottery draw per frame (see _linear_races).
 
-    Without the current floor, i_blb = i_s * (k + s*Z1) and
-    i_bl = i_s * (n^2 - k + s*Z0), where Z1 and Z0 sum clip(z, -4, 4) over the
-    1- and 0-storing cells.  A mixed patch then comes out 1 exactly when
+    A mixed patch's f is linear in s, f = A + s*B, so the patch is wrong
+    (outcome != majority) on one side of s* = -A/B only.  For each frame the
+    s* inside the bisection range are kept sorted, split by the side on which
+    the patch is wrong, and the flips at s are counted with searchsorted.
 
-        f(s) = v_bl * (k + s*Z1) - (1 + delta_c) * v_blb * (n^2 - k + s*Z0) > 0,
-
-    which is linear in s, f = A + s*B.  So a patch is wrong (outcome !=
-    majority) on one side of s* = -A/B only.  For each frame the s* inside the
-    bisection range are kept sorted, split by the side on which the patch is
-    wrong, and the flips at s are counted with searchsorted.
-
-    flips(s) is None where the closed form could disagree with the direct
-    race: s outside s_range or above _LINEAR_MAX_SPREAD, an s* within
-    rounding of s, or a patch whose A is too small against its terms to trust.
+    flips(s) is None where f could disagree with the direct race: s outside
+    s_range or where _closed_form_holds does not, an s* within rounding of
+    s, or a patch whose A is too small against its terms to trust.
     """
 
-    def __init__(self, device: DeviceParams, n: int, s_range: tuple[float, float]):
-        self.device = device
-        self.nn = n * n
-        self.threshold = KernelSpec(n).threshold
+    def __init__(self, device: DeviceParams, sigma_vtrip: float, n: int,
+                 s_range: tuple[float, float]):
+        self.device, self.sigma_vtrip, self.range = device, sigma_vtrip, s_range
+        self.nn, self.threshold = n * n, KernelSpec(n).threshold
         self.band = 0.0        # widest relative tie band of any mixed patch
         self.constant = 0      # wrong patches whose s* lies outside s_range
         self.up: list[np.ndarray] = []      # per frame, sorted s* of patches wrong above s*
         self.down: list[np.ndarray] = []    # ... and of patches wrong below s*
-        self.range = s_range
+        self.trip_range = (math.inf, -math.inf)     # of the standard trip-point draws
 
-    def add(self, k, z1, z0, vt1, vt0) -> None:
-        """One frame's mixed patches: their ones counts, Z1 and Z0, and their
-        summed trip points over the 1- and 0-storing cells."""
+    def add(self, k, sums, trip_range: tuple[float, float]) -> None:
+        """One frame's mixed patches, their ones counts and the sums[side, q]
+        of _closed_form_wins, and the range of the frame's trip-point draws."""
         nn = self.nn
         s_lo, s_hi = self.range
+        self.trip_range = (min(self.trip_range[0], trip_range[0]),
+                           max(self.trip_range[1], trip_range[1]))
         window = s_lo * (1.0 - 2 * _MAX_TIE_BAND), s_hi * (1.0 + 2 * _MAX_TIE_BAND)
-        v_bl = vt1 / k
-        v_blb = (1.0 + self.device.delta_c) * (vt0 / (nn - k))
+        v_bl, v_blb = _trip_points(sums, np.stack([k, nn - k]), self.device, self.sigma_vtrip)
+        v_blb *= 1.0 + self.device.delta_c
         wrong_sign = np.where(k >= self.threshold, -1.0, 1.0)   # wrong iff sign * f > 0
         a = wrong_sign * (v_bl * k - v_blb * (nn - k))
-        b = wrong_sign * (v_bl * z1 - v_blb * z0)
+        b = wrong_sign * (v_bl * sums[0, 0] - v_blb * sums[1, 0])
         with np.errstate(divide="ignore", invalid="ignore"):
             band = _RACE_RTOL * (v_bl * k + v_blb * (nn - k)) / np.abs(a)
             crit = -a / b
@@ -709,9 +687,8 @@ class _LinearRaces:
         self.down.append(np.sort(crit[moving & (b < 0)]))
 
     def flips(self, s: float) -> int | None:
-        if not self.range[0] < s < self.range[1] or s > _LINEAR_MAX_SPREAD:
-            return None
-        if self.band > _MAX_TIE_BAND:
+        if not (self.range[0] < s < self.range[1] and self.band <= _MAX_TIE_BAND
+                and _closed_form_holds(self.device, s, self.sigma_vtrip, self.trip_range)):
             return None
         near = s * (1.0 - 2 * self.band), s * (1.0 + 2 * self.band)
         wrong = self.constant
@@ -727,22 +704,23 @@ def _linear_races(
     frames: Sequence[BinaryFrame], variation: CellVariation, n: int,
     closed_forms: Sequence[tuple[DeviceParams, tuple[float, float]]],
 ) -> list[_LinearRaces]:
-    """One _LinearRaces per (device, spread range) over `frames`, drawing
-    each frame's lottery (seed rng_seed + index) once for all of them."""
+    """One _LinearRaces per (device, spread range) over `frames`, drawing and
+    summing each frame's lottery (seed rng_seed + index) once for all."""
     if not frames:
         raise InvalidParamsError("need at least one frame")
-    races = [_LinearRaces(device, n, s_range) for device, s_range in closed_forms]
+    races = [_LinearRaces(device, variation.sigma_vtrip, n, s_range)
+             for device, s_range in closed_forms]
     for idx, frame in enumerate(frames):
         _patch_grid(frame.height, frame.width, n)        # rows must be a multiple of n
-        z_i, z_v = _standard_draws(frame.pixels.shape, variation.rng_seed + idx)
+        z = _standard_draws(frame.pixels.shape, variation.rng_seed + idx)
+        np.clip(z[0], -4.0, 4.0, out=z[0])
         ones = frame.pixels != 0
         k = patch_sums(ones.astype(np.intp), n)
-        z1, z0 = _split_sums(np.clip(z_i, -4.0, 4.0), ones, n)
         mixed = (k > 0) & (k < n * n)
+        sums = np.stack([_split_sums(draws, ones, n) for draws in z], axis=1)[:, :, mixed]
+        trip_range = float(z[1].min()), float(z[1].max())
         for races_at in races:
-            # _scale_vtrips scales in place, so each device scales its own copy
-            vt1, vt0 = _split_sums(_scale_vtrips(z_v.copy(), races_at.device, variation), ones, n)
-            races_at.add(k[mixed], z1[mixed], z0[mixed], vt1[mixed], vt0[mixed])
+            races_at.add(k[mixed], sums, trip_range)
     return races
 
 

@@ -338,15 +338,18 @@ def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, a
 @pytest.mark.parametrize(
     "cfg_text, argv, where",
     [
-        ("seed = " + "9" * 5000 + "\n", [], "run.cfg:1: config key 'seed': expected digits"),
-        ("", ["--seed", "9" * 5000], "argument --seed: expected an integer"),
-        ("corner = " + "X" * 5000 + "\n", [], "corner must be one of"),
+        ("seed = " + "9" * 5000 + "\n", ["perf"], "run.cfg:1: config key 'seed': expected digits"),
+        ("", ["perf", "--seed", "9" * 5000], "argument --seed: expected an integer"),
+        ("corner = " + "X" * 5000 + "\n", ["perf"], "corner must be one of"),
+        ("", ["denoise", "--frames", "x", "--filter", "F" * 5000],
+         "argument --filter: invalid choice: 'FFFF"),
+        ("", ["perf", "--bogus", "B" * 5000], "unrecognized arguments: '--bogus' 'BBBB"),
     ],
-    ids=["config-seed", "flag-seed", "config-corner"],
+    ids=["config-seed", "flag-seed", "config-corner", "choice-filter", "unknown-option"],
 )
 def test_a_huge_rejected_value_is_cut_in_the_error(tmp_path, capsys, cfg_text, argv, where):
     cfg = write_cfg(tmp_path, cfg_text)
-    assert _exit_code("perf", *argv, "--config", cfg, "--out", tmp_path / "out") == 2
+    assert _exit_code(*argv, "--config", cfg, "--out", tmp_path / "out") == 2
     # the temporary directory's path, whose length varies, is not counted
     lines = capsys.readouterr().err.replace(str(tmp_path), "").splitlines()
     assert any(where in line and "(5000 characters)" in line for line in lines)
@@ -411,6 +414,25 @@ def test_a_late_bad_line_removes_the_out_it_created(tmp_path, capsys, monkeypatc
     assert "malformed event line 2001: non-integer field" in capsys.readouterr().err
     assert len(written) == 64  # the first chunk was out before the bad line was read
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["denoise", "simulate"])
+def test_a_recording_past_the_frame_limit_is_rejected(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(imfsim.frames, "MAX_RECORDING_FRAMES", 100)
+    written = []
+    real = imfsim.frames.write_pbm
+    monkeypatch.setattr(imfsim.frames, "write_pbm",
+                        lambda frame, path: written.append(path) or real(frame, path))
+    events = tmp_path / "events.txt"
+    events.write_text("0,1,1,1\n5000000,2,2,1\n6599999,3,3,1\n6600000,1,1,1\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--events", events, "--out", out) == 2
+    assert ("event t=6600000 falls in window 100, past the 100-frame limit of a recording"
+            in capsys.readouterr().err)
+    assert written == [] and not out.exists()
+    events.write_text("0,1,1,1\n6599999,3,3,1\n")     # window 99 is the last allowed
+    assert run_cli(command, "--events", events, "--out", out) == 0
+    assert len(written) == 100
 
 
 def test_a_failed_run_keeps_an_out_that_existed(tmp_path, capsys):

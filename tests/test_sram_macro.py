@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import imfsim.sram_macro as sram_macro
@@ -29,7 +29,6 @@ from imfsim.sram_macro import (
     filter_in_memory_stack,
     init_macro,
     load_frame,
-    macro_patch_count,
     measure_image_ber,
     pattern_to_patch,
     patch_error_trials,
@@ -354,8 +353,9 @@ def test_valid_frame_detect_levels():
 # ---------------------------------------------------------------------------
 
 def test_macro_patch_counts():
-    assert macro_patch_count(DEFAULT_GEOMETRY, 3) == 8480
-    assert macro_patch_count(DEFAULT_GEOMETRY, 5) == 3072
+    # (row groups, complete patches per group): 8,480 patches at n = 3, 3,072 at n = 5
+    assert sram_macro._sweep_grid(3, [4], 1, 1, DEFAULT_GEOMETRY) == (80, 106)
+    assert sram_macro._sweep_grid(5, [12], 1, 1, DEFAULT_GEOMETRY) == (48, 64)
 
 
 def test_pattern_to_patch_layout():
@@ -489,28 +489,6 @@ def test_patch_sums_bitwise_equal_numpy_sum(n, groups, per_group, extra, seed):
     used = per_group * n
     want = np.ascontiguousarray(a[:, :used]).reshape(groups, n, per_group, n).sum(axis=(1, 3))
     assert np.array_equal(patch_sums(a, n), want)
-
-
-@given(
-    n=st.sampled_from([3, 5, 9]),
-    groups=st.integers(1, 4),
-    per_group=st.integers(1, 6),
-    extra=st.integers(0, 8),
-    mask_bits=st.integers(1, 2**81 - 1),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_masked_plane_sums_bitwise_equal_patch_sums(n, groups, per_group, extra, mask_bits,
-                                                    seed):
-    # per_group == 1 is the one-patch-per-group geometry, summed as one run of n^2
-    rng = np.random.default_rng(seed)
-    cols = per_group * n + extra % n
-    values = rng.random((groups * n, cols)) * 10.0 ** rng.integers(-12, 3, (groups * n, cols))
-    mask = pattern_to_patch(mask_bits % (1 << n * n) or 1, n)
-    tiled = np.zeros_like(values)
-    tiled[:, :per_group * n] = np.tile(mask, (groups, per_group))
-    planes = sram_macro._cell_planes(values[None], n)[0]
-    assert np.array_equal(sram_macro._masked_plane_sums(planes, mask),
-                          patch_sums(values * tiled, n))
 
 
 @given(
@@ -793,6 +771,9 @@ def ber_calls(monkeypatch):
          2e-4, (2e-3, 0.1), True),
         (_uniform_patches(2, 30, 30, 6), DeviceParams(vdd=0.7), CellVariation(rng_seed=6),
          2e-4, (2e-3, 0.5), False),
+        # i_s - 4 sigma_i reaches the current floor from sigma_eff = 0.042
+        (_noise(4, 30, 30, 0.45, 1), DeviceParams(vdd=0.7, i_s_nominal=1.2e-12),
+         CellVariation(rng_seed=3), 2e-2, (2e-3, 0.13), False),
     ],
 )
 def test_closed_form_calibration_is_the_direct_bisection(
@@ -851,3 +832,39 @@ def test_linear_races_refuse_a_spread_at_a_critical_point():
         if flips is not None:
             assert flips / (2 * 900) == measure_image_ber(frames, d, var)
     assert races.flips(0.25) is None       # past the closed form's spread limit
+
+
+@settings(max_examples=25)
+@given(
+    i_s=st.one_of(st.none(), st.floats(1e-12, 1.5e-12)),   # None: the overdrive default
+    v_trip=st.one_of(st.none(), st.floats(1e-9, 2e-9)),    # None: 0.3 vdd
+    delta_c=st.floats(-0.3, 0.3),
+    trip_spread=st.floats(0.0, 0.4),    # sigma_vtrip over the 0.7 V nominal trip point
+    spread=st.floats(0.02, 0.25),   # effective 0.037 to 0.46 at 0.7 V, 0.015 to 0.19 at 1.2 V
+    seed=st.integers(0, 2**16),
+)
+@example(i_s=None, v_trip=None, delta_c=0.0, trip_spread=0.05, spread=0.05, seed=0)
+@example(i_s=1.2e-12, v_trip=None, delta_c=0.0, trip_spread=0.05, spread=0.1, seed=0)
+def test_closed_forms_equal_the_direct_race(i_s, v_trip, delta_c, trip_spread, spread, seed):
+    frames = _noise(2, 9, 12, 0.45, seed)
+    supplies = [DeviceParams(vdd=v, delta_c=delta_c, i_s_nominal=i_s, v_trip_nominal=v_trip)
+                for v in (0.7, 1.2)]
+    ref = CellVariation(spread, trip_spread * supplies[0].v_trip_nominal, rng_seed=seed)
+    sigmas = [spread * f for f in (0.6, 1.0, 1.5)]
+
+    def effective(sigma, d):
+        return variation_at_device(replace(ref, sigma_i_over_mu=sigma), d).sigma_i_over_mu
+
+    for d, races in zip(supplies, sram_macro._linear_races(frames, ref, 3, [
+            (d, (effective(0.5 * spread, d), effective(2 * spread, d))) for d in supplies])):
+        for sigma in sigmas:
+            flips = races.flips(effective(sigma, d))
+            if flips is not None:
+                assert flips / (2 * 9 * 12) == measure_image_ber(
+                    frames, d, replace(ref, sigma_i_over_mu=sigma))
+    geom = MacroGeometry(rows=9, cols=14)
+    got = ber_supply_sweep(3, [3, 4, 5], supplies, ref, trials=2, patterns=3, geometry=geom)
+    for d, per_k in zip(supplies, got):
+        for k, stat in zip([3, 4, 5], per_k):
+            assert stat == ber_pattern_sweep(3, k, d, variation_at_device(ref, d), trials=2,
+                                             patterns=3, geometry=geom)

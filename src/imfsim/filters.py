@@ -31,13 +31,14 @@ class StrideMode(enum.Enum):
 def median_filter_overlap_stack(stack: np.ndarray, n: int) -> np.ndarray:
     """Stride-1 binary median with zero padding over an (N, H, W) stack of
     {0,1} frames; the output has the input's shape."""
+    _, h, w = stack.shape
     r = n // 2
-    rows = stack.astype(np.uint8 if n * n <= 255 else np.uint16)  # holds n^2 ones
-    for d in range(1, r + 1):  # horizontal window sums; pixels past the edge add 0
+    rows = stack.astype(np.min_scalar_type(min(n, h) * min(n, w)))  # holds a window's ones
+    for d in range(1, min(r, w - 1) + 1):  # horizontal window sums; pixels past the edge add 0
         rows[:, :, d:] += stack[:, :, :-d]
         rows[:, :, :-d] += stack[:, :, d:]
     sums = rows.copy()
-    for d in range(1, r + 1):
+    for d in range(1, min(r, h - 1) + 1):
         sums[:, d:] += rows[:, :-d]
         sums[:, :-d] += rows[:, d:]
     return (sums >= (n * n + 1) // 2).view(np.uint8)
@@ -48,16 +49,16 @@ def nomf_stack(stack: np.ndarray, n: int) -> np.ndarray:
     majority decision per disjoint n x n tile, edge tiles voting over the
     m pixels they hold."""
     _, h, w = stack.shape
-    sums = np.zeros((len(stack), -(-h // n), -(-w // n)),
-                    dtype=np.uint8 if n * n <= 255 else np.uint16)
-    for i in range(n):
-        for j in range(n):
+    th, tw = min(n, h), min(n, w)   # the largest tile the frame holds
+    sums = np.zeros((len(stack), -(-h // n), -(-w // n)), dtype=np.min_scalar_type(th * tw))
+    for i in range(th):
+        for j in range(tw):
             part = stack[:, i::n, j::n]
             sums[:, : part.shape[1], : part.shape[2]] += part
     tile_rows = np.minimum(n, h - n * np.arange(sums.shape[1]))
     tile_cols = np.minimum(n, w - n * np.arange(sums.shape[2]))
     bits = (sums >= (np.outer(tile_rows, tile_cols) + 1) // 2).view(np.uint8)
-    return bits.repeat(n, axis=1).repeat(n, axis=2)[:, :h, :w]
+    return bits.repeat(th, axis=1).repeat(tw, axis=2)[:, :h, :w]
 
 
 def median_filter_overlap(frame: BinaryFrame, spec: KernelSpec) -> BinaryFrame:

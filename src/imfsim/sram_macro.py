@@ -17,18 +17,20 @@ cells, V_BL,trip the mean sampled trip point of the cells that flip when BL
 wins (the 1-storing cells) and V_BLB,trip the mean for the 0-storing cells.
 C_BLB = C_BL * (1 + delta_c) models deliberate or parasitic imbalance.
 Outcome is 1 iff dt > 0.  Uniform patches have no race; they keep their value
-and report dt = +/-inf.
+and report dt = NaN.
 
 Mismatch sampling: a lottery is two standard-normal draws from one numpy
 default_rng(seed) stream, currents for the whole array first, then trip
 points, row-major.  They are scaled at use: a cell's discharge current is
-i_s_nominal + sigma_i * z with sigma_i = sigma_i_over_mu * i_s_nominal,
-truncated at +/-4 sigma (a clip, so the draw count is fixed) and floored at
+i_s_nominal + sigma_i * z with sigma_i = sigma_i_over_mu * i_s_nominal and
+z clipped to +/-4 when drawn (a clip, so the draw count is fixed), floored at
 a tiny positive value; its trip point is v_trip_nominal + sigma_vtrip * z',
-floored likewise.  On numpy's Generator this is bitwise the same stream as
-Normal(mean, sigma) draws, so an independent re-implementation with the same
-seed reproduces the lottery bit for bit.  Monte-Carlo trials reseed with
-rng_seed + trial_index; the seed does not depend on the supply.
+floored likewise.  Clipping z before scaling gives the bits of clipping the
+current at i_s +/- 4 sigma_i, as rounding is monotone.  On numpy's Generator
+this is bitwise the same stream as Normal(mean, sigma) draws, so an
+independent re-implementation with the same seed reproduces the lottery bit
+for bit.  Monte-Carlo trials reseed with rng_seed + trial_index; the seed
+does not depend on the supply.
 
 One race, two ways.  Every direct race runs through _race_in_place on a
 scaled lottery.  Without the floors, a mixed patch with k ones comes out 1
@@ -57,10 +59,10 @@ columns pass through untouched and are excluded from flip accounting.
 from __future__ import annotations
 
 import math
-import os
+from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -121,22 +123,37 @@ class CalibrationResult:
 # lottery sampling and state construction
 # ---------------------------------------------------------------------------
 
-def _standard_draws(shape: tuple[int, ...], seed: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Standard-normal current draws, then trip-point draws, from
-    default_rng(seed), as one (2, *shape) array; into `out` when given."""
-    return np.random.default_rng(seed).standard_normal((2, *shape), out=out)
+def _standard_draws(shape: tuple[int, ...], seed: int) -> np.ndarray:
+    """Standard-normal current draws, clipped to +/-4, then trip-point draws,
+    from default_rng(seed), as one (2, *shape) array."""
+    z = np.random.default_rng(seed).standard_normal((2, *shape))
+    np.clip(z[0], -4.0, 4.0, out=z[0])
+    return z
+
+
+def _lotteries(draws: Iterable[tuple[tuple[int, ...], int]]) -> Iterator[np.ndarray]:
+    """The _standard_draws of each (shape, seed) in turn.  One worker thread
+    draws the next while the caller uses the current one; it calls only this
+    private helper, as bench/spans.py's tracer is not thread-safe.  Closing
+    the generator joins the worker, also when the caller raises."""
+    from concurrent.futures import ThreadPoolExecutor  # only here, so startup stays lean
+    with ThreadPoolExecutor(1) as pool:
+        ahead = None
+        for shape, seed in draws:
+            current, ahead = ahead, pool.submit(_standard_draws, shape, seed)
+            if current is not None:
+                yield current.result()
+        if ahead is not None:
+            yield ahead.result()
 
 
 def _scale_lottery(
     z_i: np.ndarray, z_v: np.ndarray, device: DeviceParams, variation: CellVariation
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standard current and trip-point draws scaled, in place, to the device
-    and variation: each is loc + scale * z, clipped and floored."""
-    i_s = device.i_s_nominal
-    sigma_i = variation.sigma_i_over_mu * i_s
-    z_i *= sigma_i
-    z_i += i_s
-    np.clip(z_i, i_s - 4.0 * sigma_i, i_s + 4.0 * sigma_i, out=z_i)
+    and variation: each is loc + scale * z, floored."""
+    z_i *= variation.sigma_i_over_mu * device.i_s_nominal
+    z_i += device.i_s_nominal
     np.maximum(z_i, _CURRENT_FLOOR, out=z_i)
     z_v *= variation.sigma_vtrip
     z_v += device.v_trip_nominal
@@ -332,9 +349,6 @@ def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterR
     return FilterReport(n, flips_intended, flips_unintended, cycles, int(state.bits.any()))
 
 
-_MAX_WORKERS = 4
-
-
 def filter_in_memory_stack(
     frames: np.ndarray, first_seed: int, device: DeviceParams, variation: CellVariation, n: int
 ) -> list[tuple[int, int, int, int]]:
@@ -343,35 +357,17 @@ def filter_in_memory_stack(
     with lottery seed first_seed + index; `variation` is already scaled to
     the device.  Returns one (valid_frame, flips_intended, flips_unintended,
     cycles) row per frame; cycles count the clear, one write per on pixel
-    and the filter.
-
-    The frames run on up to _MAX_WORKERS threads, each drawing into its own
-    scratch, so the result does not depend on their count.  The threads call
-    only private helpers: bench/spans.py rebinds public names with a tracer
-    that is not thread-safe.
+    and the filter.  Each lottery is drawn one ahead (_lotteries).
     """
     count, rows, cols = frames.shape
     geometry = frame_geometry(rows, cols, n)
     fixed_cycles = -(-rows // geometry.clear_group) + 2 * (rows // n)
-    workers = max(1, min(count, os.cpu_count() or 1, _MAX_WORKERS))
-    reports: list = [None] * count
-
-    def work(first: int) -> None:
-        draws = np.empty((2, rows, cols))
-        for i in range(first, count, workers):
-            _standard_draws((rows, cols), first_seed + i, draws)
-            written = int(np.count_nonzero(frames[i]))
-            flips = _race_in_place(frames[i], *_scale_lottery(*draws, device, variation),
-                                   n, device)
-            reports[i] = (int(frames[i].any()), *flips, fixed_cycles + written)
-
-    if workers == 1:
-        work(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only here, so startup stays lean
-        with ThreadPoolExecutor(workers) as pool:
-            for done in [pool.submit(work, w) for w in range(workers)]:
-                done.result()
+    reports = []
+    with closing(_lotteries(((rows, cols), first_seed + i) for i in range(count))) as lotteries:
+        for frame, z in zip(frames, lotteries):
+            written = int(np.count_nonzero(frame))
+            flips = _race_in_place(frame, *_scale_lottery(*z, device, variation), n, device)
+            reports.append((int(frame.any()), *flips, fixed_cycles + written))
     return reports
 
 
@@ -439,18 +435,26 @@ def _pattern_ids(n: int, k: int, patterns: Literal["all"] | int, seed: int) -> l
     return sorted(seen)
 
 
+MAX_SWEEP_PATTERNS = 1 << 16    # patterns a sweep may run for one k
+
+
 def _sweep_grid(n: int, ks: Sequence[int], trials: int, patterns, geometry: MacroGeometry):
-    """Check a sweep's arguments; returns its (row groups, patches per group)."""
+    """Check a sweep's arguments, before any pattern is listed or drawn;
+    returns its (row groups, patches per group)."""
     grid = _patch_grid(geometry.rows, geometry.cols, n)
     if not grid[1]:
         raise DimensionMismatchError(f"cols {geometry.cols} hold no complete patch of n={n}")
-    for k in ks:
-        if not 0 <= k <= n * n:
-            raise InvalidParamsError(f"k={k} impossible for n={n}")
     if trials <= 0:
         raise InvalidParamsError("trials must be positive")
     if patterns != "all" and (type(patterns) is not int or patterns <= 0):
         raise InvalidParamsError(f"patterns must be positive, an int or 'all'; got {patterns!r}")
+    for k in ks:
+        if not 0 <= k <= n * n:
+            raise InvalidParamsError(f"k={k} impossible for n={n}")
+        count = math.comb(n * n, k) if patterns == "all" else min(patterns, math.comb(n * n, k))
+        if count > MAX_SWEEP_PATTERNS:
+            raise InvalidParamsError(f"k={k} at n={n} asks for {count} patterns, past the "
+                                     f"{MAX_SWEEP_PATTERNS}-pattern limit of a sweep")
     return grid
 
 
@@ -498,8 +502,8 @@ def ber_supply_sweep(
     bit.
 
     The lottery seed rng_seed + pattern_index * trials + trial depends on
-    neither the supply nor k, so each lottery is drawn once, one ahead on a
-    worker thread.  Every patch holds the same pattern, so for each k a
+    neither the supply nor k, so each lottery is drawn once, one ahead
+    (_lotteries).  Every patch holds the same pattern, so for each k a
     lottery reduces to per-patch sums of its standard draws, and a supply's
     races to a closed-form sign on them (_closed_form_wins).  Where that sign
     is not sure, _race_in_place races the tiled pattern on the lottery, scaled
@@ -510,26 +514,12 @@ def ber_supply_sweep(
     scaled = [variation_at_device(variation, device) for device in devices]
     nn, threshold, patches = n * n, KernelSpec(n).threshold, groups * per_group
     shape, count = (geometry.rows, geometry.cols), max(map(len, ids), default=0) * trials
-    buffers, scratch = np.empty((2, 2, *shape)), np.empty((2, geometry.rows, per_group * n))
     flips = [[[0] * len(pids) for pids in ids] for _ in devices]
 
-    from concurrent.futures import ThreadPoolExecutor  # only here, so startup stays lean
-    # One worker draws the next lottery while this thread races the last.  It
-    # calls only a private helper, as bench/spans.py's tracer is not
-    # thread-safe.  Leaving the block joins it, also when a race raises.
-    with ThreadPoolExecutor(1) as pool:
-        def draw(idx: int):     # seed rng_seed + pattern_index * trials + trial
-            return pool.submit(_standard_draws, shape, variation.rng_seed + idx, buffers[idx % 2])
-
-        ahead = draw(0) if count else None
-        for idx in range(count):
-            z = ahead.result()
-            if idx + 1 < count:
-                ahead = draw(idx + 1)
+    draws = ((shape, variation.rng_seed + idx) for idx in range(count))
+    with closing(_lotteries(draws)) as lotteries:
+        for idx, z in enumerate(lotteries):
             pi = idx // trials
-            # i_s + sigma_i * clip(z, -4, 4) rounds to exactly the clipped
-            # current of _scale_lottery, so both race paths read clipped draws.
-            np.clip(z[0], -4.0, 4.0, out=z[0])
             cells = _cell_planes(z, n)
             trip_range = float(z[1].min()), float(z[1].max())
             races = []
@@ -547,8 +537,7 @@ def ber_supply_sweep(
                         row_flips[j][pi] += nn * int(wins if k < threshold else patches - wins)
                         continue
                     if lottery is None:
-                        np.copyto(scratch, z[:, :, :per_group * n])
-                        lottery = _scale_lottery(*scratch, device, var)
+                        lottery = _scale_lottery(*z[:, :, :per_group * n].copy(), device, var)
                     tile = np.tile(ones, (groups, per_group))
                     row_flips[j][pi] += _race_in_place(tile, *lottery, n, device)[1]
     return [[_ber_stat(n, k, patches, trials, pids, pattern_flips)
@@ -710,17 +699,17 @@ def _linear_races(
         raise InvalidParamsError("need at least one frame")
     races = [_LinearRaces(device, variation.sigma_vtrip, n, s_range)
              for device, s_range in closed_forms]
-    for idx, frame in enumerate(frames):
-        _patch_grid(frame.height, frame.width, n)        # rows must be a multiple of n
-        z = _standard_draws(frame.pixels.shape, variation.rng_seed + idx)
-        np.clip(z[0], -4.0, 4.0, out=z[0])
-        ones = frame.pixels != 0
-        k = patch_sums(ones.astype(np.intp), n)
-        mixed = (k > 0) & (k < n * n)
-        sums = np.stack([_split_sums(draws, ones, n) for draws in z], axis=1)[:, :, mixed]
-        trip_range = float(z[1].min()), float(z[1].max())
-        for races_at in races:
-            races_at.add(k[mixed], sums, trip_range)
+    draws = ((frame.pixels.shape, variation.rng_seed + idx) for idx, frame in enumerate(frames))
+    with closing(_lotteries(draws)) as lotteries:
+        for frame, z in zip(frames, lotteries):
+            _patch_grid(frame.height, frame.width, n)        # rows must be a multiple of n
+            ones = frame.pixels != 0
+            k = patch_sums(ones.astype(np.intp), n)
+            mixed = (k > 0) & (k < n * n)
+            sums = np.stack([_split_sums(planes, ones, n) for planes in z], axis=1)[:, :, mixed]
+            trip_range = float(z[1].min()), float(z[1].max())
+            for races_at in races:
+                races_at.add(k[mixed], sums, trip_range)
     return races
 
 

@@ -435,6 +435,28 @@ def test_a_recording_past_the_frame_limit_is_rejected(tmp_path, capsys, monkeypa
     assert len(written) == 100
 
 
+def test_a_sweep_past_the_pattern_limit_is_rejected(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.setattr(imfsim.sram_macro, "MAX_SWEEP_PATTERNS", 126)
+    assert run_cli("characterize", "--k", "4,5", "--patterns", "all", "--trials", "1",
+                   "--vdd", "0.7", "--out", out) == 0      # C(9, 4) = C(9, 5) = 126
+    shutil.rmtree(out)
+    monkeypatch.setattr(imfsim.sram_macro, "MAX_SWEEP_PATTERNS", 125)
+    assert run_cli("characterize", "--k", "0,4", "--patterns", "200", "--trials", "1",
+                   "--vdd", "0.7", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "k=4 at n=3 asks for 126 patterns, past the 125-pattern limit" in err
+    assert not out.exists()
+    monkeypatch.undo()
+    # C(25, 12) = 5,200,300 patterns; the second asks for 100,000 of C(225, 112)
+    for cfg, patterns, k in (("n = 5\n", "all", "12"), ("n = 15\n", "100000", "112")):
+        assert run_cli("characterize", "--config", write_cfg(tmp_path, cfg), "--k", k,
+                       "--patterns", patterns, "--trials", "1", "--vdd", "0.7",
+                       "--out", out) == 2
+        assert "past the 65536-pattern limit of a sweep" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_a_failed_run_keeps_an_out_that_existed(tmp_path, capsys):
     events, cfg = _late_bad_line_recording(tmp_path)
     out = tmp_path / "out"
@@ -521,6 +543,29 @@ def test_denoise_report_schema_and_frames(traffic_dir, tmp_path):
     for row, path in zip(rows, outs):
         assert int(row["output_ones"]) == read_pbm(path).popcount()
         assert row["valid_frame"] in ("0", "1")
+
+
+def test_filters_of_a_kernel_past_the_frame_finish(tmp_path):
+    # The loops of both kernels are bounded by the frame, not by n: in a
+    # subprocess with a timeout, so a kernel that loops over n fails the test.
+    rng = np.random.default_rng(2)
+    frames = [BinaryFrame((rng.random((18, 24)) < p).astype(np.uint8)) for p in (0.3, 0.7)]
+    for i, frame in enumerate(frames):
+        write_pbm(frame, tmp_path / f"frame_{i:05d}.pbm")
+    cfg = write_cfg(tmp_path, f"n = {10**6 + 1}\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for name in ("nomf", "omf"):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-c", "import sys; from imfsim.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", "denoise", "--frames", tmp_path,
+                        "--filter", name, "--config", cfg, "--out", out],
+                       env=env, check=True, timeout=60)
+        for i, frame in enumerate(frames):
+            got = read_pbm(out / "frames" / f"frame_{i:05d}.pbm").pixels
+            vote = frame.popcount() >= (frame.pixels.size + 1) // 2    # one whole-frame tile
+            assert np.array_equal(got, np.full_like(got, vote if name == "nomf" else 0))
+    assert [f.popcount() >= 216 for f in frames] == [False, True]
 
 
 def test_simulate_matches_denoise_imc_filter(traffic_dir, tmp_path, capsys):
@@ -793,15 +838,6 @@ def assert_golden_tree(traffic_dir, tmp_path, name):
 
 @pytest.mark.parametrize("name", GOLDEN_TREES)
 def test_output_trees_match_golden_digests(traffic_dir, tmp_path, name):
-    assert_golden_tree(traffic_dir, tmp_path, name)
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("name", ["simulate", "simulate-events"])
-def test_simulate_output_does_not_depend_on_the_thread_count(
-        traffic_dir, tmp_path, monkeypatch, name, workers):
-    monkeypatch.setattr(imfsim.sram_macro, "_MAX_WORKERS", workers)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert_golden_tree(traffic_dir, tmp_path, name)
 
 

@@ -203,3 +203,14 @@ def test_stack_kernels_count_past_255_for_large_kernels():
     assert nomf_stack(px, 17).all()
     assert median_filter_overlap_stack(px, 17)[0, 8:12, 8:12].all()  # windows inside
 
+
+def test_stack_kernels_count_past_65535_for_frame_sized_kernels():
+    # a 240 x 301 tile of a full 240 x 320 frame holds 72,240 ones: past uint16
+    px = np.ones((1, 240, 320), dtype=np.uint8)
+    assert nomf_stack(px, 301).all()
+    r = 150
+    spans = [np.minimum(size - 1, np.arange(size) + r) - np.maximum(0, np.arange(size) - r) + 1
+             for size in (240, 320)]                # window rows and columns inside the frame
+    want = np.outer(*spans) >= (301 * 301 + 1) // 2
+    assert np.array_equal(median_filter_overlap_stack(px, 301)[0], want)
+    assert 0 < want.sum() < want.size

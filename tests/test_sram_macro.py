@@ -1,9 +1,7 @@
 import math
-import os
 import sys
 import threading
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -524,10 +522,9 @@ def test_filter_in_memory_matches_replaced_code(n, groups, cols, density, sigma,
     density=st.floats(0.0, 1.0),
     sigma=st.sampled_from([0.0, 0.05, 0.3]),
     first_seed=st.integers(0, 2**63),
-    workers=st.sampled_from([1, 2, 3]),
 )
 def test_filter_stack_matches_per_frame_macro_and_oracle(
-        count, n, groups, data, density, sigma, first_seed, workers):
+        count, n, groups, data, density, sigma, first_seed):
     # Widths below n hold no patch; n to 2n - 1 one patch per group, which
     # patch_sums sums as one run of n^2; the rest leave partial edge columns.
     height, width = groups * n, data.draw(st.integers(1, 4 * n + 2), label="width")
@@ -536,9 +533,7 @@ def test_filter_stack_matches_per_frame_macro_and_oracle(
     rng = np.random.default_rng(first_seed % 2**32)
     frames = (rng.random((count, height, width)) < density).astype(np.uint8)
     stack = frames.copy()
-    with mock.patch.object(sram_macro, "_MAX_WORKERS", workers), \
-            mock.patch.object(os, "cpu_count", return_value=8):
-        reports = filter_in_memory_stack(stack, first_seed, d, v, n)
+    reports = filter_in_memory_stack(stack, first_seed, d, v, n)
     assert len(reports) == count
     for i, (px, got, report) in enumerate(zip(frames, stack, reports)):
         state = init_macro(MacroGeometry(rows=height, cols=width), d,
@@ -562,24 +557,50 @@ def test_filter_stack_loses_no_frame_with_more_threads_than_cores():
     rng = np.random.default_rng(3)
     frames = (rng.random((32, 24, 40)) < 0.5).astype(np.uint8)
     d, v = DeviceParams(vdd=0.7), CellVariation(0.3, 0.01)
-    want = frames.copy()
-    with mock.patch.object(sram_macro, "_MAX_WORKERS", 1):
-        want_reports = filter_in_memory_stack(want, 11, d, v, 3)
+    want = frames.copy()    # one frame per call: each lottery is drawn before its race
+    want_reports = [filter_in_memory_stack(want[i:i + 1], 11 + i, d, v, 3)[0]
+                    for i in range(len(want))]
     got, result = frames.copy(), {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter allows
     try:
-        with mock.patch.object(sram_macro, "_MAX_WORKERS", 4), \
-                mock.patch.object(os, "cpu_count", return_value=8):
-            caller = threading.Thread(target=lambda: result.update(
-                reports=filter_in_memory_stack(got, 11, d, v, 3)))
-            caller.start()
-            caller.join(timeout=60)
+        caller = threading.Thread(target=lambda: result.update(
+            reports=filter_in_memory_stack(got, 11, d, v, 3)))
+        caller.start()
+        caller.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not caller.is_alive()
     assert result["reports"] == want_reports
     assert np.array_equal(got, want)
+
+
+def test_filter_stack_joins_its_draw_thread(monkeypatch):
+    rng = np.random.default_rng(4)
+    frames = (rng.random((5, 12, 20)) < 0.5).astype(np.uint8)
+    args = (7, DeviceParams(vdd=0.7), CellVariation(0.3, 0.01), 3)
+    calls = []
+    race_in_place = sram_macro._race_in_place
+
+    def failing(*a):
+        calls.append(a)
+        if len(calls) == 3:
+            raise RuntimeError("third frame")
+        return race_in_place(*a)
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter allows
+    try:
+        filter_in_memory_stack(frames.copy(), *args)
+        assert threading.active_count() == before
+        monkeypatch.setattr(sram_macro, "_race_in_place", failing)
+        with pytest.raises(RuntimeError, match="third frame") as raised:
+            filter_in_memory_stack(frames.copy(), *args)
+        assert threading.active_count() == before   # joined while the traceback holds the frame
+        assert len(calls) == 3
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # (n, rows, cols, (patterns, ks) runs)
@@ -668,9 +689,9 @@ def test_supply_sweep_draws_each_lottery_once(monkeypatch):
     draws = []
     standard_draws = sram_macro._standard_draws
 
-    def counted(shape, seed, out=None):
+    def counted(shape, seed):
         draws.append(seed)
-        return standard_draws(shape, seed, out)
+        return standard_draws(shape, seed)
 
     monkeypatch.setattr(sram_macro, "_standard_draws", counted)
     supplies = [DeviceParams(vdd=0.7), DeviceParams(vdd=1.2)]
@@ -707,9 +728,9 @@ def test_supply_sweep_joins_its_draw_thread(monkeypatch):
         assert ber_supply_sweep(*args, **kwargs) == want
         assert threading.active_count() == before
         monkeypatch.setattr(sram_macro, "_closed_form_wins", failing)
-        with pytest.raises(RuntimeError, match="third lottery"):
+        with pytest.raises(RuntimeError, match="third lottery") as raised:
             ber_supply_sweep(*args, **kwargs)
-        assert threading.active_count() == before
+        assert threading.active_count() == before   # joined while the traceback holds the frame
     finally:
         sys.setswitchinterval(interval)
 
@@ -811,6 +832,16 @@ def test_calibration_result_is_pinned():
                                   target_ber=3e-2)
     assert (fit.sigma_i_over_mu, fit.ber_low_vdd, fit.ber_high_vdd) == (
         0.12510008551582283, 0.030078125, 0.016796875)
+
+
+def test_calibration_on_frames_of_two_shapes_is_pinned():
+    rng = np.random.default_rng(1)
+    frames = [BinaryFrame((rng.random(shape) < 0.45).astype(np.uint8))
+              for shape in [(30, 30), (24, 33), (30, 30)]]
+    fit = calibrate_current_sigma(frames, DeviceParams(vdd=0.7), DeviceParams(vdd=1.2),
+                                  CellVariation(rng_seed=3), target_ber=2e-2)
+    assert (fit.sigma_i_over_mu, fit.ber_low_vdd, fit.ber_high_vdd) == (
+        0.09788328012603692, 0.017361111111111112, 0.0)
 
 
 def test_linear_races_refuse_a_spread_at_a_critical_point():

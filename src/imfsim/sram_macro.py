@@ -39,16 +39,18 @@ exactly when, at effective spread s,
     f = v_bl * (k + s*Z1) - (1 + delta_c) * v_blb * (n^2 - k + s*Z0) > 0,
 
 with Z1, Z0 the clipped standard current draws summed over its 1- and
-0-storing cells and v_bl, v_blb their mean trip points (_trip_points).
-characterize (ber_supply_sweep) draws each lottery once for every supply and
-counts each supply's wins from f (_closed_form_wins); calibration draws each
-frame once for both supplies, and f is linear in s, so image BER is a step
-function of sigma and each bisection step is a lookup (_LinearRaces).
-Both trust f under one rule, _closed_form_holds: s is at most
-_LINEAR_MAX_SPREAD, no current or trip point can reach its floor, trip
+0-storing cells and v_bl, v_blb their mean trip points.  One function,
+_race_margin, returns f and its tie band, _RACE_RTOL times the sum of f's two
+terms; characterize (ber_supply_sweep) and calibration both decide races with
+it.  f stands for the race only under one rule, _closed_form_holds (s is at
+most _LINEAR_MAX_SPREAD, no current or trip point can reach its floor, trip
 points stray no further from nominal than clipped currents, no scale is
-extreme, and no patch lies within _RACE_RTOL of a tie.  Anywhere else the
-race runs directly, so f only stands where it equals the direct race.
+extreme), and only for a patch whose f clears the band.  Anywhere else the
+race runs directly, so f only stands where it equals the direct race.  f and
+both its terms are linear in s, so a patch whose f clears the band with one
+sign at both ends of a spread range keeps that sign, clear of the band,
+everywhere in between: calibration settles such patches once for its whole
+bisection.
 
 Timing: clearing strobes 16 word lines per cycle; writing costs one cycle per
 on pixel; filtering costs two cycles (precharge + resolve) per row group.
@@ -383,8 +385,6 @@ def filter_in_memory_stack(
 # That bound grows as n^2 and reaches this band near n = 130.  On the default
 # characterize sweep the term ratios of the two forms differ by at most 1.1e-15.
 _RACE_RTOL = 1e-10
-# Closed-form races whose tie band is relatively wider than this are not trusted.
-_MAX_TIE_BAND = 1e-6
 # Largest effective spread the closed form handles.  Clipped currents then
 # stay above 4% of i_s: never floored, and never so small that rounding of a
 # single current matters.
@@ -393,9 +393,10 @@ _LINEAR_MAX_SPREAD = 0.24
 
 def _closed_form_holds(device: DeviceParams, s: float, sigma_vtrip: float,
                        trip_range: tuple[float, float]) -> bool:
-    """Whether f may stand in for the direct race at effective spread s, by
-    the module docstring's rule, each floor computed as _scale_lottery does;
-    each caller still refuses a patch within _RACE_RTOL of a tie."""
+    """Whether f may stand in for the direct race at effective spread s, for
+    trip-point draws spanning trip_range, by the module docstring's rule, each
+    floor computed as _scale_lottery does.  It fails from some s on, if at all.
+    Each patch must still clear the tie band of _race_margin."""
     i_s, v_nom = device.i_s_nominal, device.v_trip_nominal
     z_min, z_max = trip_range
     return (s <= _LINEAR_MAX_SPREAD and i_s - 4.0 * (s * i_s) > _CURRENT_FLOOR
@@ -405,11 +406,26 @@ def _closed_form_holds(device: DeviceParams, s: float, sigma_vtrip: float,
                     for x in (i_s, v_nom, device.c_bl, 1.0 + device.delta_c)))
 
 
-def _trip_points(sums: np.ndarray, counts, device: DeviceParams, sigma_vtrip: float):
-    """Mean trip points v_nom + sigma_vtrip * W / count, W = sums[side, 1]."""
-    means = sums[:, 1] * (sigma_vtrip / counts)
-    means += device.v_trip_nominal
-    return means
+def _race_margin(sums: np.ndarray, k, nn: int, device: DeviceParams, s: float,
+                 sigma_vtrip: float) -> tuple[np.ndarray, np.ndarray]:
+    """f at effective spread s for each patch, and its tie band: _RACE_RTOL
+    times the sum of f's two terms (module docstring).
+
+    sums[side, q] sum the clipped current (q = 0) and standard trip-point
+    (q = 1) draws over each patch's 1-storing (side 0) and 0-storing cells
+    (side 1); k is each patch's ones count, 0 < k < nn.
+    """
+    c_blb = 1.0 + device.delta_c
+    ones = sums[0, 1] * (sigma_vtrip / k)
+    ones += device.v_trip_nominal               # v_bl
+    ones *= sums[0, 0] * s + k                  # times i_blb / i_s
+    zeros = sums[1, 1] * (c_blb * sigma_vtrip / (nn - k))
+    zeros += c_blb * device.v_trip_nominal      # (1 + delta_c) v_blb
+    zeros *= sums[1, 0] * s + (nn - k)          # times i_bl / i_s
+    band = ones + zeros
+    band *= _RACE_RTOL
+    ones -= zeros
+    return ones, band
 
 
 # ---------------------------------------------------------------------------
@@ -467,30 +483,6 @@ def _ber_stat(n: int, k: int, patches: int, trials: int, pids: list, flips: list
     )
 
 
-def _closed_form_wins(sums: np.ndarray, k: int, nn: int, device: DeviceParams,
-                      variation: CellVariation, trip_range: tuple[float, float]) -> int | None:
-    """The patches where the 1-side wins (dt > 0), from the closed form of the
-    race, or None where it might differ from the direct race.
-
-    sums[side, q] sum the clipped current (q = 0) and standard trip-point
-    (q = 1) draws over each patch's 1-storing (side 0) and 0-storing cells
-    (side 1); the trip-point draws span trip_range.  The 1-side wins exactly
-    when f > 0 (module docstring).  The count is trusted where
-    _closed_form_holds and each |f| exceeds _RACE_RTOL of its terms.
-    """
-    s, sigma_v = variation.sigma_i_over_mu, variation.sigma_vtrip
-    if not _closed_form_holds(device, s, sigma_v, trip_range):
-        return None
-    c_blb = 1.0 + device.delta_c
-    side = np.array([k, nn - k], dtype=float).reshape(2, 1, 1)
-    terms = _trip_points(sums, side, device, sigma_v)     # v_bl, v_blb
-    terms *= sums[:, 0] * s + side              # times i_blb / i_s, i_bl / i_s
-    ratio = terms[0] / terms[1]                 # f > 0 iff ratio > 1 + delta_c
-    wins = np.count_nonzero(ratio > c_blb * (1.0 + _RACE_RTOL) / (1.0 - _RACE_RTOL))
-    losses = np.count_nonzero(ratio < c_blb * (1.0 - _RACE_RTOL) / (1.0 + _RACE_RTOL))
-    return wins if wins + losses == ratio.size else None
-
-
 def ber_supply_sweep(
     n: int, ks: Sequence[int], devices: Sequence[DeviceParams], variation: CellVariation,
     trials: int = 8, patterns: Literal["all"] | int = 16,
@@ -505,9 +497,9 @@ def ber_supply_sweep(
     neither the supply nor k, so each lottery is drawn once, one ahead
     (_lotteries).  Every patch holds the same pattern, so for each k a
     lottery reduces to per-patch sums of its standard draws, and a supply's
-    races to a closed-form sign on them (_closed_form_wins).  Where that sign
-    is not sure, _race_in_place races the tiled pattern on the lottery, scaled
-    at most once per supply.
+    races to the signs of f on them (_race_margin).  Where the rule fails or
+    any patch lies in its tie band, _race_in_place races the tiled pattern on
+    the lottery, scaled at most once per supply.
     """
     groups, per_group = _sweep_grid(n, ks, trials, patterns, geometry)
     ids = [_pattern_ids(n, k, patterns, variation.rng_seed) for k in ks]
@@ -530,12 +522,16 @@ def ber_supply_sweep(
                         _in_order([cells[:, i, jj] for i, jj in zip(*mask.nonzero())])
                         for mask in (ones, 1 - ones)])))
             for device, var, row_flips in zip(devices, scaled, flips):
+                s, sigma_v = var.sigma_i_over_mu, var.sigma_vtrip
+                trusted = _closed_form_holds(device, s, sigma_v, trip_range)
                 lottery = None          # the scaled lottery, made only for a direct race
                 for j, k, ones, sums in races:
-                    wins = _closed_form_wins(sums, k, nn, device, var, trip_range)
-                    if wins is not None:
-                        row_flips[j][pi] += nn * int(wins if k < threshold else patches - wins)
-                        continue
+                    if trusted:
+                        f, band = _race_margin(sums, k, nn, device, s, sigma_v)
+                        wins = np.count_nonzero(f > band)
+                        if wins + np.count_nonzero(f < -band) == patches:
+                            row_flips[j][pi] += nn * int(wins if k < threshold else patches - wins)
+                            continue
                     if lottery is None:
                         lottery = _scale_lottery(*z[:, :, :per_group * n].copy(), device, var)
                     tile = np.tile(ones, (groups, per_group))
@@ -629,90 +625,6 @@ def measure_image_ber(
     return total_flips / total_px
 
 
-class _LinearRaces:
-    """Unintended flips of measure_image_ber on `device` as a function of the
-    effective spread s, from one lottery draw per frame (see _linear_races).
-
-    A mixed patch's f is linear in s, f = A + s*B, so the patch is wrong
-    (outcome != majority) on one side of s* = -A/B only.  For each frame the
-    s* inside the bisection range are kept sorted, split by the side on which
-    the patch is wrong, and the flips at s are counted with searchsorted.
-
-    flips(s) is None where f could disagree with the direct race: s outside
-    s_range or where _closed_form_holds does not, an s* within rounding of
-    s, or a patch whose A is too small against its terms to trust.
-    """
-
-    def __init__(self, device: DeviceParams, sigma_vtrip: float, n: int,
-                 s_range: tuple[float, float]):
-        self.device, self.sigma_vtrip, self.range = device, sigma_vtrip, s_range
-        self.nn, self.threshold = n * n, KernelSpec(n).threshold
-        self.band = 0.0        # widest relative tie band of any mixed patch
-        self.constant = 0      # wrong patches whose s* lies outside s_range
-        self.up: list[np.ndarray] = []      # per frame, sorted s* of patches wrong above s*
-        self.down: list[np.ndarray] = []    # ... and of patches wrong below s*
-        self.trip_range = (math.inf, -math.inf)     # of the standard trip-point draws
-
-    def add(self, k, sums, trip_range: tuple[float, float]) -> None:
-        """One frame's mixed patches, their ones counts and the sums[side, q]
-        of _closed_form_wins, and the range of the frame's trip-point draws."""
-        nn = self.nn
-        s_lo, s_hi = self.range
-        self.trip_range = (min(self.trip_range[0], trip_range[0]),
-                           max(self.trip_range[1], trip_range[1]))
-        window = s_lo * (1.0 - 2 * _MAX_TIE_BAND), s_hi * (1.0 + 2 * _MAX_TIE_BAND)
-        v_bl, v_blb = _trip_points(sums, np.stack([k, nn - k]), self.device, self.sigma_vtrip)
-        v_blb *= 1.0 + self.device.delta_c
-        wrong_sign = np.where(k >= self.threshold, -1.0, 1.0)   # wrong iff sign * f > 0
-        a = wrong_sign * (v_bl * k - v_blb * (nn - k))
-        b = wrong_sign * (v_bl * sums[0, 0] - v_blb * sums[1, 0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            band = _RACE_RTOL * (v_bl * k + v_blb * (nn - k)) / np.abs(a)
-            crit = -a / b
-        self.band = max(self.band, float(band.max(initial=0.0)))
-        moving = (crit >= window[0]) & (crit <= window[1])
-        self.constant += int(np.count_nonzero(~moving & (a + math.sqrt(s_lo * s_hi) * b > 0)))
-        self.up.append(np.sort(crit[moving & (b > 0)]))
-        self.down.append(np.sort(crit[moving & (b < 0)]))
-
-    def flips(self, s: float) -> int | None:
-        if not (self.range[0] < s < self.range[1] and self.band <= _MAX_TIE_BAND
-                and _closed_form_holds(self.device, s, self.sigma_vtrip, self.trip_range)):
-            return None
-        near = s * (1.0 - 2 * self.band), s * (1.0 + 2 * self.band)
-        wrong = self.constant
-        for up, down in zip(self.up, self.down):
-            for crit in (up, down):
-                if crit.searchsorted(near[1], "right") > crit.searchsorted(near[0], "left"):
-                    return None
-            wrong += int(up.searchsorted(s)) + len(down) - int(down.searchsorted(s))
-        return self.nn * wrong
-
-
-def _linear_races(
-    frames: Sequence[BinaryFrame], variation: CellVariation, n: int,
-    closed_forms: Sequence[tuple[DeviceParams, tuple[float, float]]],
-) -> list[_LinearRaces]:
-    """One _LinearRaces per (device, spread range) over `frames`, drawing and
-    summing each frame's lottery (seed rng_seed + index) once for all."""
-    if not frames:
-        raise InvalidParamsError("need at least one frame")
-    races = [_LinearRaces(device, variation.sigma_vtrip, n, s_range)
-             for device, s_range in closed_forms]
-    draws = ((frame.pixels.shape, variation.rng_seed + idx) for idx, frame in enumerate(frames))
-    with closing(_lotteries(draws)) as lotteries:
-        for frame, z in zip(frames, lotteries):
-            _patch_grid(frame.height, frame.width, n)        # rows must be a multiple of n
-            ones = frame.pixels != 0
-            k = patch_sums(ones.astype(np.intp), n)
-            mixed = (k > 0) & (k < n * n)
-            sums = np.stack([_split_sums(planes, ones, n) for planes in z], axis=1)[:, :, mixed]
-            trip_range = float(z[1].min()), float(z[1].max())
-            for races_at in races:
-                races_at.add(k[mixed], sums, trip_range)
-    return races
-
-
 def calibrate_current_sigma(
     frames: Sequence[BinaryFrame], device_low: DeviceParams, device_high: DeviceParams,
     variation: CellVariation, target_ber: float = 2e-4,
@@ -722,12 +634,20 @@ def calibrate_current_sigma(
     target_ber on `frames`, then report the high-supply BER on the same seeds.
 
     Image BER is monotone in the spread, so a log-space bisection suffices.
-    Each BER is the count of a _LinearRaces at its supply, or a direct
-    measure_image_ber where that count could differ from it.
+    Each frame's lottery (seed rng_seed + index) is drawn, one ahead
+    (_lotteries), and summed per mixed patch once.  A patch whose f clears
+    its tie band with one sign at both ends of each supply's trusted spreads,
+    [effective(lo), min(effective(hi), _LINEAR_MAX_SPREAD)], is counted once;
+    each BER then evaluates f on the rest, or runs measure_image_ber where
+    the rule fails or a patch lies in its band.
     """
     lo, hi = sigma_bounds
-    if not 0 < lo < hi:
+    if not (0 < lo < hi and math.isfinite(hi)):
         raise InvalidParamsError(f"bad sigma bounds {sigma_bounds}")
+    if not (0 < target_ber < 1 and iters >= 0):
+        raise InvalidParamsError(f"need 0 < target_ber < 1, iters >= 0; got {target_ber}, {iters}")
+    if not frames:
+        raise InvalidParamsError("need at least one frame")
 
     def at(sigma: float) -> CellVariation:
         return replace(variation, sigma_i_over_mu=sigma)
@@ -735,27 +655,56 @@ def calibrate_current_sigma(
     def effective(sigma: float, device: DeviceParams) -> float:
         return variation_at_device(at(sigma), device).sigma_i_over_mu
 
-    low, high = _linear_races(frames, variation, n, [
-        (device, (effective(lo, device), effective(hi, device)))
-        for device in (device_low, device_high)
-    ])
+    devices, sigma_v = (device_low, device_high), variation.sigma_vtrip
+    ends = [(effective(lo, d), min(effective(hi, d), _LINEAR_MAX_SPREAD)) for d in devices]
+    nn, threshold = n * n, KernelSpec(n).threshold
+    settled = [0] * len(devices)        # wrong patches, per supply, settled at every supply
+    kept_k, kept_sums = np.empty(0, np.intp), np.empty((2, 2, 0))   # unsettled at some supply
+    trip_range = (math.inf, -math.inf)  # of the standard trip-point draws
+    draws = ((frame.pixels.shape, variation.rng_seed + idx) for idx, frame in enumerate(frames))
+    with closing(_lotteries(draws)) as lotteries:
+        for frame, z in zip(frames, lotteries):
+            _patch_grid(frame.height, frame.width, n)        # rows must be a multiple of n
+            ones = frame.pixels != 0
+            k = patch_sums(ones.astype(np.intp), n)
+            mixed = (k > 0) & (k < nn)
+            k = k[mixed]
+            sums = np.stack([_split_sums(planes, ones, n) for planes in z], axis=1)[:, :, mixed]
+            trip_range = (min(trip_range[0], float(z[1].min())),
+                          max(trip_range[1], float(z[1].max())))
+            wrong, rest = [], False
+            for device, bracket in zip(devices, ends):
+                one = zero = True       # the patch comes out 1 (0) over the whole bracket
+                for s in bracket:
+                    f, band = _race_margin(sums, k, nn, device, s, sigma_v)
+                    one, zero = one & (f > band), zero & (f < -band)
+                    del f, band         # before the next margin, to keep the peak down
+                wrong.append(np.where(k >= threshold, zero, one))
+                rest = rest | ~(one | zero)
+            for i, w in enumerate(wrong):
+                settled[i] += int(np.count_nonzero(w & ~rest))
+            kept_k = np.concatenate([kept_k, k[rest]])     # a piece per frame raised peak RSS
+            kept_sums = np.concatenate([kept_sums, sums[:, :, rest]], axis=-1)
     total_px = sum(frame.width * frame.height for frame in frames)
 
-    def ber_at(races: _LinearRaces, sigma: float) -> float:
-        flips = races.flips(effective(sigma, races.device))
-        if flips is None:
-            return measure_image_ber(frames, races.device, at(sigma), n)
-        return flips / total_px
+    def ber_at(i: int, sigma: float) -> float:
+        device, s = devices[i], effective(sigma, devices[i])
+        if _closed_form_holds(device, s, sigma_v, trip_range):
+            f, band = _race_margin(kept_sums, kept_k, nn, device, s, sigma_v)
+            if np.all(np.abs(f) > band):
+                wrong = settled[i] + int(np.count_nonzero((f > 0) != (kept_k >= threshold)))
+                return nn * wrong / total_px
+        return measure_image_ber(frames, device, at(sigma), n)
 
     for _ in range(iters):
         mid = math.sqrt(lo * hi)
-        if ber_at(low, mid) < target_ber:
+        if ber_at(0, mid) < target_ber:
             lo = mid
         else:
             hi = mid
     fitted = math.sqrt(lo * hi)
     return CalibrationResult(
         sigma_i_over_mu=fitted,
-        ber_low_vdd=ber_at(low, fitted),
-        ber_high_vdd=ber_at(high, fitted),
+        ber_low_vdd=ber_at(0, fitted),
+        ber_high_vdd=ber_at(1, fitted),
     )

@@ -461,11 +461,22 @@ def test_measure_image_ber_zero_variation_is_zero():
         measure_image_ber([], d, NO_VARIATION)
 
 
-def test_calibrate_rejects_bad_bounds():
+def test_calibrate_rejects_bad_bounds(monkeypatch):
     d = DeviceParams(vdd=0.7)
     frames = [BinaryFrame.zeros(6, 6)]
     with pytest.raises(InvalidParamsError):
         calibrate_current_sigma(frames, d, DeviceParams(vdd=1.2), NO_VARIATION, sigma_bounds=(0.5, 0.5))
+
+    def drawn(*args):
+        raise AssertionError("a lottery was drawn")
+
+    monkeypatch.setattr(sram_macro, "_standard_draws", drawn)
+    for bad in [dict(target_ber=math.nan), dict(target_ber=-1.0), dict(target_ber=0.0),
+                dict(target_ber=1.0), dict(target_ber=2.0), dict(iters=-3),
+                dict(sigma_bounds=(2e-3, math.inf)), dict(sigma_bounds=(math.nan, 0.5)),
+                dict(sigma_bounds=(2e-3, math.nan))]:
+        with pytest.raises(InvalidParamsError):
+            calibrate_current_sigma(frames, d, DeviceParams(vdd=1.2), NO_VARIATION, **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +724,13 @@ def test_supply_sweep_joins_its_draw_thread(monkeypatch):
     kwargs = dict(trials=2, patterns=3, geometry=MacroGeometry(rows=12, cols=20))
     want = ber_supply_sweep(*args, **kwargs)
     calls = []
-    closed_form_wins = sram_macro._closed_form_wins
+    race_margin = sram_macro._race_margin
 
     def failing(*a):
         calls.append(a)
-        if len(calls) == 5:     # one call per supply and k: the third lottery's first
+        if len(calls) == 3:     # one call per lottery, at 1.2 V: 0.7 V races directly
             raise RuntimeError("third lottery")
-        return closed_form_wins(*a)
+        return race_margin(*a)
 
     before = threading.active_count()
     interval = sys.getswitchinterval()
@@ -727,7 +738,7 @@ def test_supply_sweep_joins_its_draw_thread(monkeypatch):
     try:
         assert ber_supply_sweep(*args, **kwargs) == want
         assert threading.active_count() == before
-        monkeypatch.setattr(sram_macro, "_closed_form_wins", failing)
+        monkeypatch.setattr(sram_macro, "_race_margin", failing)
         with pytest.raises(RuntimeError, match="third lottery") as raised:
             ber_supply_sweep(*args, **kwargs)
         assert threading.active_count() == before   # joined while the traceback holds the frame
@@ -844,25 +855,57 @@ def test_calibration_on_frames_of_two_shapes_is_pinned():
         0.09788328012603692, 0.017361111111111112, 0.0)
 
 
-def test_linear_races_refuse_a_spread_at_a_critical_point():
+def test_calibration_joins_its_draw_thread(monkeypatch):
+    frames = _noise(5, 12, 20, 0.45, 4)
+    args = (DeviceParams(vdd=0.7), DeviceParams(vdd=1.2), CellVariation(rng_seed=2))
+    want = calibrate_current_sigma(frames, *args, target_ber=2e-2)
+    calls = []
+    race_margin = sram_macro._race_margin
+
+    def failing(*a):
+        calls.append(a)
+        if len(calls) == 9:     # two supplies, two spreads each: the third frame's first
+            raise RuntimeError("third frame")
+        return race_margin(*a)
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter allows
+    try:
+        assert calibrate_current_sigma(frames, *args, target_ber=2e-2) == want
+        assert threading.active_count() == before
+        monkeypatch.setattr(sram_macro, "_race_margin", failing)
+        with pytest.raises(RuntimeError, match="third frame") as raised:
+            calibrate_current_sigma(frames, *args, target_ber=2e-2)
+        assert threading.active_count() == before   # joined while the traceback holds the frame
+        assert len(calls) == 9
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_calibration_refuses_a_spread_at_a_critical_point(ber_calls):
     frames = _noise(2, 30, 30, 0.45, 9)
-    d = DeviceParams(vdd=0.7)
-    races, = sram_macro._linear_races(frames, CellVariation(rng_seed=2), 3,
-                                      [(d, (0.01, 0.2))])
-    crit = np.concatenate(races.up + races.down)
+    low, high, var = DeviceParams(vdd=0.7), DeviceParams(vdd=1.2), CellVariation(rng_seed=2)
+    # f = a + s*b for each mixed patch of frame 0, on its lottery
+    ones = frames[0].pixels != 0
+    k = sram_macro.patch_sums(ones.astype(np.intp), 3)
+    mixed = (k > 0) & (k < 9)
+    sums = np.stack([sram_macro._split_sums(planes, ones, 3)
+                     for planes in sram_macro._standard_draws((30, 30), 2)], axis=1)[:, :, mixed]
+    a, _ = sram_macro._race_margin(sums, k[mixed], 9, low, 0.0, var.sigma_vtrip)
+    b = sram_macro._race_margin(sums, k[mixed], 9, low, 1.0, var.sigma_vtrip)[0] - a
+    crit = -a / b
     crit = crit[(crit > 0.02) & (crit < 0.19)]
     assert crit.size
-    s = float(crit[crit.size // 2])
-    below, above = races.flips(s * (1 - 1e-4)), races.flips(s * (1 + 1e-4))
-    assert races.flips(s) is None
-    assert below is not None and above is not None and abs(above - below) >= 9
-    for probe in (s * (1 - 1e-4), s * (1 + 1e-4), 0.05):
-        var = replace(CellVariation(rng_seed=2), sigma_i_over_mu=probe * d.overdrive / 0.65)
-        eff = variation_at_device(var, d).sigma_i_over_mu
-        flips = races.flips(eff)
-        if flips is not None:
-            assert flips / (2 * 900) == measure_image_ber(frames, d, var)
-    assert races.flips(0.25) is None       # past the closed form's spread limit
+    # the reference sigma whose effective spread at 0.7 V is a critical spread
+    sigma = float(crit[crit.size // 2]) / variation_at_device(
+        replace(var, sigma_i_over_mu=1.0), low).sigma_i_over_mu
+    bounds = (sigma / 1.5, sigma * 1.5)
+    fit = calibrate_current_sigma(frames, low, high, var, target_ber=2e-3, sigma_bounds=bounds,
+                                  iters=8)
+    assert ber_calls[:1] == [math.sqrt(bounds[0] * bounds[1])]     # the first step runs directly
+    assert (fit.sigma_i_over_mu, fit.ber_low_vdd, fit.ber_high_vdd) == _direct_fit(
+        frames, low, high, var, 2e-3, bounds, 8)
 
 
 @settings(max_examples=25)
@@ -881,18 +924,12 @@ def test_closed_forms_equal_the_direct_race(i_s, v_trip, delta_c, trip_spread, s
     supplies = [DeviceParams(vdd=v, delta_c=delta_c, i_s_nominal=i_s, v_trip_nominal=v_trip)
                 for v in (0.7, 1.2)]
     ref = CellVariation(spread, trip_spread * supplies[0].v_trip_nominal, rng_seed=seed)
-    sigmas = [spread * f for f in (0.6, 1.0, 1.5)]
-
-    def effective(sigma, d):
-        return variation_at_device(replace(ref, sigma_i_over_mu=sigma), d).sigma_i_over_mu
-
-    for d, races in zip(supplies, sram_macro._linear_races(frames, ref, 3, [
-            (d, (effective(0.5 * spread, d), effective(2 * spread, d))) for d in supplies])):
-        for sigma in sigmas:
-            flips = races.flips(effective(sigma, d))
-            if flips is not None:
-                assert flips / (2 * 9 * 12) == measure_image_ber(
-                    frames, d, replace(ref, sigma_i_over_mu=sigma))
+    bounds = (0.5 * spread, 2 * spread)
+    for target in (2e-2, 1e-1):
+        fit = calibrate_current_sigma(frames, *supplies, ref, target_ber=target,
+                                      sigma_bounds=bounds, iters=8)
+        assert (fit.sigma_i_over_mu, fit.ber_low_vdd, fit.ber_high_vdd) == _direct_fit(
+            frames, *supplies, ref, target, bounds, 8)
     geom = MacroGeometry(rows=9, cols=14)
     got = ber_supply_sweep(3, [3, 4, 5], supplies, ref, trials=2, patterns=3, geometry=geom)
     for d, per_k in zip(supplies, got):

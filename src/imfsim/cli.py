@@ -85,27 +85,33 @@ def cmd_denoise(cfg, args, out: Path) -> int:
         args.events, cfg.frame_config())
     header = ["frame_index", "input_ones", "output_ones", "valid_frame"]
     if args.filter == "imc":
-        from .sram_macro import filter_in_memory_stack, variation_at_device
+        from .sram_macro import filter_in_memory_stack, lottery_stream, variation_at_device
         device = cfg.device()
         variation = variation_at_device(cfg.variation(), device)
         header += ["flips_intended", "flips_unintended", "ber", "cycles"]
     else:
         from .filters import median_filter_overlap_stack, nomf_stack
         kernel = median_filter_overlap_stack if args.filter == "omf" else nomf_stack
-    rows = []
-    for first, chunk in frames:
-        ones = [int(px.sum()) for px in chunk]  # before the macro filters the chunk in place
-        if args.filter == "imc":
-            results = chunk
-            extras = [(valid, intended, unintended, unintended / chunk[0].size, cycles)
-                      for valid, intended, unintended, cycles in filter_in_memory_stack(
-                          chunk, cfg.seed + first, device, variation, cfg.n)]
-        else:
-            results = kernel(chunk, cfg.n)
-            extras = [(int(px.any()),) for px in results]
-        rows += [(idx, n_in, int(res.sum()), *extra) for idx, (n_in, res, extra)
-                 in enumerate(zip(ones, results, extras), first)]
-        _write_frames(results, out / "frames", first)
+    rows, lotteries = [], None
+    with contextlib.ExitStack() as run:
+        for first, chunk in frames:
+            ones = [int(px.sum()) for px in chunk]  # before the macro filters the chunk in place
+            if args.filter == "imc":
+                if lotteries is None:
+                    # One stream for the run, seeded cfg.seed + frame index; closing it as
+                    # the run ends or raises, a reader error included, joins its worker.
+                    lotteries = run.enter_context(
+                        contextlib.closing(lottery_stream(chunk.shape[1:], cfg.seed)))
+                results = chunk
+                extras = [(valid, intended, unintended, unintended / chunk[0].size, cycles)
+                          for valid, intended, unintended, cycles in filter_in_memory_stack(
+                              chunk, lotteries, device, variation, cfg.n)]
+            else:
+                results = kernel(chunk, cfg.n)
+                extras = [(int(px.any()),) for px in results]
+            rows += [(idx, n_in, int(res.sum()), *extra) for idx, (n_in, res, extra)
+                     in enumerate(zip(ones, results, extras), first)]
+            _write_frames(results, out / "frames", first)
     _write_csv(out / "report.csv", header, rows)
     return 0
 

@@ -44,7 +44,8 @@ from .errors import (
 )
 from .params import MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH, FrameConfig
 
-FRAME_CHUNK = 64    # frames per chunk of a streamed recording
+FRAME_CHUNK = 16    # frames per chunk of a streamed recording
+EVENT_BATCH = 1 << 13   # events per batch drawn (synth.event_batches) or formatted and written
 MAX_RECORDING_FRAMES = 1 << 17  # windows an event recording may span: 2.4 h at t_f = 66 ms
 
 
@@ -156,7 +157,6 @@ class BinaryFrame:
 
 # np.fromstring saturates a value beyond int64 at its maximum, as strtoll does.
 _INT64_MAX = np.iinfo(np.int64).max
-_WRITE_CHUNK = 1 << 20    # events formatted per write
 _READ_BLOCK = 1 << 18     # bytes of event text read per block
 # The whitespace int() skips around a number; str.strip() would also drop \x1c-\x1f.
 _INT_SPACE = " \t\n\r\x0b\x0c"
@@ -282,8 +282,8 @@ def write_event_stream(events, dest: Union[str, Path, BinaryIO]) -> None:
     or on to the end of an open binary file."""
     with open(dest, "wb") if isinstance(dest, (str, Path)) else contextlib.nullcontext(dest) as fh:
         for batch in [events] if isinstance(events, EventArray) else events:
-            for lo in range(0, len(batch), _WRITE_CHUNK):
-                fh.write(_format_rows(batch, slice(lo, lo + _WRITE_CHUNK)))
+            for lo in range(0, len(batch), EVENT_BATCH):
+                fh.write(_format_rows(batch, slice(lo, lo + EVENT_BATCH)))
 
 
 def _format_rows(events: EventArray, rows: slice) -> bytes:

@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -147,6 +147,13 @@ def _lotteries(draws: Iterable[tuple[tuple[int, ...], int]]) -> Iterator[np.ndar
                 yield current.result()
         if ahead is not None:
             yield ahead.result()
+
+
+def lottery_stream(shape: tuple[int, ...], first_seed: int) -> Iterator[np.ndarray]:
+    """The _standard_draws of seeds first_seed, first_seed + 1, ... for
+    arrays of `shape`, without end, each drawn one ahead (_lotteries).  Close
+    it to join its worker."""
+    return _lotteries((shape, seed) for seed in count(first_seed))
 
 
 def _scale_lottery(
@@ -352,24 +359,24 @@ def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterR
 
 
 def filter_in_memory_stack(
-    frames: np.ndarray, first_seed: int, device: DeviceParams, variation: CellVariation, n: int
+    frames: np.ndarray, lotteries: Iterator[np.ndarray], device: DeviceParams,
+    variation: CellVariation, n: int
 ) -> list[tuple[int, int, int, int]]:
     """Load, filter and read back every frame of a (frames, height, width)
     uint8 stack in place, as init_macro + load_frame + filter_in_memory would
-    with lottery seed first_seed + index; `variation` is already scaled to
-    the device.  Returns one (valid_frame, flips_intended, flips_unintended,
-    cycles) row per frame; cycles count the clear, one write per on pixel
-    and the filter.  Each lottery is drawn one ahead (_lotteries).
+    with the next standard draws of `lotteries` (lottery_stream) as each
+    frame's lottery; `variation` is already scaled to the device.  Returns
+    one (valid_frame, flips_intended, flips_unintended, cycles) row per
+    frame; cycles count the clear, one write per on pixel and the filter.
     """
-    count, rows, cols = frames.shape
+    _, rows, cols = frames.shape
     geometry = frame_geometry(rows, cols, n)
     fixed_cycles = -(-rows // geometry.clear_group) + 2 * (rows // n)
     reports = []
-    with closing(_lotteries(((rows, cols), first_seed + i) for i in range(count))) as lotteries:
-        for frame, z in zip(frames, lotteries):
-            written = int(np.count_nonzero(frame))
-            flips = _race_in_place(frame, *_scale_lottery(*z, device, variation), n, device)
-            reports.append((int(frame.any()), *flips, fixed_cycles + written))
+    for frame, z in zip(frames, lotteries):
+        written = int(np.count_nonzero(frame))
+        flips = _race_in_place(frame, *_scale_lottery(*z, device, variation), n, device)
+        reports.append((int(frame.any()), *flips, fixed_cycles + written))
     return reports
 
 

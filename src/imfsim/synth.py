@@ -29,7 +29,6 @@ OBJECT_SIZES: dict[str, tuple[tuple[int, int], ...]] = {
     "bike": ((15, 21), (17, 22), (26, 44)),
     "truck": ((22, 50), (35, 61), (50, 104)),
 }
-EVENT_BATCH = 1 << 15   # events per frames_to_events call in event_batches
 BOX_HEADER = ["frame_index", "track_id", "class", "x", "y", "w", "h"]
 
 
@@ -217,14 +216,14 @@ def frames_to_events(stack: np.ndarray, t_f: int = 66_000, t0: int = 0) -> Event
 
 def event_batches(stack: np.ndarray, t_f: int = 66_000, t0: int = 0) -> Iterator[EventArray]:
     """frames_to_events of a stack, as consecutive runs of frames holding at
-    most EVENT_BATCH events each (a frame holding more is a run alone).
+    most frames.EVENT_BATCH events each (a frame holding more is a run alone).
 
     A recording streamed as chunks passes each chunk with t0 = its first frame
     index * t_f, so the epochs continue across chunks.
     """
     lo = events = 0
     for hi, ones in enumerate(stack.sum(axis=(1, 2)).tolist()):
-        if events + ones > EVENT_BATCH and hi > lo:
+        if events + ones > _frames.EVENT_BATCH and hi > lo:
             yield frames_to_events(stack[lo:hi], t_f, t0 + lo * t_f)
             lo, events = hi, 0
         events += ones

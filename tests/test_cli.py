@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -412,8 +413,43 @@ def test_a_late_bad_line_removes_the_out_it_created(tmp_path, capsys, monkeypatc
     out = tmp_path / "out"
     assert run_cli(command, "--events", events, "--config", cfg, "--out", out) == 2
     assert "malformed event line 2001: non-integer field" in capsys.readouterr().err
-    assert len(written) == 64  # the first chunk was out before the bad line was read
+    # the bad line's block starts in window 88: every chunk before it was out
+    assert len(written) == 88 // imfsim.frames.FRAME_CHUNK * imfsim.frames.FRAME_CHUNK
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["events", "frames"])
+def test_a_reader_error_joins_the_lottery_stream(tmp_path, monkeypatch, source):
+    if source == "events":
+        monkeypatch.setattr(imfsim.frames, "_READ_BLOCK", 4096)  # five chunks precede the bad line
+        path, cfg = _late_bad_line_recording(tmp_path)
+        argv = ["--events", path, "--config", cfg]
+    else:
+        path = tmp_path / "frames"
+        path.mkdir()
+        for i in range(imfsim.frames.FRAME_CHUNK + 3):
+            write_pbm(BinaryFrame.zeros(12, 9), path / f"frame_{i:05d}.pbm")
+        bad = path / f"frame_{imfsim.frames.FRAME_CHUNK + 1:05d}.pbm"  # in the second chunk
+        bad.write_bytes(bad.read_bytes()[:-1])
+        argv = ["--frames", path]
+    counts = []
+
+    class Stderr(io.StringIO):
+        """Counts the threads as main reports the error, while the exception's
+        traceback still holds the command's frame and any stream it left open."""
+
+        def write(self, text):
+            counts.append(threading.active_count())
+            return super().write(text)
+
+    before, err, out = threading.active_count(), Stderr(), tmp_path / "out"
+    with contextlib.redirect_stderr(err):
+        assert run_cli("simulate", *argv, "--out", out) == 2
+    assert ("malformed event line 2001" if source == "events" else "truncated PBM body"
+            ) in err.getvalue()
+    assert not out.exists()
+    assert counts and set(counts) == {before}
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("command", ["denoise", "simulate"])
@@ -514,6 +550,49 @@ def test_gen_streams_in_bounded_memory(tmp_path):
     small, large = peak(3 * imfsim.frames.FRAME_CHUNK), peak(6 * imfsim.frames.FRAME_CHUNK)
     # three more chunks of 240 x 180 frames held at once would take 8.3 MB
     assert large <= small + 65536
+
+
+@pytest.fixture(scope="module")
+def long_recording(tmp_path_factory):
+    """A 96-frame traffic recording: six 16-frame chunks."""
+    root = tmp_path_factory.mktemp("long")
+    cfg = root / "gen.cfg"
+    cfg.write_text("n_frames = 96\n")
+    assert run_cli("gen", "--events", "--config", cfg, "--out", root / "data") == 0
+    return root
+
+
+# Peak traced bytes of one run on long_recording, about 25% above those read
+# with 16-frame chunks and 8,192-event batches (2.0, 4.3, 3.6, 3.0 and
+# 2.9 MB).  With 64-frame chunks and 32,768-event batches the same runs
+# peaked at 5.9, 10.5, 11.2, 5.0 and 11.2 MB.
+WORKING_SET_BOUNDS = {
+    "gen-events": 2.5e6,
+    "denoise-events": 5.4e6,
+    "omf": 4.5e6,
+    "simulate": 3.75e6,
+    "track-eval": 3.65e6,
+}
+
+
+@pytest.mark.parametrize("name", WORKING_SET_BOUNDS)
+def test_streamed_commands_hold_a_bounded_working_set(long_recording, tmp_path, name):
+    data = long_recording / "data"
+    argv = {
+        "gen-events": ["gen", "--events", "--config", long_recording / "gen.cfg"],
+        "denoise-events": ["denoise", "--events", data / "events.txt"],
+        "omf": ["denoise", "--frames", data / "frames", "--filter", "omf"],
+        "simulate": ["simulate", "--frames", data / "frames"],
+        "track-eval": ["track-eval", "--frames", data / "frames", "--gt", data / "gt.csv"],
+    }[name]
+    assert run_cli(*argv, "--out", tmp_path / "warm-up") == 0  # first-call allocations
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv, "--out", tmp_path / "out") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WORKING_SET_BOUNDS[name]
 
 
 def test_gen_noise_kind(tmp_path):
@@ -861,6 +940,8 @@ def test_characterize_trees_do_not_depend_on_the_closed_form(
 @pytest.mark.parametrize("name", ["nomf", "simulate", "nomf-events", "simulate-events",
                                   "track-eval", "gen-events", "gen-noise-events"])
 def test_output_trees_do_not_depend_on_the_chunk_size(traffic_dir, tmp_path, monkeypatch, name):
-    # the 40-frame recordings are read or drawn as chunks of 16, 16 and 8 frames
-    monkeypatch.setattr(imfsim.frames, "FRAME_CHUNK", 16)
-    assert_golden_tree(traffic_dir, tmp_path, name)
+    # 7 does not divide the 40-frame recordings; 64 holds each in one chunk
+    for chunk in (7, 64):
+        monkeypatch.setattr(imfsim.frames, "FRAME_CHUNK", chunk)
+        (tmp_path / str(chunk)).mkdir()
+        assert_golden_tree(traffic_dir, tmp_path / str(chunk), name)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from imfsim.sram_macro import (
     filter_in_memory_stack,
     init_macro,
     load_frame,
+    lottery_stream,
     measure_image_ber,
     pattern_to_patch,
     patch_error_trials,
@@ -44,6 +46,12 @@ def uniform_lottery(device, n=3):
     cur = np.full((n, n), device.i_s_nominal)
     vtr = np.full((n, n), device.v_trip_nominal)
     return cur, vtr
+
+
+def filter_stack(frames, first_seed, device, variation, n):
+    """filter_in_memory_stack on a lottery stream of its own, seeded first_seed."""
+    with closing(lottery_stream(frames.shape[1:], first_seed)) as lotteries:
+        return filter_in_memory_stack(frames, lotteries, device, variation, n)
 
 
 def race_patch(patch, cur, vtr, device):
@@ -544,7 +552,7 @@ def test_filter_stack_matches_per_frame_macro_and_oracle(
     rng = np.random.default_rng(first_seed % 2**32)
     frames = (rng.random((count, height, width)) < density).astype(np.uint8)
     stack = frames.copy()
-    reports = filter_in_memory_stack(stack, first_seed, d, v, n)
+    reports = filter_stack(stack, first_seed, d, v, n)
     assert len(reports) == count
     for i, (px, got, report) in enumerate(zip(frames, stack, reports)):
         state = init_macro(MacroGeometry(rows=height, cols=width), d,
@@ -569,14 +577,14 @@ def test_filter_stack_loses_no_frame_with_more_threads_than_cores():
     frames = (rng.random((32, 24, 40)) < 0.5).astype(np.uint8)
     d, v = DeviceParams(vdd=0.7), CellVariation(0.3, 0.01)
     want = frames.copy()    # one frame per call: each lottery is drawn before its race
-    want_reports = [filter_in_memory_stack(want[i:i + 1], 11 + i, d, v, 3)[0]
+    want_reports = [filter_stack(want[i:i + 1], 11 + i, d, v, 3)[0]
                     for i in range(len(want))]
     got, result = frames.copy(), {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter allows
     try:
         caller = threading.Thread(target=lambda: result.update(
-            reports=filter_in_memory_stack(got, 11, d, v, 3)))
+            reports=filter_stack(got, 11, d, v, 3)))
         caller.start()
         caller.join(timeout=60)
     finally:
@@ -603,11 +611,11 @@ def test_filter_stack_joins_its_draw_thread(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter allows
     try:
-        filter_in_memory_stack(frames.copy(), *args)
+        filter_stack(frames.copy(), *args)
         assert threading.active_count() == before
         monkeypatch.setattr(sram_macro, "_race_in_place", failing)
         with pytest.raises(RuntimeError, match="third frame") as raised:
-            filter_in_memory_stack(frames.copy(), *args)
+            filter_stack(frames.copy(), *args)
         assert threading.active_count() == before   # joined while the traceback holds the frame
         assert len(calls) == 3
     finally:
@@ -744,6 +752,36 @@ def test_supply_sweep_joins_its_draw_thread(monkeypatch):
         assert threading.active_count() == before   # joined while the traceback holds the frame
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_supply_sweep_races_a_patch_in_the_tie_band_directly(monkeypatch):
+    # one lottery of one 3 x 3 patch holding a 4-ones pattern
+    variation, geometry = CellVariation(0.05, 0.01), MacroGeometry(rows=3, cols=3)
+
+    def sweep(delta_c, form="banded"):
+        with monkeypatch.context() as m:
+            if form == "direct":
+                m.setattr(sram_macro, "_closed_form_holds", lambda *args: False)
+            elif form == "unbanded":
+                m.setattr(sram_macro, "_RACE_RTOL", 0.0)
+            return ber_supply_sweep(3, [4], [DeviceParams(vdd=0.7, delta_c=delta_c)],
+                                    variation, trials=1, patterns=1, geometry=geometry)
+
+    # bisect delta_c to the two adjacent doubles across the direct race's tie
+    lo, hi = -0.9, 0.9
+    below = sweep(lo, "direct")
+    assert sweep(hi, "direct") != below
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if sweep(mid, "direct") == below else (lo, mid)
+    # step away from the tie until the sign of f alone disagrees with the race
+    up, down = [hi], [lo]
+    for _ in range(63):
+        up.append(np.nextafter(up[-1], 1.0))
+        down.append(np.nextafter(down[-1], -1.0))
+    delta_c = next((x for pair in zip(up, down) for x in pair
+                    if sweep(x, "unbanded") != sweep(x, "direct")), None)
+    assert delta_c is not None, "no delta_c near the tie where f's sign misleads"
+    assert sweep(delta_c) == sweep(delta_c, "direct")
 
 
 # ---------------------------------------------------------------------------

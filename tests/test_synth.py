@@ -150,7 +150,7 @@ def test_list_wrapper_frames_survive_the_next_chunk(monkeypatch):
 def test_event_batches_carry_the_epoch_across_chunks(monkeypatch):
     frames, _ = traffic_dataset(n_frames=20, seed=2)
     whole = frames_to_events(stack(frames), t_f=1000)
-    monkeypatch.setattr("imfsim.synth.EVENT_BATCH", 500)
+    monkeypatch.setattr("imfsim.frames.EVENT_BATCH", 500)
     batches = [batch for first in range(0, 20, 6)
                for batch in event_batches(stack(frames[first:first + 6]), 1000, first * 1000)]
     assert all(len(b) <= 500 or len(np.unique(b.t)) == 1 for b in batches)

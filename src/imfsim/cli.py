@@ -12,10 +12,11 @@ import argparse
 import contextlib
 import csv
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from .config import load_config, parse_float, parse_int
-from .errors import ImfsimError, shown
+from .errors import ImfsimError, InvalidParamsError, shown
 
 
 def __getattr__(name: str):
@@ -101,7 +102,7 @@ def cmd_denoise(cfg, args, out: Path) -> int:
                     # One stream for the run, seeded cfg.seed + frame index; closing it as
                     # the run ends or raises, a reader error included, joins its worker.
                     lotteries = run.enter_context(
-                        contextlib.closing(lottery_stream(chunk.shape[1:], cfg.seed)))
+                        contextlib.closing(lottery_stream(repeat(chunk.shape[1:]), cfg.seed)))
                 results = chunk
                 extras = [(valid, intended, unintended, unintended / chunk[0].size, cycles)
                           for valid, intended, unintended, cycles in filter_in_memory_stack(
@@ -166,7 +167,10 @@ def cmd_track_eval(cfg, args, out: Path) -> int:
 
 def cmd_gen(cfg, args, out: Path) -> int:
     from . import synth
-    from .frames import write_event_stream
+    from .frames import MAX_RECORDING_FRAMES, write_event_stream
+    if args.events and cfg.n_frames > MAX_RECORDING_FRAMES:  # before anything is written
+        raise InvalidParamsError(f"n_frames = {cfg.n_frames} with --events is past the "
+                                 f"{MAX_RECORDING_FRAMES}-frame limit of a recording")
     if args.kind == "noise":
         chunks = synth.noise_chunks(cfg.n_frames, cfg.width, cfg.height, cfg.salt_p, cfg.seed)
     else:
@@ -180,7 +184,8 @@ def cmd_gen(cfg, args, out: Path) -> int:
             _write_frames(chunk, out / "frames", first)
             gt(boxes)
             if events:
-                write_event_stream(synth.event_batches(chunk, cfg.t_f, first * cfg.t_f), events)
+                write_event_stream((synth.frames_to_events(px[None], cfg.t_f, i * cfg.t_f)
+                                    for i, px in enumerate(chunk, first)), events)
     return 0
 
 

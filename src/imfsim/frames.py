@@ -45,7 +45,7 @@ from .errors import (
 from .params import MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH, FrameConfig
 
 FRAME_CHUNK = 16    # frames per chunk of a streamed recording
-EVENT_BATCH = 1 << 13   # events per batch drawn (synth.event_batches) or formatted and written
+EVENT_BATCH = 1 << 13   # events write_event_stream formats and writes at a time
 MAX_RECORDING_FRAMES = 1 << 17  # windows an event recording may span: 2.4 h at t_f = 66 ms
 
 

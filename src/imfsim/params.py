@@ -20,6 +20,7 @@ from .errors import InvalidParamsError, shown
 # The filtering macro is 320 columns by 240 rows; frames must fit in it.
 MAX_FRAME_WIDTH = 320
 MAX_FRAME_HEIGHT = 240
+CLEAR_GROUP = 16    # word lines the macro strobes per clear cycle
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,9 @@ def variation_at_device(variation: CellVariation, device: DeviceParams) -> CellV
 class MacroGeometry:
     rows: int = MAX_FRAME_HEIGHT
     cols: int = MAX_FRAME_WIDTH
-    clear_group: int = 16       # word lines strobed per clear cycle
 
     def __post_init__(self):
-        if min(self.rows, self.cols, self.clear_group) <= 0:
+        if min(self.rows, self.cols) <= 0:
             raise InvalidParamsError(f"geometry fields must be positive: {self}")
 
 

@@ -63,15 +63,15 @@ from __future__ import annotations
 import math
 from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import combinations, count
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamsError
 from .frames import BinaryFrame
-from .params import (DEFAULT_GEOMETRY, MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH, CellVariation,
-                     DeviceParams, KernelSpec, MacroGeometry, variation_at_device)
+from .params import (CLEAR_GROUP, DEFAULT_GEOMETRY, MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH,
+                     CellVariation, DeviceParams, KernelSpec, MacroGeometry, variation_at_device)
 
 _CURRENT_FLOOR = 1e-12       # A, keeps clipped samples strictly positive
 _VTRIP_FLOOR = 1e-9          # V
@@ -133,27 +133,21 @@ def _standard_draws(shape: tuple[int, ...], seed: int) -> np.ndarray:
     return z
 
 
-def _lotteries(draws: Iterable[tuple[tuple[int, ...], int]]) -> Iterator[np.ndarray]:
-    """The _standard_draws of each (shape, seed) in turn.  One worker thread
-    draws the next while the caller uses the current one; it calls only this
-    private helper, as bench/spans.py's tracer is not thread-safe.  Closing
-    the generator joins the worker, also when the caller raises."""
+def lottery_stream(shapes: Iterable[tuple[int, ...]], first_seed: int) -> Iterator[np.ndarray]:
+    """The _standard_draws of seed first_seed + i for the i-th of `shapes`.
+    One worker thread draws the next while the caller uses the current one; it
+    calls only this private helper, as bench/spans.py's tracer is not
+    thread-safe.  Closing the generator joins the worker, also when the caller
+    raises."""
     from concurrent.futures import ThreadPoolExecutor  # only here, so startup stays lean
     with ThreadPoolExecutor(1) as pool:
         ahead = None
-        for shape, seed in draws:
+        for seed, shape in enumerate(shapes, first_seed):
             current, ahead = ahead, pool.submit(_standard_draws, shape, seed)
             if current is not None:
                 yield current.result()
         if ahead is not None:
             yield ahead.result()
-
-
-def lottery_stream(shape: tuple[int, ...], first_seed: int) -> Iterator[np.ndarray]:
-    """The _standard_draws of seeds first_seed, first_seed + 1, ... for
-    arrays of `shape`, without end, each drawn one ahead (_lotteries).  Close
-    it to join its worker."""
-    return _lotteries((shape, seed) for seed in count(first_seed))
 
 
 def _scale_lottery(
@@ -194,9 +188,9 @@ def init_macro(
 
 
 def clear_memory(state: MacroState) -> int:
-    """Zero the array, strobing clear_group word lines per cycle; returns cycles spent."""
+    """Zero the array, strobing CLEAR_GROUP word lines per cycle; returns cycles spent."""
     state.bits.fill(0)
-    cycles = -(-state.geometry.rows // state.geometry.clear_group)
+    cycles = -(-state.geometry.rows // CLEAR_GROUP)
     state.cycle_count += cycles
     return cycles
 
@@ -244,16 +238,6 @@ def _patch_grid(rows: int, cols: int, n: int) -> tuple[int, int]:
     if rows % n != 0:
         raise DimensionMismatchError(f"rows {rows} not divisible by n={n}")
     return rows // n, cols // n
-
-
-def frame_geometry(height: int, width: int, n: int) -> MacroGeometry:
-    """The macro region a height x width frame fills, checked to lie inside
-    the macro and to hold whole n-row groups."""
-    if height > DEFAULT_GEOMETRY.rows or width > DEFAULT_GEOMETRY.cols:
-        raise DimensionMismatchError(
-            f"frame {width}x{height} exceeds the {MAX_FRAME_WIDTH}x{MAX_FRAME_HEIGHT} macro")
-    _patch_grid(height, width, n)
-    return MacroGeometry(rows=height, cols=width)
 
 
 def _in_order(terms: list[np.ndarray]) -> np.ndarray:
@@ -370,8 +354,10 @@ def filter_in_memory_stack(
     frame; cycles count the clear, one write per on pixel and the filter.
     """
     _, rows, cols = frames.shape
-    geometry = frame_geometry(rows, cols, n)
-    fixed_cycles = -(-rows // geometry.clear_group) + 2 * (rows // n)
+    if rows > MAX_FRAME_HEIGHT or cols > MAX_FRAME_WIDTH:
+        raise DimensionMismatchError(
+            f"frame {cols}x{rows} exceeds the {MAX_FRAME_WIDTH}x{MAX_FRAME_HEIGHT} macro")
+    fixed_cycles = -(-rows // CLEAR_GROUP) + 2 * _patch_grid(rows, cols, n)[0]
     reports = []
     for frame, z in zip(frames, lotteries):
         written = int(np.count_nonzero(frame))
@@ -502,7 +488,7 @@ def ber_supply_sweep(
 
     The lottery seed rng_seed + pattern_index * trials + trial depends on
     neither the supply nor k, so each lottery is drawn once, one ahead
-    (_lotteries).  Every patch holds the same pattern, so for each k a
+    (lottery_stream).  Every patch holds the same pattern, so for each k a
     lottery reduces to per-patch sums of its standard draws, and a supply's
     races to the signs of f on them (_race_margin).  Where the rule fails or
     any patch lies in its tie band, _race_in_place races the tiled pattern on
@@ -515,8 +501,7 @@ def ber_supply_sweep(
     shape, count = (geometry.rows, geometry.cols), max(map(len, ids), default=0) * trials
     flips = [[[0] * len(pids) for pids in ids] for _ in devices]
 
-    draws = ((shape, variation.rng_seed + idx) for idx in range(count))
-    with closing(_lotteries(draws)) as lotteries:
+    with closing(lottery_stream(repeat(shape, count), variation.rng_seed)) as lotteries:
         for idx, z in enumerate(lotteries):
             pi = idx // trials
             cells = _cell_planes(z, n)
@@ -642,7 +627,7 @@ def calibrate_current_sigma(
 
     Image BER is monotone in the spread, so a log-space bisection suffices.
     Each frame's lottery (seed rng_seed + index) is drawn, one ahead
-    (_lotteries), and summed per mixed patch once.  A patch whose f clears
+    (lottery_stream), and summed per mixed patch once.  A patch whose f clears
     its tie band with one sign at both ends of each supply's trusted spreads,
     [effective(lo), min(effective(hi), _LINEAR_MAX_SPREAD)], is counted once;
     each BER then evaluates f on the rest, or runs measure_image_ber where
@@ -668,8 +653,8 @@ def calibrate_current_sigma(
     settled = [0] * len(devices)        # wrong patches, per supply, settled at every supply
     kept_k, kept_sums = np.empty(0, np.intp), np.empty((2, 2, 0))   # unsettled at some supply
     trip_range = (math.inf, -math.inf)  # of the standard trip-point draws
-    draws = ((frame.pixels.shape, variation.rng_seed + idx) for idx, frame in enumerate(frames))
-    with closing(_lotteries(draws)) as lotteries:
+    shapes = (frame.pixels.shape for frame in frames)
+    with closing(lottery_stream(shapes, variation.rng_seed)) as lotteries:
         for frame, z in zip(frames, lotteries):
             _patch_grid(frame.height, frame.width, n)        # rows must be a multiple of n
             ones = frame.pixels != 0

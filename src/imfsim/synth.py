@@ -213,19 +213,3 @@ def frames_to_events(stack: np.ndarray, t_f: int = 66_000, t0: int = 0) -> Event
     ks, ys, xs = np.nonzero(stack)
     return EventArray(t0 + ks * t_f, xs, ys, np.ones_like(ks))
 
-
-def event_batches(stack: np.ndarray, t_f: int = 66_000, t0: int = 0) -> Iterator[EventArray]:
-    """frames_to_events of a stack, as consecutive runs of frames holding at
-    most frames.EVENT_BATCH events each (a frame holding more is a run alone).
-
-    A recording streamed as chunks passes each chunk with t0 = its first frame
-    index * t_f, so the epochs continue across chunks.
-    """
-    lo = events = 0
-    for hi, ones in enumerate(stack.sum(axis=(1, 2)).tolist()):
-        if events + ones > _frames.EVENT_BATCH and hi > lo:
-            yield frames_to_events(stack[lo:hi], t_f, t0 + lo * t_f)
-            lo, events = hi, 0
-        events += ones
-    if len(stack):
-        yield frames_to_events(stack[lo:], t_f, t0 + lo * t_f)

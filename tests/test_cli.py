@@ -257,6 +257,9 @@ def _exit_code(*argv):
         ("", ["characterize", "--patterns", "0", "--vdd", "0.7"], "patterns must be positive"),
         ("", ["characterize", "--trials", "0", "--vdd", "0.7"], "trials must be positive"),
         ("t_f = 0\nn_frames = 2\n", ["gen", "--events"], "t_f must be positive"),
+        # its own readers refuse a recording past their window limit
+        ("n_frames = 131073\n", ["gen", "--events"],
+         "n_frames = 131073 with --events is past the 131072-frame limit"),
         # keys the command never reads are checked too, when the config loads
         ("temperature = nan\n", ["simulate", "--frames", "FRAMES"],
          "config key 'temperature' must be finite, got nan"),
@@ -308,8 +311,9 @@ def _exit_code(*argv):
     ],
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
-         "characterize-trials-0", "gen-events-t_f-0", "simulate-temperature-nan",
-         "gen-noise-n-4", "gen-noise-vdd-nan", "perf-e_imc_pixel-0", "perf-ref_vdd-0",
+         "characterize-trials-0", "gen-events-t_f-0", "gen-events-n_frames-past-limit",
+         "simulate-temperature-nan", "gen-noise-n-4", "gen-noise-vdd-nan", "perf-e_imc_pixel-0",
+         "perf-ref_vdd-0",
          "perf-rho_lambda_mean-negative", "gen-salt_p-2", "gen-max_objects-negative",
          "gen-noise-e_read-0", "gen-noise-n_frames-0", "gen-noise-n_frames-negative",
          "gen-width-2", "gen-events-1x1", "gen-height-2",
@@ -940,8 +944,10 @@ def test_characterize_trees_do_not_depend_on_the_closed_form(
 @pytest.mark.parametrize("name", ["nomf", "simulate", "nomf-events", "simulate-events",
                                   "track-eval", "gen-events", "gen-noise-events"])
 def test_output_trees_do_not_depend_on_the_chunk_size(traffic_dir, tmp_path, monkeypatch, name):
-    # 7 does not divide the 40-frame recordings; 64 holds each in one chunk
-    for chunk in (7, 64):
+    # 7 does not divide the 40-frame recordings; 64 holds each in one chunk.  An event
+    # batch of 7 cuts every frame's events; one of 1 << 20 holds a whole recording.
+    for chunk, batch in ((7, 7), (64, 1 << 20)):
         monkeypatch.setattr(imfsim.frames, "FRAME_CHUNK", chunk)
+        monkeypatch.setattr(imfsim.frames, "EVENT_BATCH", batch)
         (tmp_path / str(chunk)).mkdir()
         assert_golden_tree(traffic_dir, tmp_path / str(chunk), name)

@@ -3,6 +3,7 @@ import sys
 import threading
 from contextlib import closing
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def uniform_lottery(device, n=3):
 
 def filter_stack(frames, first_seed, device, variation, n):
     """filter_in_memory_stack on a lottery stream of its own, seeded first_seed."""
-    with closing(lottery_stream(frames.shape[1:], first_seed)) as lotteries:
+    with closing(lottery_stream(repeat(frames.shape[1:]), first_seed)) as lotteries:
         return filter_in_memory_stack(frames, lotteries, device, variation, n)
 
 
@@ -944,6 +945,40 @@ def test_calibration_refuses_a_spread_at_a_critical_point(ber_calls):
     assert ber_calls[:1] == [math.sqrt(bounds[0] * bounds[1])]     # the first step runs directly
     assert (fit.sigma_i_over_mu, fit.ber_low_vdd, fit.ber_high_vdd) == _direct_fit(
         frames, low, high, var, 2e-3, bounds, 8)
+
+
+def test_calibration_settles_no_patch_in_the_tie_band(monkeypatch):
+    # one frame of one mixed 3 x 3 patch; a bracket of two adjacent doubles, so that f
+    # keeps its sign over it and every spread the bisection tries sits at the tie
+    frames, var = [BinaryFrame(pattern_to_patch(0b000101011, 3))], CellVariation(0.05, 0.01, 4)
+    bounds = (0.05, float(np.nextafter(0.05, 1.0)))
+
+    def calibrate(delta_c, form="banded"):
+        with monkeypatch.context() as m:
+            if form == "direct":
+                m.setattr(sram_macro, "_closed_form_holds", lambda *args: False)
+            elif form == "unbanded":
+                m.setattr(sram_macro, "_RACE_RTOL", 0.0)
+            return calibrate_current_sigma(
+                frames, DeviceParams(vdd=0.7, delta_c=delta_c),
+                DeviceParams(vdd=1.2, delta_c=delta_c), var, target_ber=0.5,
+                sigma_bounds=bounds, iters=3)
+
+    # bisect delta_c to the two adjacent doubles across the direct calibration's tie
+    lo, hi = -0.9, 0.9
+    below = calibrate(lo, "direct")
+    assert calibrate(hi, "direct") != below
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if calibrate(mid, "direct") == below else (lo, mid)
+    # step away from the tie until the sign of f alone disagrees with the race
+    up, down = [hi], [lo]
+    for _ in range(63):
+        up.append(np.nextafter(up[-1], 1.0))
+        down.append(np.nextafter(down[-1], -1.0))
+    delta_c = next((x for pair in zip(up, down) for x in pair
+                    if calibrate(x, "unbanded") != calibrate(x, "direct")), None)
+    assert delta_c is not None, "no delta_c near the tie where f's sign misleads"
+    assert calibrate(delta_c) == calibrate(delta_c, "direct")
 
 
 @settings(max_examples=25)

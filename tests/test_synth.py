@@ -8,7 +8,6 @@ from imfsim.frames import BinaryFrame, EventArray, FrameConfig, aggregate_frames
 from imfsim.synth import (
     OBJECT_SIZES,
     GroundTruthBox,
-    event_batches,
     frames_to_events,
     noise_chunks,
     noise_frames,
@@ -145,14 +144,3 @@ def test_list_wrapper_frames_survive_the_next_chunk(monkeypatch):
         next(chunks)
         assert np.array_equal(first, kept)
         assert all(np.array_equal(f.pixels, px) for f, px in zip(frames, kept))
-
-
-def test_event_batches_carry_the_epoch_across_chunks(monkeypatch):
-    frames, _ = traffic_dataset(n_frames=20, seed=2)
-    whole = frames_to_events(stack(frames), t_f=1000)
-    monkeypatch.setattr("imfsim.frames.EVENT_BATCH", 500)
-    batches = [batch for first in range(0, 20, 6)
-               for batch in event_batches(stack(frames[first:first + 6]), 1000, first * 1000)]
-    assert all(len(b) <= 500 or len(np.unique(b.t)) == 1 for b in batches)
-    assert EventArray(*(np.concatenate([getattr(b, c) for b in batches])
-                        for c in ("t", "x", "y", "polarity"))) == whole

@@ -1,9 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: gen, denoise, simulate, characterize, perf, track-eval.
 
-Subcommands: gen, denoise, simulate, characterize, perf, track-eval.
 Every command takes --config/--seed/--out and writes only under --out, with
-byte-identical output for identical inputs and seed.  Each command imports
-its compute modules when it runs, so start-up loads no numpy.
+byte-identical output for identical inputs and seed.  Each is one library
+call, imported when the command runs, so start-up loads no numpy.
 """
 
 from __future__ import annotations
@@ -12,26 +11,18 @@ import argparse
 import contextlib
 import csv
 import sys
-from itertools import repeat
 from pathlib import Path
 
 from .config import load_config, parse_float, parse_int
-from .errors import ImfsimError, InvalidParamsError, shown
+from .errors import ImfsimError, shown
 
 
 def __getattr__(name: str):
-    # PEP 562: bench/tests/test_bench.py expects imfsim.cli.init_macro.
-    # ROADMAP item 1b deletes this.
+    # PEP 562: bench/tests/test_bench.py expects imfsim.cli.init_macro (ROADMAP item 9).
     if name != "init_macro":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .sram_macro import init_macro
     return init_macro
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 def _arg(parse, expected: str):
@@ -49,9 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(
-                action, f"invalid choice: {shown(value)} (choose from {choices})")
+            raise argparse.ArgumentError(action, "invalid choice: {} (choose from {})".format(
+                shown(value), ", ".join(map(repr, action.choices))))
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
@@ -60,15 +50,13 @@ class _Parser(argparse.ArgumentParser):
         return args
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
+def _write_csv(path: Path, rows) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerows(
+            [f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def _write_frames(frames, out: Path, start: int = 0) -> None:
+def _write_frames(frames, out: Path, start: int) -> None:
     """Write (height, width) pixel arrays as frame_<index>.pbm from `start`."""
     from .frames import BinaryFrame, write_pbm
     out.mkdir(parents=True, exist_ok=True)
@@ -76,120 +64,66 @@ def _write_frames(frames, out: Path, start: int = 0) -> None:
         write_pbm(BinaryFrame(px), out / f"frame_{idx:05d}.pbm")
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-def cmd_denoise(cfg, args, out: Path) -> int:
+def cmd_denoise(cfg, args, out: Path) -> None:
     from .frames import iter_recording
-    frames = iter_recording(args.frames) if args.frames else iter_recording(
+    chunks = iter_recording(args.frames) if args.frames else iter_recording(
         args.events, cfg.frame_config())
-    header = ["frame_index", "input_ones", "output_ones", "valid_frame"]
+    rows = [["frame_index", "input_ones", "output_ones", "valid_frame"]]
     if args.filter == "imc":
-        from .sram_macro import filter_in_memory_stack, lottery_stream, variation_at_device
-        device = cfg.device()
-        variation = variation_at_device(cfg.variation(), device)
-        header += ["flips_intended", "flips_unintended", "ber", "cycles"]
+        from .sram_macro import simulate
+        run = simulate(cfg, chunks)
+        rows[0] += ["flips_intended", "flips_unintended", "ber", "cycles"]
     else:
-        from .filters import median_filter_overlap_stack, nomf_stack
-        kernel = median_filter_overlap_stack if args.filter == "omf" else nomf_stack
-    rows, lotteries = [], None
-    with contextlib.ExitStack() as run:
-        for first, chunk in frames:
-            ones = [int(px.sum()) for px in chunk]  # before the macro filters the chunk in place
-            if args.filter == "imc":
-                if lotteries is None:
-                    # One stream for the run, seeded cfg.seed + frame index; closing it as
-                    # the run ends or raises, a reader error included, joins its worker.
-                    lotteries = run.enter_context(
-                        contextlib.closing(lottery_stream(repeat(chunk.shape[1:]), cfg.seed)))
-                results = chunk
-                extras = [(valid, intended, unintended, unintended / chunk[0].size, cycles)
-                          for valid, intended, unintended, cycles in filter_in_memory_stack(
-                              chunk, lotteries, device, variation, cfg.n)]
-            else:
-                results = kernel(chunk, cfg.n)
-                extras = [(int(px.any()),) for px in results]
-            rows += [(idx, n_in, int(res.sum()), *extra) for idx, (n_in, res, extra)
-                     in enumerate(zip(ones, results, extras), first)]
-            _write_frames(results, out / "frames", first)
-    _write_csv(out / "report.csv", header, rows)
-    return 0
+        from .filters import denoise
+        run = denoise(chunks, args.filter, cfg.n)
+    with contextlib.closing(run):   # closing simulate's run joins its lottery worker
+        for first, frames, chunk_rows in run:   # each chunk is written before the next is read
+            _write_frames(frames, out / "frames", first)
+            rows += chunk_rows
+            del frames      # else it stays alive while simulate races the next chunk
+    _write_csv(out / "report.csv", rows)
 
 
-def cmd_characterize(cfg, args, out: Path) -> int:
-    from .sram_macro import ber_supply_sweep
-    vdds, ks = args.vdd, args.k
-    patterns = cfg.patterns if args.patterns is None else args.patterns
-    trials = cfg.trials if args.trials is None else args.trials
-    stats = ber_supply_sweep(cfg.n, ks, [cfg.device(vdd=v) for v in vdds], cfg.variation(),
-                             trials=trials, patterns=patterns)
-    rows = [
-        (vdd, cfg.temperature, cfg.corner, cfg.n, stat.k, ps.pattern_id, ps.trials, ps.ber)
-        for vdd, per_k in zip(vdds, stats)
-        for stat in per_k
-        for ps in stat.pattern_stats
-    ]
-    _write_csv(
-        out / "characterize.csv",
-        ["vdd", "temp_c", "corner", "n", "k", "pattern_id", "trials", "ber"],
-        rows,
-    )
-    return 0
+def cmd_characterize(cfg, args, out: Path) -> None:
+    from .sram_macro import characterize
+    _write_csv(out / "characterize.csv", [
+        ("vdd", "temp_c", "corner", "n", "k", "pattern_id", "trials", "ber"),
+        *characterize(cfg, args.vdd, args.k, args.trials, args.patterns)])
 
 
-def cmd_perf(cfg, args, out: Path) -> int:
+def cmd_perf(cfg, args, out: Path) -> None:
     from .perf_model import report
     rows, lines = report(cfg)
-    _write_csv(out / "perf.csv", ["metric", "value"], rows)
+    _write_csv(out / "perf.csv", [("metric", "value"), *rows])
     (out / "perf.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
-    return 0
 
 
-def cmd_track_eval(cfg, args, out: Path) -> int:
+def cmd_track_eval(cfg, args, out: Path) -> None:
     from .frames import iter_recording
     from .pipeline import track_eval
     from .synth import write_box_csv
-    results = track_eval(cfg, iter_recording(args.frames), args.gt)
+    results, summary = track_eval(cfg, iter_recording(args.frames), args.gt)
     for filt, (rows, curve, _) in results.items():
         write_box_csv(rows, out / f"tracks_{filt}.csv")
-        _write_csv(out / f"f1_curve_{filt}.csv", ["thr", "weighted_f1"], curve)
-    omf, nomf = results["omf"][2], results["nomf"][2]
-    diff = abs(omf - nomf)
-    _write_csv(out / "summary.csv", ["metric", "value"],
-               [("auc_omf", omf), ("auc_nomf", nomf), ("auc_abs_diff", diff)])
-    (out / "summary.txt").write_text(
-        f"auc omf = {omf:.6g}\nauc nomf = {nomf:.6g}\nabs diff = {diff:.6g}\n",
-        encoding="ascii",
-    )
-    return 0
+        _write_csv(out / f"f1_curve_{filt}.csv", [("thr", "weighted_f1"), *curve])
+    _write_csv(out / "summary.csv", [("metric", "value"), *summary.items()])
+    (out / "summary.txt").write_text("auc omf = {:.6g}\nauc nomf = {:.6g}\nabs diff = {:.6g}\n"
+                                     .format(*summary.values()), encoding="ascii")
 
 
-def cmd_gen(cfg, args, out: Path) -> int:
-    from . import synth
-    from .frames import MAX_RECORDING_FRAMES, write_event_stream
-    if args.events and cfg.n_frames > MAX_RECORDING_FRAMES:  # before anything is written
-        raise InvalidParamsError(f"n_frames = {cfg.n_frames} with --events is past the "
-                                 f"{MAX_RECORDING_FRAMES}-frame limit of a recording")
-    if args.kind == "noise":
-        chunks = synth.noise_chunks(cfg.n_frames, cfg.width, cfg.height, cfg.salt_p, cfg.seed)
-    else:
-        chunks = synth.traffic_chunks(
-            cfg.n_frames, cfg.width, cfg.height, cfg.salt_p, cfg.max_objects, cfg.seed
-        )
-    with open(out / "gt.csv", "w", encoding="ascii", newline="") as gt_csv, \
+def cmd_gen(cfg, args, out: Path) -> None:
+    from .frames import write_event_stream
+    from .synth import box_writer, generate
+    run = generate(cfg, args.kind, args.events)     # refuses a bad n_frames before any file
+    with contextlib.closing(run), open(out / "gt.csv", "w", encoding="ascii", newline="") as gt, \
             open(out / "events.txt", "wb") if args.events else contextlib.nullcontext() as events:
-        gt = synth.box_writer(gt_csv)
-        for first, chunk, boxes in chunks:  # each chunk is written before the next is drawn
-            _write_frames(chunk, out / "frames", first)
-            gt(boxes)
+        write_boxes = box_writer(gt)
+        for first, frames, boxes, frame_events in run:  # each chunk is written before the next
+            _write_frames(frames, out / "frames", first)
+            write_boxes(boxes)
             if events:
-                write_event_stream((synth.frames_to_events(px[None], cfg.t_f, i * cfg.t_f)
-                                    for i, px in enumerate(chunk, first)), events)
-    return 0
+                write_event_stream(frame_events, events)
 
-
-# ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
@@ -197,24 +131,21 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_arg(parse_int, "an integer"),
                         help="override the config seed")
     common.add_argument("--out", default="out", help="output directory (default: out)")
-
-    parser = _Parser(
-        prog="imfsim",
-        description="Event-frame denoising, in-array filter simulation, and evaluation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("denoise", parents=[common], help="filter a frame sequence")
-    src = p.add_mutually_exclusive_group(required=True)
+    recording = _Parser(add_help=False)
+    src = recording.add_mutually_exclusive_group(required=True)
     src.add_argument("--frames", help="directory of .pbm frames")
     src.add_argument("--events", help="event text file to accumulate")
+
+    parser = _Parser(prog="imfsim", description=(
+        "Event-frame denoising, in-array filter simulation, and evaluation"))
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("denoise", parents=[common, recording], help="filter a frame sequence")
     p.add_argument("--filter", choices=("omf", "nomf"), default="nomf")
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("simulate", parents=[common], help="filter a frame sequence in the macro")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--frames", help="directory of .pbm frames")
-    src.add_argument("--events", help="event text file to accumulate")
+    p = sub.add_parser("simulate", parents=[common, recording],
+                       help="filter a frame sequence in the macro")
     p.set_defaults(func=cmd_denoise, filter="imc")
 
     p = sub.add_parser("characterize", parents=[common], help="pattern error-rate sweep")
@@ -252,13 +183,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed)
         out.mkdir(parents=True, exist_ok=True)
-        code = args.func(cfg, args, out)
-    except ImfsimError as exc:
+        args.func(cfg, args, out)
+        code = 0
+    except (ImfsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
+        code = 2 if isinstance(exc, ImfsimError) else 1
     finally:
         # Recordings stream, so an input error can surface after output exists.
         if code and created and out.exists():

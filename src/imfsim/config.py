@@ -72,25 +72,19 @@ class RunConfig:
     max_objects: int = 3
 
     def __post_init__(self):
-        """Check every key at load, whichever command reads it: numbers must be
-        finite, and each parameter object must accept its fields."""
-        if not 0 < self.frequency < math.inf:
-            raise InvalidParamsError(f"frequency must be positive and finite, got {self.frequency}")
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidParamsError(f"config key {f.name!r} must be finite, got {value}")
-        if self.rho_lambda_mean <= 0:
-            raise InvalidParamsError(
-                f"rho_lambda_mean must be positive, got {self.rho_lambda_mean}")
-        if not 0 <= self.salt_p <= 1:
-            raise InvalidParamsError(f"salt_p must lie in [0, 1], got {self.salt_p}")
-        for key, low in dict(seed=0, max_objects=1, n_frames=1, rescale_a=1, rescale_b=1,
-                             min_area=1, trials=1, patterns=1).items():
-            if getattr(self, key) < low:
-                raise InvalidParamsError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        if self.connectivity not in (4, 8):
-            raise InvalidParamsError(f"connectivity must be 4 or 8, got {self.connectivity}")
+        """Check every key at load, whichever command reads it: first each key
+        alone, with an error whose `key` names it, then each parameter object
+        must accept its fields."""
+        for key, ok, need in [
+                ("frequency", 0 < self.frequency < math.inf, "be positive and finite"),
+                *((k, math.isfinite(v), "be finite") for k, v in vars(self).items()
+                  if isinstance(v, float)),
+                ("rho_lambda_mean", self.rho_lambda_mean > 0, "be positive"),
+                ("salt_p", 0 <= self.salt_p <= 1, "lie in [0, 1]"),
+                *((k, getattr(self, k) >= low, f"be >= {low}") for k, low in _MINIMUMS.items()),
+                ("connectivity", self.connectivity in (4, 8), "be 4 or 8")]:
+            if not ok:
+                raise InvalidParamsError(f"{key} must {need}, got {getattr(self, key)}", key)
         self.device()
         self.variation()
         self.frame_config()
@@ -134,6 +128,9 @@ class RunConfig:
         return self._build(TrackerConfig)
 
 
+# the least value of each integer key that has one
+_MINIMUMS = dict(seed=0, max_objects=1, n_frames=1, rescale_a=1, rescale_b=1, min_area=1,
+                 trials=1, patterns=1)
 # parameter fields fed by a config key of another name
 _RENAMED = {"v_trip_nominal": "v_trip", "i_s_nominal": "i_s", "rng_seed": "seed",
             "sensor_width": "width", "sensor_height": "height"}
@@ -198,10 +195,16 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def load_config(path: Union[str, Path, None], **extra) -> RunConfig:
-    """RunConfig from an optional file plus keyword overrides (None values skipped)."""
-    overrides = {}
-    if path is not None:
-        text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
-        overrides.update(parse_config_text(text, str(path)))
-    overrides.update({k: v for k, v in extra.items() if v is not None})
-    return RunConfig(**overrides)
+    """RunConfig from an optional file plus keyword overrides (None values
+    skipped); a failed check of one key the file set names its <file>:<line>."""
+    text = "" if path is None else Path(path).read_text(encoding="ascii", errors="surrogateescape")
+    overrides = parse_config_text(text, str(path))
+    flags = {k: v for k, v in extra.items() if v is not None}
+    try:
+        return RunConfig(**overrides | flags)
+    except InvalidParamsError as exc:
+        if exc.key not in overrides or exc.key in flags:
+            raise
+        line = max(i for i, raw in enumerate(text.splitlines(), 1)  # the last that sets it
+                   if raw.split("#", 1)[0].split("=", 1)[0].strip() == exc.key)
+        raise InvalidParamsError(f"{path}:{line}: {exc}", exc.key) from None

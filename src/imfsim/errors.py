@@ -30,7 +30,11 @@ class OutOfBoundsError(ImfsimError):
 
 
 class InvalidParamsError(ImfsimError):
-    """A configuration or parameter object violates its invariants."""
+    """A parameter violates its invariants; `key` names the config key whose own check failed."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class DimensionMismatchError(ImfsimError):

@@ -16,6 +16,7 @@ frames.iter_recording; the per-frame functions call it on a stack of one.
 from __future__ import annotations
 
 import enum
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -59,6 +60,19 @@ def nomf_stack(stack: np.ndarray, n: int) -> np.ndarray:
     tile_cols = np.minimum(n, w - n * np.arange(sums.shape[2]))
     bits = (sums >= (np.outer(tile_rows, tile_cols) + 1) // 2).view(np.uint8)
     return bits.repeat(th, axis=1).repeat(tw, axis=2)[:, :h, :w]
+
+
+KERNELS = {"omf": median_filter_overlap_stack, "nomf": nomf_stack}
+
+
+def denoise(chunks: Iterable[tuple[int, np.ndarray]], name: str, n: int) -> Iterator[tuple]:
+    """The denoise command: each (first index, stack) chunk of a recording
+    filtered by KERNELS[name], as (first, output stack, report.csv rows)."""
+    kernel = KERNELS[name]
+    for first, chunk in chunks:
+        out = kernel(chunk, n)
+        yield first, out, [(i, int(np.count_nonzero(px)), int(np.count_nonzero(res)),
+                            int(res.any())) for i, (px, res) in enumerate(zip(chunk, out), first)]
 
 
 def median_filter_overlap(frame: BinaryFrame, spec: KernelSpec) -> BinaryFrame:

@@ -13,6 +13,7 @@ points are 0.3 * vdd nominal, so beta = 1 - v_trip/vdd = 0.7 by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidParamsError, shown
@@ -74,6 +75,13 @@ CALIBRATED_SIGMA_I_OVER_MU = 0.0547
 DEFAULT_SIGMA_VTRIP = 0.005  # V
 
 
+def _check_finite(obj) -> None:
+    """Reject the first non-finite float field of a dataclass by its name."""
+    for name, value in vars(obj).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidParamsError(f"{name} must be finite, got {value}")
+
+
 def threshold_voltage(temperature: float, corner: str) -> float:
     if corner not in CORNER_VT_SHIFT:
         raise InvalidParamsError(
@@ -98,6 +106,7 @@ class DeviceParams:
     i_s_nominal: float | None = None      # default overdrive-scaled from I_S_REF
 
     def __post_init__(self):
+        _check_finite(self)
         vt = threshold_voltage(self.temperature, self.corner)
         if self.vdd <= vt:
             raise InvalidParamsError(
@@ -140,6 +149,7 @@ class CellVariation:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.sigma_i_over_mu < 0 or self.sigma_vtrip < 0:
             raise InvalidParamsError("variation sigmas must be non-negative")
 

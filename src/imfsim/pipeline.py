@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Union
 import numpy as np
 
 from .errors import InvalidParamsError
-from .filters import median_filter_overlap_stack, nomf_stack
+from .filters import KERNELS
 from .frames import BinaryFrame
 from .metrics import f1_curve_auc, greedy_matches, match_counts, rates
 from .params import TrackerConfig
@@ -222,16 +222,16 @@ def track_proposals(
 
 
 def track_eval(cfg: "RunConfig", chunks: Iterable[tuple[int, np.ndarray]],
-               gt_path: Union[str, Path]) -> dict[str, tuple[list, list, float]]:
+               gt_path: Union[str, Path]) -> tuple[dict, dict[str, float]]:
     """Proposals of the omf- and nomf-filtered frames of a recording streamed
     as (first index, stack) chunks, tracked and matched against the boxes of
     `gt_path`, which is read after the chunks.  Per filter, omf then nomf:
     the boxes of every track not tentative as rows by (frame, track id), the
-    (thr, weighted F1) curve over F1_THRESHOLDS and its AUC."""
-    kernels = {"omf": median_filter_overlap_stack, "nomf": nomf_stack}
-    proposals: dict[str, list] = {filt: [] for filt in kernels}
+    (thr, weighted F1) curve over F1_THRESHOLDS and its AUC.  Then the
+    summary: auc_omf, auc_nomf and auc_abs_diff."""
+    proposals: dict[str, list] = {filt: [] for filt in KERNELS}
     for _, chunk in chunks:
-        for filt, kernel in kernels.items():
+        for filt, kernel in KERNELS.items():
             proposals[filt] += region_proposals_stack(
                 kernel(chunk, cfg.n), cfg.rescale_a, cfg.rescale_b, cfg.min_area,
                 cfg.connectivity,
@@ -256,4 +256,5 @@ def track_eval(cfg: "RunConfig", chunks: Iterable[tuple[int, np.ndarray]],
         curve = [(thr, n_tracks * rates(tp, proposed, gts)[2] / n_tracks if n_tracks else 0.0)
                  for thr, tp in zip(F1_THRESHOLDS, tps)]
         results[filt] = rows, curve, f1_curve_auc(F1_THRESHOLDS, [v for _, v in curve])
-    return results
+    omf, nomf = results["omf"][2], results["nomf"][2]
+    return results, {"auc_omf": omf, "auc_nomf": nomf, "auc_abs_diff": abs(omf - nomf)}

@@ -68,6 +68,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DimensionMismatchError, InvalidParamsError
 from .frames import BinaryFrame
 from .params import (CLEAR_GROUP, DEFAULT_GEOMETRY, MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH,
@@ -345,14 +346,14 @@ def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterR
 def filter_in_memory_stack(
     frames: np.ndarray, lotteries: Iterator[np.ndarray], device: DeviceParams,
     variation: CellVariation, n: int
-) -> list[tuple[int, int, int, int]]:
+) -> list[tuple[int, int, int, int, int, float, int]]:
     """Load, filter and read back every frame of a (frames, height, width)
     uint8 stack in place, as init_macro + load_frame + filter_in_memory would
     with the next standard draws of `lotteries` (lottery_stream) as each
     frame's lottery; `variation` is already scaled to the device.  Returns
-    one (valid_frame, flips_intended, flips_unintended, cycles) row per
-    frame; cycles count the clear, one write per on pixel and the filter.
-    """
+    one (input_ones, output_ones, valid_frame, flips_intended,
+    flips_unintended, ber, cycles) row per frame; cycles count the clear, one
+    write per input one and the filter, and ber divides by every pixel."""
     _, rows, cols = frames.shape
     if rows > MAX_FRAME_HEIGHT or cols > MAX_FRAME_WIDTH:
         raise DimensionMismatchError(
@@ -361,9 +362,30 @@ def filter_in_memory_stack(
     reports = []
     for frame, z in zip(frames, lotteries):
         written = int(np.count_nonzero(frame))
-        flips = _race_in_place(frame, *_scale_lottery(*z, device, variation), n, device)
-        reports.append((int(frame.any()), *flips, fixed_cycles + written))
+        intended, unintended = _race_in_place(
+            frame, *_scale_lottery(*z, device, variation), n, device)
+        ones = int(np.count_nonzero(frame))
+        reports.append((written, ones, int(ones > 0), intended, unintended,
+                        unintended / frame.size, fixed_cycles + written))
     return reports
+
+
+def simulate(cfg: RunConfig, chunks: Iterable[tuple[int, np.ndarray]]) -> Iterator[tuple]:
+    """The simulate command: each (first index, stack) chunk of a recording
+    filtered in place by filter_in_memory_stack, as (first, stack, report.csv
+    rows).  It opens the run's lottery stream, seeded cfg.seed, on the first
+    chunk, and closes it, joining its worker, when closed or when `chunks` raises."""
+    device, lotteries = cfg.device(), None
+    variation = variation_at_device(cfg.variation(), device)
+    try:
+        for first, chunk in chunks:
+            if lotteries is None:
+                lotteries = lottery_stream(repeat(chunk.shape[1:]), cfg.seed)
+            rows = filter_in_memory_stack(chunk, lotteries, device, variation, cfg.n)
+            yield first, chunk, [(i, *row) for i, row in enumerate(rows, first)]
+    finally:
+        if lotteries is not None:
+            lotteries.close()
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +553,17 @@ def ber_supply_sweep(
     return [[_ber_stat(n, k, patches, trials, pids, pattern_flips)
              for k, pids, pattern_flips in zip(ks, ids, row_flips)]
             for row_flips in flips]
+
+
+def characterize(cfg: RunConfig, vdds: Sequence[float], ks: Sequence[int],
+                 trials: int | None = None, patterns=None) -> list[tuple]:
+    """The characterize command's rows, one per pattern: ber_supply_sweep over
+    `vdds` and `ks`, with the config's trials and patterns unless given."""
+    stats = ber_supply_sweep(cfg.n, ks, [cfg.device(vdd=v) for v in vdds], cfg.variation(),
+                             trials=cfg.trials if trials is None else trials,
+                             patterns=cfg.patterns if patterns is None else patterns)
+    return [(vdd, cfg.temperature, cfg.corner, cfg.n, stat.k, ps.pattern_id, ps.trials, ps.ber)
+            for vdd, per_k in zip(vdds, stats) for stat in per_k for ps in stat.pattern_stats]
 
 
 def ber_pattern_sweep(

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, TextIO, Union
 import numpy as np
 
 from . import frames as _frames
+from .config import RunConfig
 from .errors import DimensionMismatchError, InvalidParamsError
 from .frames import BinaryFrame, EventArray, _uint
 
@@ -153,6 +154,21 @@ def traffic_dataset(
         frames += map(BinaryFrame, chunk)
         gt += boxes
     return frames, gt
+
+
+def generate(cfg: RunConfig, kind: str, events: bool = False) -> Iterator[tuple]:
+    """The gen command: a "traffic" or "noise" recording as (first index, stack,
+    boxes, lazy frames_to_events of each frame) chunks.  With `events`, a
+    recording past its readers' window limit raises at the call, before any chunk."""
+    if events and cfg.n_frames > _frames.MAX_RECORDING_FRAMES:
+        raise InvalidParamsError(f"n_frames = {cfg.n_frames} with --events is past the "
+                                 f"{_frames.MAX_RECORDING_FRAMES}-frame limit of a recording")
+    chunks = (noise_chunks(cfg.n_frames, cfg.width, cfg.height, cfg.salt_p, cfg.seed)
+              if kind == "noise" else traffic_chunks(cfg.n_frames, cfg.width, cfg.height,
+                                                     cfg.salt_p, cfg.max_objects, cfg.seed))
+    return ((first, chunk, boxes, (frames_to_events(px[None], cfg.t_f, i * cfg.t_f)
+                                   for i, px in enumerate(chunk, first)))
+            for first, chunk, boxes in chunks)
 
 
 def box_writer(fh: TextIO) -> Callable[[Iterable[GroundTruthBox]], None]:

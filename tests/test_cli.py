@@ -248,8 +248,9 @@ def _exit_code(*argv):
 @pytest.mark.parametrize(
     "cfg_text, argv, expect",
     [
-        ("frequency = 0\n", ["perf"], "frequency must be positive and finite, got 0.0"),
-        ("frequency = inf\n", ["perf"], "frequency must be positive and finite, got inf"),
+        ("frequency = 0\n", ["perf"], "run.cfg:1: frequency must be positive and finite, got 0.0"),
+        ("frequency = inf\n", ["perf"],
+         "run.cfg:1: frequency must be positive and finite, got inf"),
         ("seed = 1\n# caf\xc3\xa9\n", ["perf"], "run.cfg:2: non-ASCII character"),
         ("", ["characterize", "--vdd", "abc"], "argument --vdd: expected a comma list"),
         ("", ["characterize", "--k", "4,x"], "argument --k: expected a comma list"),
@@ -262,20 +263,22 @@ def _exit_code(*argv):
          "n_frames = 131073 with --events is past the 131072-frame limit"),
         # keys the command never reads are checked too, when the config loads
         ("temperature = nan\n", ["simulate", "--frames", "FRAMES"],
-         "config key 'temperature' must be finite, got nan"),
+         "run.cfg:1: temperature must be finite, got nan"),
         ("n = 4\nn_frames = 2\n", ["gen", "--kind", "noise"],
          "kernel size must be odd and >= 3, got 4"),
         ("vdd = nan\nn_frames = 2\n", ["gen", "--kind", "noise"],
-         "config key 'vdd' must be finite, got nan"),
+         "run.cfg:1: vdd must be finite, got nan"),
         ("e_imc_pixel = 0\n", ["perf"], "e_imc_pixel must be positive, got 0.0"),
         ("ref_vdd = 0\n", ["perf"], "ref_vdd must be positive, got 0.0"),
-        ("rho_lambda_mean = -1\n", ["perf"], "rho_lambda_mean must be positive, got -1.0"),
-        ("salt_p = 2\nn_frames = 2\n", ["gen"], "salt_p must lie in [0, 1], got 2.0"),
-        ("max_objects = -1\nn_frames = 2\n", ["gen"], "max_objects must be >= 1, got -1"),
+        ("rho_lambda_mean = -1\n", ["perf"],
+         "run.cfg:1: rho_lambda_mean must be positive, got -1.0"),
+        ("salt_p = 2\nn_frames = 2\n", ["gen"], "run.cfg:1: salt_p must lie in [0, 1], got 2.0"),
+        ("max_objects = -1\nn_frames = 2\n", ["gen"],
+         "run.cfg:1: max_objects must be >= 1, got -1"),
         ("e_read = 0\nn_frames = 2\n", ["gen", "--kind", "noise"],
          "e_read must be positive, got 0.0"),
-        ("n_frames = 0\n", ["gen", "--kind", "noise"], "n_frames must be >= 1, got 0"),
-        ("n_frames = -5\n", ["gen", "--kind", "noise"], "n_frames must be >= 1, got -5"),
+        ("n_frames = 0\n", ["gen", "--kind", "noise"], "run.cfg:1: n_frames must be >= 1, got 0"),
+        ("n_frames = -5\n", ["gen", "--kind", "noise"], "run.cfg:1: n_frames must be >= 1, got -5"),
         # traffic objects keep a one-pixel margin, so a frame side needs 3 pixels
         ("width = 2\nn_frames = 2\n", ["gen"], "traffic frames must be at least 3x3, got 2x180"),
         ("width = 1\nheight = 1\nn_frames = 2\n", ["gen", "--events"],
@@ -283,7 +286,7 @@ def _exit_code(*argv):
         ("height = 2\nn_frames = 2\n", ["gen"], "traffic frames must be at least 3x3, got 240x2"),
         # integer values are runs of 0-9 within int64, and the seed is not negative
         ("", ["gen", "--seed", "-1"], "seed must be >= 0, got -1"),
-        ("seed = -3\n", ["simulate", "--frames", "FRAMES"], "seed must be >= 0, got -3"),
+        ("seed = -3\n", ["simulate", "--frames", "FRAMES"], "run.cfg:1: seed must be >= 0, got -3"),
         ("vdd = 0.8\nbeta_t = 1" + "0" * 400 + "\n", ["perf"],
          "run.cfg:2: config key 'beta_t': expected digits 0-9 within int64"),
         ("t_f = " + str(10**30) + "\nn_frames = 2\n", ["gen", "--kind", "noise", "--events"],
@@ -291,12 +294,12 @@ def _exit_code(*argv):
         ("n_frames = 1_000\n", ["perf"], "run.cfg:1: config key 'n_frames': expected digits"),
         ("seed = +5\n", ["perf"], "run.cfg:1: config key 'seed': expected digits"),
         # keys that only their readers checked before
-        ("rescale_a = 0\n", ["perf"], "rescale_a must be >= 1, got 0"),
-        ("rescale_b = 0\n", ["perf"], "rescale_b must be >= 1, got 0"),
-        ("connectivity = 5\n", ["perf"], "connectivity must be 4 or 8, got 5"),
-        ("trials = 0\n", ["perf"], "trials must be >= 1, got 0"),
-        ("patterns = 0\n", ["perf"], "patterns must be >= 1, got 0"),
-        ("min_area = 0\n", ["perf"], "min_area must be >= 1, got 0"),
+        ("rescale_a = 0\n", ["perf"], "run.cfg:1: rescale_a must be >= 1, got 0"),
+        ("rescale_b = 0\n", ["perf"], "run.cfg:1: rescale_b must be >= 1, got 0"),
+        ("connectivity = 5\n", ["perf"], "run.cfg:1: connectivity must be 4 or 8, got 5"),
+        ("trials = 0\n", ["perf"], "run.cfg:1: trials must be >= 1, got 0"),
+        ("patterns = 0\n", ["perf"], "run.cfg:1: patterns must be >= 1, got 0"),
+        ("min_area = 0\n", ["perf"], "run.cfg:1: min_area must be >= 1, got 0"),
         # CLI integers and floats follow the config's rules
         ("", ["perf", "--seed", "1_0"], "argument --seed: expected an integer, got '1_0'"),
         ("", ["perf", "--seed", "+5"], "argument --seed: expected an integer, got '+5'"),
@@ -308,6 +311,15 @@ def _exit_code(*argv):
         ("", ["characterize", "--vdd", "0.7,+0.8"],
          "argument --vdd: expected a comma list of numbers, got '0.7,+0.8'"),
         ("vdd = +1_0.0\n", ["perf"], "run.cfg:1: config key 'vdd': expected a number"),
+        # a range error of a key the file set names the line that set it last
+        ("# located\n\nsalt_p = 2\nn_frames = 2\n", ["gen"],
+         "run.cfg:3: salt_p must lie in [0, 1], got 2.0"),
+        ("trials = 3\ntrials = 0\n", ["perf"], "run.cfg:2: trials must be >= 1, got 0"),
+        # a value from a flag keeps the unlocated text, also where the file set the key
+        ("seed = 3\n", ["gen", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+        # a non-finite supply is blamed by its own name, not by a value derived from it
+        ("", ["characterize", "--vdd", "nan"], "error: vdd must be finite, got nan"),
+        ("", ["characterize", "--vdd", "0.7,inf"], "error: vdd must be finite, got inf"),
     ],
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
@@ -323,7 +335,9 @@ def _exit_code(*argv):
          "perf-patterns-0", "perf-min_area-0", "perf-seed-flag-underscore",
          "perf-seed-flag-plus-sign", "characterize-trials-underscore",
          "characterize-k-plus-sign", "characterize-patterns-underscore",
-         "characterize-vdd-plus-sign", "perf-vdd-plus-underscore"],
+         "characterize-vdd-plus-sign", "perf-vdd-plus-underscore", "gen-salt_p-located-line-3",
+         "perf-trials-set-twice", "gen-seed-flag-over-file", "characterize-vdd-nan",
+         "characterize-vdd-inf"],
 )
 def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, argv, expect):
     frames = tmp_path / "frames"   # a valid recording with mixed patches

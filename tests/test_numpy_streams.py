@@ -1,0 +1,28 @@
+"""numpy's Generator streams, pinned bit for bit.
+
+Every golden digest (GOLDEN_TREES, bench/golden.json and the calibration
+pins) was recorded on the default_rng streams of numpy 2.4.6, and numpy does
+not promise those streams across versions (NEP 19).  When a numpy moves them,
+this test fails with one message naming the pinned version, where otherwise
+every digest would fail at once.
+"""
+
+import numpy as np
+
+PINNED_NUMPY = "2.4.6"
+# the first draws of default_rng(0), as float.hex
+PINNED_DRAWS = {
+    "standard_normal": ["0x1.017ed89db8441p-3", "-0x1.0e8cfe9bd45ccp-3",
+                        "0x1.47e57a468b06dp-1", "0x1.adabbec84d4f0p-4"],
+    "random": ["0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2",
+               "0x1.4fa7b529d9bd0p-5", "0x1.0ec9ed84d0bc0p-6"],
+}
+
+
+def test_default_rng_streams_match_the_pinned_numpy():
+    got = {method: [float(x).hex() for x in getattr(np.random.default_rng(0), method)(4)]
+           for method in PINNED_DRAWS}
+    assert got == PINNED_DRAWS, (
+        f"numpy {np.__version__} draws other default_rng(0) values than numpy {PINNED_NUMPY}, "
+        "whose streams every golden digest was recorded on; run the tests with numpy "
+        f"{PINNED_NUMPY}, as CI does")

@@ -401,9 +401,11 @@ def test_track_eval_weights_the_f1_by_the_track_count(tmp_path):
                   tmp_path / "gt.csv")
     f1 = rates(4, 4, 6)[2]
     assert 3 * f1 / 3 != f1
-    results = track_eval(RunConfig(), [(0, stack)], tmp_path / "gt.csv")
+    results, summary = track_eval(RunConfig(), [(0, stack)], tmp_path / "gt.csv")
     assert list(results) == ["omf", "nomf"]
     for rows, curve, auc in results.values():
         assert [(r.frame_index, r.track_id) for r in rows] == [(fi, 0) for fi in range(6)]
         assert curve == [(thr, 3 * f1 / 3) for thr in F1_THRESHOLDS]
         assert auc == pytest.approx(0.8 * 0.8)
+    assert summary == {"auc_omf": results["omf"][2], "auc_nomf": results["nomf"][2],
+                       "auc_abs_diff": abs(results["omf"][2] - results["nomf"][2])}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import imfsim.sram_macro as sram_macro
 import oracles
+from imfsim.config import RunConfig
 from imfsim.errors import DimensionMismatchError, InvalidParamsError
 from imfsim.filters import KernelSpec, nomf
 from imfsim.frames import BinaryFrame
@@ -99,6 +100,19 @@ def test_device_validation():
         DeviceParams(vdd=0.7, delta_c=-1.0)
     with pytest.raises(InvalidParamsError):
         DeviceParams(vdd=0.7, v_trip_nominal=0.8)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, field", [
+    (DeviceParams, "vdd"), (DeviceParams, "temperature"), (DeviceParams, "c_bl"),
+    (DeviceParams, "c_wl"), (DeviceParams, "delta_c"), (DeviceParams, "v_trip_nominal"),
+    (DeviceParams, "i_s_nominal"), (CellVariation, "sigma_i_over_mu"),
+    (CellVariation, "sigma_vtrip"),
+])
+def test_a_non_finite_field_is_rejected_by_its_own_name(cls, field, value):
+    with pytest.raises(InvalidParamsError) as raised:
+        cls(**{field: value})
+    assert str(raised.value) == f"{field} must be finite, got {value}"
 
 
 def test_variation_scales_inversely_with_overdrive():
@@ -561,15 +575,17 @@ def test_filter_stack_matches_per_frame_macro_and_oracle(
         load_frame(state, BinaryFrame(px))
         want = filter_in_memory(state, n, d)
         assert np.array_equal(got, state.bits)
-        assert report == (want.valid_frame, want.flips_intended, want.flips_unintended,
-                          state.cycle_count)
+        assert report == (int(px.sum()), int(got.sum()), want.valid_frame,
+                          want.flips_intended, want.flips_unintended,
+                          want.flips_unintended / px.size, state.cycle_count)
 
         cur, vtr = oracles.lottery_naive((height, width), d.i_s_nominal, sigma,
                                          d.v_trip_nominal, 0.01, first_seed + i)
         bits, intended, unintended, filter_cycles = oracles.filter_in_memory_naive(
             px, cur, vtr, n, d.c_bl, d.delta_c)
         assert np.array_equal(got, bits)
-        assert report == (int(bits.any()), intended, unintended,
+        assert report == (int(px.sum()), int(bits.sum()), int(bits.any()), intended, unintended,
+                          unintended / px.size,
                           math.ceil(height / 16) + int(px.sum()) + filter_cycles)
 
 
@@ -621,6 +637,40 @@ def test_filter_stack_joins_its_draw_thread(monkeypatch):
         assert len(calls) == 3
     finally:
         sys.setswitchinterval(interval)
+
+
+def _chunks_of(frames, raise_at=None):
+    """(first index, stack) chunks of two frames each, raising at chunk raise_at."""
+    for c, first in enumerate(range(0, len(frames), 2)):
+        if c == raise_at:
+            raise OSError("chunk source failed")
+        yield first, frames[first:first + 2].copy()
+
+
+def test_simulate_generator_joins_its_lottery_worker_by_itself():
+    frames = (np.random.default_rng(5).random((6, 12, 18)) < 0.5).astype(np.uint8)
+    cfg = RunConfig(sigma_i_over_mu=0.3, seed=9)
+    before = threading.active_count()
+    whole = list(sram_macro.simulate(cfg, _chunks_of(frames)))
+    assert [first for first, _, _ in whole] == [0, 2, 4]
+    assert [row[0] for _, _, rows in whole for row in rows] == list(range(6))
+    assert threading.active_count() == before
+
+    run = sram_macro.simulate(cfg, _chunks_of(frames))
+    first, stack, rows = next(run)
+    assert threading.active_count() == before + 1     # the stream's worker draws ahead
+    assert (first, len(rows)) == (0, 2) and np.array_equal(stack, whole[0][1])
+    assert rows == whole[0][2]
+    run.close()
+    assert threading.active_count() == before
+
+    run = sram_macro.simulate(cfg, _chunks_of(frames, raise_at=1))
+    assert next(run)[2] == whole[0][2]
+    assert threading.active_count() == before + 1
+    with pytest.raises(OSError, match="chunk source failed") as raised:
+        next(run)
+    assert threading.active_count() == before   # joined while the traceback holds the frame
+    assert raised.traceback
 
 
 # (n, rows, cols, (patterns, ks) runs)

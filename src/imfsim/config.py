@@ -8,7 +8,6 @@ package default, so an empty config is valid.
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Union
 from .errors import InvalidParamsError, shown
 from .params import (CALIBRATED_SIGMA_I_OVER_MU, DEFAULT_SIGMA_VTRIP, CellVariation,
                      DeviceParams, EnergyConstants, FrameConfig, KernelSpec, TrackerConfig,
-                     WorkloadParams)
+                     WorkloadParams, check_fields)
 
 
 @dataclass(frozen=True)
@@ -73,25 +72,12 @@ class RunConfig:
 
     def __post_init__(self):
         """Check every key at load, whichever command reads it: first each key
-        alone, with an error whose `key` names it, then each parameter object
-        must accept its fields."""
-        for key, ok, need in [
-                ("frequency", 0 < self.frequency < math.inf, "be positive and finite"),
-                *((k, math.isfinite(v), "be finite") for k, v in vars(self).items()
-                  if isinstance(v, float)),
-                ("rho_lambda_mean", self.rho_lambda_mean > 0, "be positive"),
-                ("salt_p", 0 <= self.salt_p <= 1, "lie in [0, 1]"),
-                *((k, getattr(self, k) >= low, f"be >= {low}") for k, low in _MINIMUMS.items()),
-                ("connectivity", self.connectivity in (4, 8), "be 4 or 8")]:
-            if not ok:
-                raise InvalidParamsError(f"{key} must {need}, got {getattr(self, key)}", key)
-        self.device()
-        self.variation()
-        self.frame_config()
-        self.kernel()
-        self.workload()
-        self.energy_constants()
-        self.tracker_config()
+        alone by its params.FIELD_RULES rule, then each parameter object must
+        accept its fields.  An error of one key or field carries its name."""
+        check_fields(self)
+        for build in (self.device, self.variation, self.frame_config, self.kernel,
+                      self.workload, self.energy_constants, self.tracker_config):
+            build()
 
     def _build(self, cls, **given):
         """cls with every field not given read from the config key of the same
@@ -128,9 +114,6 @@ class RunConfig:
         return self._build(TrackerConfig)
 
 
-# the least value of each integer key that has one
-_MINIMUMS = dict(seed=0, max_objects=1, n_frames=1, rescale_a=1, rescale_b=1, min_area=1,
-                 trials=1, patterns=1)
 # parameter fields fed by a config key of another name
 _RENAMED = {"v_trip_nominal": "v_trip", "i_s_nominal": "i_s", "rng_seed": "seed",
             "sensor_width": "width", "sensor_height": "height"}
@@ -196,15 +179,17 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 def load_config(path: Union[str, Path, None], **extra) -> RunConfig:
     """RunConfig from an optional file plus keyword overrides (None values
-    skipped); a failed check of one key the file set names its <file>:<line>."""
+    skipped).  A failed check of one key the file set names the key as the
+    file wrote it, after the <file>:<line> that set it last."""
     text = "" if path is None else Path(path).read_text(encoding="ascii", errors="surrogateescape")
     overrides = parse_config_text(text, str(path))
     flags = {k: v for k, v in extra.items() if v is not None}
     try:
         return RunConfig(**overrides | flags)
     except InvalidParamsError as exc:
-        if exc.key not in overrides or exc.key in flags:
+        key = _RENAMED.get(exc.key, exc.key)    # the config key that feeds the field
+        if key not in overrides or key in flags:
             raise
         line = max(i for i, raw in enumerate(text.splitlines(), 1)  # the last that sets it
-                   if raw.split("#", 1)[0].split("=", 1)[0].strip() == exc.key)
-        raise InvalidParamsError(f"{path}:{line}: {exc}", exc.key) from None
+                   if raw.split("#", 1)[0].split("=", 1)[0].strip() == key)
+        raise InvalidParamsError(f"{path}:{line}: {key}{str(exc)[len(exc.key):]}", key) from None

@@ -30,7 +30,8 @@ class OutOfBoundsError(ImfsimError):
 
 
 class InvalidParamsError(ImfsimError):
-    """A parameter violates its invariants; `key` names the config key whose own check failed."""
+    """A parameter violates its invariants; `key` names the field or config
+    key whose value failed, and the message then starts with that name."""
 
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)

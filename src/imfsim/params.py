@@ -9,6 +9,11 @@ with overdrive (variation_at_device).  sigma_i_over_mu in CellVariation is
 therefore quoted at the 1.0 V TT reference; harnesses that sweep the
 operating point call variation_at_device to get the effective spread.  Trip
 points are 0.3 * vdd nominal, so beta = 1 - v_trip/vdd = 0.7 by construction.
+
+FIELD_RULES holds the one rule of each field that is checked alone, by field
+name; RunConfig's keys are checked from the same table.  check_fields applies
+it, and only the checks across fields (vdd above V_T, v_trip_nominal inside
+(0, vdd), the range of the derived i_s and the corner) are written by hand.
 """
 
 from __future__ import annotations
@@ -23,6 +28,41 @@ MAX_FRAME_WIDTH = 320
 MAX_FRAME_HEIGHT = 240
 CLEAR_GROUP = 16    # word lines the macro strobes per clear cycle
 
+# name -> (predicate, what the value must be), for each field of a parameter
+# object or RunConfig key that has a rule of its own.  A name that several
+# objects share (n, width, height) has one rule.
+FIELD_RULES = {
+    **dict.fromkeys(["t_f", "width", "height", "c_bl", "c_wl", "i_s_nominal", "rows", "cols",
+                     "beta_t", "e_read", "e_write", "ref_vdd", "cap_ratio", "e_imc_pixel",
+                     "dnn_energy", "frequency", "rho_lambda_mean"],
+                    (lambda v: v > 0, "be positive")),
+    **dict.fromkeys(["seed", "rng_seed", "sigma_i_over_mu", "sigma_vtrip"],
+                    (lambda v: v >= 0, "be >= 0")),
+    **dict.fromkeys(["confirm_hits", "kill_misses", "rescale_a", "rescale_b", "min_area",
+                     "trials", "patterns", "n_frames", "max_objects"],
+                    (lambda v: v >= 1, "be >= 1")),
+    **dict.fromkeys(["alpha", "gamma", "empty_frame_fraction", "salt_p"],
+                    (lambda v: 0 <= v <= 1, "lie in [0, 1]")),
+    "sensor_width": (lambda v: 0 < v <= MAX_FRAME_WIDTH, f"be in 1..{MAX_FRAME_WIDTH}"),
+    "sensor_height": (lambda v: 0 < v <= MAX_FRAME_HEIGHT, f"be in 1..{MAX_FRAME_HEIGHT}"),
+    "n": (lambda v: v >= 3 and v % 2 == 1, "be odd and >= 3"),
+    "delta_c": (lambda v: v > -1, "be > -1"),       # C_BLB = c_bl * (1 + delta_c) > 0
+    "iou_match_threshold": (lambda v: 0 < v <= 1, "lie in (0, 1]"),
+    "connectivity": (lambda v: v in (4, 8), "be 4 or 8"),
+}
+
+
+def check_fields(obj) -> None:
+    """Reject the first non-finite float field of a dataclass, then the first
+    field that breaks its FIELD_RULES rule; the error's key names the field."""
+    for name, value in vars(obj).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidParamsError(f"{name} must be finite, got {value}", name)
+    for name, value in vars(obj).items():
+        rule = FIELD_RULES.get(name)
+        if rule and value is not None and not rule[0](value):
+            raise InvalidParamsError(f"{name} must {rule[1]}, got {shown(value)}", name)
+
 
 @dataclass(frozen=True)
 class FrameConfig:
@@ -32,26 +72,14 @@ class FrameConfig:
     sensor_width: int = 240
     sensor_height: int = 180
 
-    def __post_init__(self):
-        if self.t_f <= 0:
-            raise InvalidParamsError(f"t_f must be positive, got {self.t_f}")
-        if not (0 < self.sensor_width <= MAX_FRAME_WIDTH):
-            raise InvalidParamsError(
-                f"sensor_width must be in 1..{MAX_FRAME_WIDTH}, got {self.sensor_width}"
-            )
-        if not (0 < self.sensor_height <= MAX_FRAME_HEIGHT):
-            raise InvalidParamsError(
-                f"sensor_height must be in 1..{MAX_FRAME_HEIGHT}, got {self.sensor_height}"
-            )
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     n: int = 3
 
-    def __post_init__(self):
-        if self.n < 3 or self.n % 2 == 0:
-            raise InvalidParamsError(f"kernel size must be odd and >= 3, got {self.n}")
+    __post_init__ = check_fields
 
     @property
     def threshold(self) -> int:
@@ -75,17 +103,10 @@ CALIBRATED_SIGMA_I_OVER_MU = 0.0547
 DEFAULT_SIGMA_VTRIP = 0.005  # V
 
 
-def _check_finite(obj) -> None:
-    """Reject the first non-finite float field of a dataclass by its name."""
-    for name, value in vars(obj).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InvalidParamsError(f"{name} must be finite, got {value}")
-
-
 def threshold_voltage(temperature: float, corner: str) -> float:
     if corner not in CORNER_VT_SHIFT:
         raise InvalidParamsError(
-            f"corner must be one of {sorted(CORNER_VT_SHIFT)}, got {shown(corner)}")
+            f"corner must be one of {sorted(CORNER_VT_SHIFT)}, got {shown(corner)}", "corner")
     return V_T0 + CORNER_VT_SHIFT[corner] - VT_TEMP_SLOPE * (temperature - TEMP_REF_C)
 
 
@@ -106,30 +127,23 @@ class DeviceParams:
     i_s_nominal: float | None = None      # default overdrive-scaled from I_S_REF
 
     def __post_init__(self):
-        _check_finite(self)
+        check_fields(self)
         vt = threshold_voltage(self.temperature, self.corner)
         if self.vdd <= vt:
-            raise InvalidParamsError(
-                f"vdd {self.vdd} V leaves no overdrive above V_T {vt:.3f} V"
-            )
-        if self.c_bl <= 0 or self.c_wl <= 0:
-            raise InvalidParamsError("bit-line and word-line capacitances must be positive")
-        if 1.0 + self.delta_c <= 0:
-            raise InvalidParamsError(f"delta_c {self.delta_c} makes C_BLB non-positive")
+            raise InvalidParamsError(f"vdd must be above V_T = {vt:.3f} V, got {self.vdd}", "vdd")
         if self.v_trip_nominal is None:
             object.__setattr__(self, "v_trip_nominal", (1.0 - BETA_NOMINAL) * self.vdd)
         if not 0 < self.v_trip_nominal < self.vdd:
-            raise InvalidParamsError(
-                f"v_trip_nominal {self.v_trip_nominal} must lie inside (0, vdd)"
-            )
+            raise InvalidParamsError(f"v_trip_nominal must lie inside (0, vdd = {self.vdd}), "
+                                     f"got {self.v_trip_nominal}", "v_trip_nominal")
         if self.i_s_nominal is None:
             try:
                 i_s = I_S_REF * (self.overdrive / REF_OVERDRIVE) ** 2
             except OverflowError:
-                raise InvalidParamsError(f"overdrive {self.overdrive} V is out of range") from None
+                i_s = math.inf
+            if not 0 < i_s < math.inf:      # the square overflowed or underflowed
+                raise InvalidParamsError(f"overdrive {self.overdrive} V is out of range")
             object.__setattr__(self, "i_s_nominal", i_s)
-        if self.i_s_nominal <= 0:
-            raise InvalidParamsError("i_s_nominal must be positive")
 
     @property
     def overdrive(self) -> float:
@@ -148,10 +162,7 @@ class CellVariation:
     sigma_vtrip: float = DEFAULT_SIGMA_VTRIP
     rng_seed: int = 0
 
-    def __post_init__(self):
-        _check_finite(self)
-        if self.sigma_i_over_mu < 0 or self.sigma_vtrip < 0:
-            raise InvalidParamsError("variation sigmas must be non-negative")
+    __post_init__ = check_fields
 
 
 def variation_at_device(variation: CellVariation, device: DeviceParams) -> CellVariation:
@@ -165,9 +176,7 @@ class MacroGeometry:
     rows: int = MAX_FRAME_HEIGHT
     cols: int = MAX_FRAME_WIDTH
 
-    def __post_init__(self):
-        if min(self.rows, self.cols) <= 0:
-            raise InvalidParamsError(f"geometry fields must be positive: {self}")
+    __post_init__ = check_fields
 
 
 DEFAULT_GEOMETRY = MacroGeometry()
@@ -179,11 +188,7 @@ class TrackerConfig:
     confirm_hits: int = 3       # consecutive hits to confirm (spawn counts as the first)
     kill_misses: int = 5        # consecutive misses to kill
 
-    def __post_init__(self):
-        if not 0 < self.iou_match_threshold <= 1:
-            raise InvalidParamsError("iou_match_threshold must be in (0, 1]")
-        if self.confirm_hits < 1 or self.kill_misses < 1:
-            raise InvalidParamsError("confirm_hits and kill_misses must be >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -196,17 +201,7 @@ class WorkloadParams:
     gamma: float = 0.127            # event density
     empty_frame_fraction: float = 0.51
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidParamsError("frame dimensions must be positive")
-        if self.n < 3 or self.n % 2 == 0:
-            raise InvalidParamsError(f"n must be odd and >= 3, got {self.n}")
-        if not 0 <= self.alpha <= 1 or not 0 <= self.gamma <= 1:
-            raise InvalidParamsError("alpha and gamma are fractions")
-        if self.beta_t <= 0:
-            raise InvalidParamsError("beta_t must be positive")
-        if not 0 <= self.empty_frame_fraction <= 1:
-            raise InvalidParamsError("empty_frame_fraction is a fraction")
+    __post_init__ = check_fields
 
     @property
     def pixels(self) -> int:
@@ -222,9 +217,4 @@ class EnergyConstants:
     e_imc_pixel: float = 39e-15     # J per pixel, in-array filtering
     dnn_energy: float = 1076.6e-9   # J per frame of downstream inference
 
-    def __post_init__(self):
-        for name in ("e_read", "e_write", "ref_vdd", "cap_ratio", "e_imc_pixel"):
-            if getattr(self, name) <= 0:
-                raise InvalidParamsError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.dnn_energy < 0:
-            raise InvalidParamsError(f"dnn_energy must be non-negative, got {self.dnn_energy}")
+    __post_init__ = check_fields

@@ -160,8 +160,6 @@ def system_energy_per_frame(
     inference on every frame."""
     if denoise_energy < 0:
         raise InvalidParamsError("denoise energy must be non-negative")
-    if constants.dnn_energy <= 0:
-        raise InvalidParamsError(f"dnn_energy must be positive, got {constants.dnn_energy}")
     average = denoise_energy + (1.0 - params.empty_frame_fraction) * constants.dnn_energy
     baseline = constants.dnn_energy
     return SystemEnergy(average=average, baseline=baseline, savings=1.0 - average / baseline)

@@ -248,16 +248,15 @@ def _exit_code(*argv):
 @pytest.mark.parametrize(
     "cfg_text, argv, expect",
     [
-        ("frequency = 0\n", ["perf"], "run.cfg:1: frequency must be positive and finite, got 0.0"),
-        ("frequency = inf\n", ["perf"],
-         "run.cfg:1: frequency must be positive and finite, got inf"),
+        ("frequency = 0\n", ["perf"], "run.cfg:1: frequency must be positive, got 0.0"),
+        ("frequency = inf\n", ["perf"], "run.cfg:1: frequency must be finite, got inf"),
         ("seed = 1\n# caf\xc3\xa9\n", ["perf"], "run.cfg:2: non-ASCII character"),
         ("", ["characterize", "--vdd", "abc"], "argument --vdd: expected a comma list"),
         ("", ["characterize", "--k", "4,x"], "argument --k: expected a comma list"),
         ("", ["characterize", "--patterns", "some"], "argument --patterns: expected"),
         ("", ["characterize", "--patterns", "0", "--vdd", "0.7"], "patterns must be positive"),
         ("", ["characterize", "--trials", "0", "--vdd", "0.7"], "trials must be positive"),
-        ("t_f = 0\nn_frames = 2\n", ["gen", "--events"], "t_f must be positive"),
+        ("t_f = 0\nn_frames = 2\n", ["gen", "--events"], "run.cfg:1: t_f must be positive, got 0"),
         # its own readers refuse a recording past their window limit
         ("n_frames = 131073\n", ["gen", "--events"],
          "n_frames = 131073 with --events is past the 131072-frame limit"),
@@ -265,18 +264,18 @@ def _exit_code(*argv):
         ("temperature = nan\n", ["simulate", "--frames", "FRAMES"],
          "run.cfg:1: temperature must be finite, got nan"),
         ("n = 4\nn_frames = 2\n", ["gen", "--kind", "noise"],
-         "kernel size must be odd and >= 3, got 4"),
+         "run.cfg:1: n must be odd and >= 3, got 4"),
         ("vdd = nan\nn_frames = 2\n", ["gen", "--kind", "noise"],
          "run.cfg:1: vdd must be finite, got nan"),
-        ("e_imc_pixel = 0\n", ["perf"], "e_imc_pixel must be positive, got 0.0"),
-        ("ref_vdd = 0\n", ["perf"], "ref_vdd must be positive, got 0.0"),
+        ("e_imc_pixel = 0\n", ["perf"], "run.cfg:1: e_imc_pixel must be positive, got 0.0"),
+        ("ref_vdd = 0\n", ["perf"], "run.cfg:1: ref_vdd must be positive, got 0.0"),
         ("rho_lambda_mean = -1\n", ["perf"],
          "run.cfg:1: rho_lambda_mean must be positive, got -1.0"),
         ("salt_p = 2\nn_frames = 2\n", ["gen"], "run.cfg:1: salt_p must lie in [0, 1], got 2.0"),
         ("max_objects = -1\nn_frames = 2\n", ["gen"],
          "run.cfg:1: max_objects must be >= 1, got -1"),
         ("e_read = 0\nn_frames = 2\n", ["gen", "--kind", "noise"],
-         "e_read must be positive, got 0.0"),
+         "run.cfg:1: e_read must be positive, got 0.0"),
         ("n_frames = 0\n", ["gen", "--kind", "noise"], "run.cfg:1: n_frames must be >= 1, got 0"),
         ("n_frames = -5\n", ["gen", "--kind", "noise"], "run.cfg:1: n_frames must be >= 1, got -5"),
         # traffic objects keep a one-pixel margin, so a frame side needs 3 pixels
@@ -320,6 +319,19 @@ def _exit_code(*argv):
         # a non-finite supply is blamed by its own name, not by a value derived from it
         ("", ["characterize", "--vdd", "nan"], "error: vdd must be finite, got nan"),
         ("", ["characterize", "--vdd", "0.7,inf"], "error: vdd must be finite, got inf"),
+        # a parameter object's check names the key as the file wrote it, and its line
+        ("n_frames = 2\nwidth = 400\n", ["gen"], "run.cfg:2: width must be in 1..320, got 400"),
+        ("v_trip = 0.9\n", ["simulate", "--frames", "FRAMES"],
+         "run.cfg:1: v_trip must lie inside (0, vdd = 0.7), got 0.9"),
+        ("c_bl = 0\n", ["perf"], "run.cfg:1: c_bl must be positive, got 0.0"),
+        ("gamma = 1.5\n", ["perf"], "run.cfg:1: gamma must lie in [0, 1], got 1.5"),
+        ("confirm_hits = 0\n", ["perf"], "run.cfg:1: confirm_hits must be >= 1, got 0"),
+        ("iou_match_threshold = 0\n", ["perf"],
+         "run.cfg:1: iou_match_threshold must lie in (0, 1], got 0.0"),
+        ("vdd = 0.3\n", ["simulate", "--frames", "FRAMES"],
+         "run.cfg:1: vdd must be above V_T = 0.350 V, got 0.3"),
+        ("dnn_energy = 0\nn_frames = 2\n", ["gen", "--kind", "noise"],
+         "run.cfg:1: dnn_energy must be positive, got 0.0"),
     ],
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
@@ -337,7 +349,9 @@ def _exit_code(*argv):
          "characterize-k-plus-sign", "characterize-patterns-underscore",
          "characterize-vdd-plus-sign", "perf-vdd-plus-underscore", "gen-salt_p-located-line-3",
          "perf-trials-set-twice", "gen-seed-flag-over-file", "characterize-vdd-nan",
-         "characterize-vdd-inf"],
+         "characterize-vdd-inf", "gen-width-400", "simulate-v_trip-above-vdd", "perf-c_bl-0",
+         "perf-gamma-1.5", "perf-confirm_hits-0", "perf-iou_match_threshold-0",
+         "simulate-vdd-below-v_t", "gen-noise-dnn_energy-0"],
 )
 def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, argv, expect):
     frames = tmp_path / "frames"   # a valid recording with mixed patches
@@ -405,6 +419,95 @@ def test_hostile_config_values_exit_0_or_2_and_leave_no_out(command, lines):
             code = run_cli(*command, "--config", cfg, "--out", out)
         assert code in (0, 2) and "Traceback" not in err.getvalue()
         assert code == 0 or not out.exists()
+
+
+# Byte edits of an input file: flip one bit, insert one byte (often one the
+# formats use as structure), or cut the file at a position taken modulo its length.
+EDITS = st.lists(st.tuples(st.sampled_from(["flip", "insert", "truncate"]),
+                           st.integers(0, 1 << 16),
+                           st.one_of(st.sampled_from(b"0123456789,-# \n"), st.integers(0, 255))),
+                 min_size=1, max_size=4)
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for kind, at, byte in edits:
+        i = at % (len(buf) + 1)
+        if kind == "flip" and i < len(buf):
+            buf[i] ^= 1 << byte % 8
+        elif kind == "insert":
+            buf.insert(i, byte)
+        elif kind == "truncate":
+            del buf[i:]
+    return bytes(buf)
+
+
+def _exits_cleanly(out, *argv):
+    """Run the command in process: main returns 1 only from its OSError
+    handler, and any other exception escapes this call and fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(*argv, "--out", out)
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    assert code == 0 or not out.exists()
+
+
+@settings(max_examples=40)
+@given(command=st.sampled_from([("denoise", "--filter", "nomf"), ("denoise", "--filter", "omf"),
+                                ("simulate",)]),
+       which=st.integers(0, 1), edits=EDITS)
+def test_a_mutated_pbm_frame_exits_0_or_2_and_leaves_no_out(command, which, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        frames = Path(tmp) / "frames"
+        frames.mkdir()
+        for i in range(2):
+            write_pbm(BinaryFrame(np.eye(18, 24, i, dtype=np.uint8)), frames / f"frame_{i:05d}.pbm")
+        path = frames / f"frame_{which:05d}.pbm"
+        path.write_bytes(_mutated(path.read_bytes(), edits))
+        _exits_cleanly(Path(tmp) / "out", *command, "--frames", frames)
+
+
+@pytest.fixture(scope="module")
+def event_slice(traffic_dir):
+    """400 lines of the traffic recording, 200 on each side of its first window edge."""
+    lines = (traffic_dir / "events.txt").read_bytes().splitlines(keepends=True)
+    edge = next(i for i, line in enumerate(lines) if not line.startswith(b"0,"))
+    return b"".join(lines[edge - 200 : edge + 200])
+
+
+@settings(max_examples=40)
+@given(edits=EDITS)
+def test_a_mutated_event_slice_exits_0_or_2_and_leaves_no_out(event_slice, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        events, cfg = Path(tmp) / "events.txt", Path(tmp) / "run.cfg"
+        events.write_bytes(_mutated(event_slice, edits))
+        # one window holds the slice, so a timestamp that a few inserted digits
+        # lengthen spans tens of windows, not the thousands that 66 ms would give
+        cfg.write_text("t_f = 1000000\n")
+        _exits_cleanly(Path(tmp) / "out", "denoise", "--events", events, "--config", cfg)
+
+
+@pytest.fixture(scope="module")
+def box_recording(tmp_path_factory):
+    """Three 24x18 frames with a moving 8x6 block, and their gt.csv bytes."""
+    frames = tmp_path_factory.mktemp("boxes")
+    rows = ["frame_index,track_id,class,x,y,w,h\n"]
+    for i in range(3):
+        pixels = np.zeros((18, 24), dtype=np.uint8)
+        pixels[6:12, 2 * i + 4 : 2 * i + 12] = 1
+        write_pbm(BinaryFrame(pixels), frames / f"frame_{i:05d}.pbm")
+        rows.append(f"{i},0,car,{2 * i + 4},6,8,6\n")
+    return frames, "".join(rows).encode()
+
+
+@settings(max_examples=40)
+@given(edits=EDITS)
+def test_a_mutated_gt_csv_exits_0_or_2_and_leaves_no_out(box_recording, edits):
+    frames, gt_bytes = box_recording
+    with tempfile.TemporaryDirectory() as tmp:
+        gt = Path(tmp) / "gt.csv"
+        gt.write_bytes(_mutated(gt_bytes, edits))
+        _exits_cleanly(Path(tmp) / "out", "track-eval", "--frames", frames, "--gt", gt)
 
 
 def _late_bad_line_recording(tmp_path):

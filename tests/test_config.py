@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -123,9 +123,9 @@ def test_device_at_another_supply_derives_its_own_nominals():
 @pytest.mark.parametrize("key, value", [
     ("rho_lambda_mean", 0.0), ("salt_p", -0.01), ("salt_p", 1.01), ("max_objects", 0),
     ("e_read", 0.0), ("e_write", 0.0), ("ref_vdd", 0.0), ("cap_ratio", 0.0),
-    ("e_imc_pixel", 0.0), ("e_imc_pixel", -1e-15), ("dnn_energy", -1e-9), ("seed", -1),
-    ("rescale_a", 0), ("rescale_b", 0), ("connectivity", 6), ("trials", 0), ("patterns", 0),
-    ("min_area", 0), ("min_area", -3),
+    ("e_imc_pixel", 0.0), ("e_imc_pixel", -1e-15), ("dnn_energy", 0.0), ("dnn_energy", -1e-9),
+    ("seed", -1), ("rescale_a", 0), ("rescale_b", 0), ("connectivity", 6), ("trials", 0),
+    ("patterns", 0), ("min_area", 0), ("min_area", -3),
 ])
 def test_load_time_check_rejects_out_of_range_keys(key, value):
     with pytest.raises(InvalidParamsError, match=key):
@@ -133,7 +133,31 @@ def test_load_time_check_rejects_out_of_range_keys(key, value):
 
 
 def test_load_time_check_accepts_the_range_ends():
-    for key, value in [("salt_p", 0.0), ("salt_p", 1.0), ("max_objects", 1), ("dnn_energy", 0.0),
-                       ("seed", 0), ("connectivity", 4), ("rescale_a", 1), ("patterns", 1),
-                       ("min_area", 1)]:
+    for key, value in [("salt_p", 0.0), ("salt_p", 1.0), ("max_objects", 1), ("seed", 0),
+                       ("connectivity", 4), ("rescale_a", 1), ("patterns", 1), ("min_area", 1)]:
         assert getattr(RunConfig(**{key: value}), key) == value
+
+
+# a value of each config key that breaks its own rule or a check across keys;
+# a new key fails the test below until it has one
+BAD_VALUES = {
+    "seed": "-1", "t_f": "0", "width": "400", "height": "0", "n": "4", "vdd": "0.3",
+    "temperature": "nan", "corner": "XX", "c_bl": "0", "c_wl": "-1", "delta_c": "-1",
+    "v_trip": "0.9", "i_s": "0", "sigma_i_over_mu": "-1", "sigma_vtrip": "-0.5", "alpha": "2",
+    "beta_t": "0", "gamma": "1.5", "empty_frame_fraction": "-0.1", "e_read": "0",
+    "e_write": "inf", "ref_vdd": "0", "cap_ratio": "0", "e_imc_pixel": "0", "dnn_energy": "0",
+    "frequency": "0", "rho_lambda_mean": "0", "iou_match_threshold": "0", "confirm_hits": "0",
+    "kill_misses": "0", "rescale_a": "0", "rescale_b": "0", "min_area": "0",
+    "connectivity": "5", "trials": "0", "patterns": "0", "n_frames": "0", "salt_p": "2",
+    "max_objects": "0",
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+def test_a_bad_value_of_any_key_names_the_key_and_its_line(tmp_path, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# the line below is line 2\n{key} = {BAD_VALUES[key]}\n")
+    with pytest.raises(InvalidParamsError) as raised:
+        load_config(path)
+    assert str(raised.value).startswith(f"{path}:2: {key} must ")
+    assert raised.value.key == key

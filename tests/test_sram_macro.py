@@ -16,7 +16,8 @@ from imfsim.config import RunConfig
 from imfsim.errors import DimensionMismatchError, InvalidParamsError
 from imfsim.filters import KernelSpec, nomf
 from imfsim.frames import BinaryFrame
-from imfsim.params import threshold_voltage
+from imfsim.params import (EnergyConstants, FrameConfig, TrackerConfig, WorkloadParams,
+                           threshold_voltage)
 from imfsim.sram_macro import (
     DEFAULT_GEOMETRY,
     CellVariation,
@@ -100,6 +101,9 @@ def test_device_validation():
         DeviceParams(vdd=0.7, delta_c=-1.0)
     with pytest.raises(InvalidParamsError):
         DeviceParams(vdd=0.7, v_trip_nominal=0.8)
+    # V_T is exactly 0 here, and the derived i_s of a 1e-200 V overdrive underflows to 0
+    with pytest.raises(InvalidParamsError, match="overdrive 1e-200 V is out of range"):
+        DeviceParams(vdd=1e-200, temperature=327.0, corner="FF")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -107,7 +111,12 @@ def test_device_validation():
     (DeviceParams, "vdd"), (DeviceParams, "temperature"), (DeviceParams, "c_bl"),
     (DeviceParams, "c_wl"), (DeviceParams, "delta_c"), (DeviceParams, "v_trip_nominal"),
     (DeviceParams, "i_s_nominal"), (CellVariation, "sigma_i_over_mu"),
-    (CellVariation, "sigma_vtrip"),
+    (CellVariation, "sigma_vtrip"), (EnergyConstants, "e_read"), (EnergyConstants, "e_write"),
+    (EnergyConstants, "ref_vdd"), (EnergyConstants, "cap_ratio"),
+    (EnergyConstants, "e_imc_pixel"), (EnergyConstants, "dnn_energy"),
+    (WorkloadParams, "alpha"), (WorkloadParams, "gamma"),
+    (WorkloadParams, "empty_frame_fraction"), (TrackerConfig, "iou_match_threshold"),
+    (FrameConfig, "t_f"),
 ])
 def test_a_non_finite_field_is_rejected_by_its_own_name(cls, field, value):
     with pytest.raises(InvalidParamsError) as raised:
@@ -126,6 +135,8 @@ def test_variation_scales_inversely_with_overdrive():
     assert ss.sigma_i_over_mu > eff.sigma_i_over_mu > ff.sigma_i_over_mu
     with pytest.raises(InvalidParamsError):
         CellVariation(-0.1)
+    with pytest.raises(InvalidParamsError, match="rng_seed must be >= 0, got -1"):
+        CellVariation(rng_seed=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ package default, so an empty config is valid.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,11 +74,19 @@ class RunConfig:
     def __post_init__(self):
         """Check every key at load, whichever command reads it: first each key
         alone by its params.FIELD_RULES rule, then each parameter object must
-        accept its fields.  An error of one key or field carries its name."""
+        accept its fields, and perf's energy scale (vdd / ref_vdd)^2 must be
+        finite.  An error of one key or field carries its name."""
         check_fields(self)
         for build in (self.device, self.variation, self.frame_config, self.kernel,
                       self.workload, self.energy_constants, self.tracker_config):
             build()
+        try:
+            finite = math.isfinite((self.vdd / self.ref_vdd) ** 2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidParamsError(f"ref_vdd must keep (vdd / ref_vdd)^2 finite at vdd = "
+                                     f"{self.vdd}, got {self.ref_vdd}", "ref_vdd")
 
     def _build(self, cls, **given):
         """cls with every field not given read from the config key of the same

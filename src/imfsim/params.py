@@ -142,7 +142,9 @@ class DeviceParams:
             except OverflowError:
                 i_s = math.inf
             if not 0 < i_s < math.inf:      # the square overflowed or underflowed
-                raise InvalidParamsError(f"overdrive {self.overdrive} V is out of range")
+                key = "vdd" if abs(self.vdd) >= abs(vt) else "temperature"  # the larger term
+                raise InvalidParamsError(f"{key}: overdrive {self.overdrive} V is out of range",
+                                         key)
             object.__setattr__(self, "i_s_nominal", i_s)
 
     @property

@@ -61,7 +61,7 @@ class Track:
 
     @property
     def last_box(self) -> BoundingBox:
-        return self.boxes[max(self.boxes)]
+        return next(reversed(self.boxes.values()))  # boxes go in by frame
 
 
 def downscale_or_stack(stack: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -173,14 +173,15 @@ def region_proposals(
 
 
 def track_update(
-    tracks: list[Track],
+    live: list[Track],
     proposals: list[BoundingBox],
     frame_index: int,
     cfg: TrackerConfig,
+    next_id: int,
 ) -> list[Track]:
-    """One tracker step: greedy IoU matching (ties to the lower track id), then
-    hit/miss bookkeeping, confirmations, kills, and spawns."""
-    live = sorted((t for t in tracks if t.state != DEAD), key=lambda t: t.track_id)
+    """One step over the live tracks, by ascending id: greedy IoU matching (ties
+    to the lower id), hit/miss bookkeeping, confirmations and kills.  Returns the
+    tracks still live, then spawns numbered from next_id; one that dies is set DEAD."""
     matches = greedy_matches([t.last_box for t in live], proposals, cfg.iou_match_threshold)
     assignment = {ti: pi for ti, pi, _ in matches}
     matched_props = set(assignment.values())
@@ -198,13 +199,9 @@ def track_update(
             if t.consecutive_misses >= cfg.kill_misses:
                 t.state = DEAD
 
-    next_id = max((t.track_id for t in tracks), default=-1) + 1
-    for pi, p in enumerate(proposals):
-        if pi in matched_props:
-            continue
-        tracks.append(Track(next_id, {frame_index: p}, consecutive_hits=1))
-        next_id += 1
-    return tracks
+    spawns = [p for pi, p in enumerate(proposals) if pi not in matched_props]
+    return [t for t in live if t.state != DEAD] + [
+        Track(next_id + i, {frame_index: p}, consecutive_hits=1) for i, p in enumerate(spawns)]
 
 
 def track_proposals(
@@ -213,10 +210,13 @@ def track_proposals(
     """Track per-frame proposals; returns the tracks and, per frame, the boxes
     of the tracks confirmed as of that frame, by ascending track id."""
     tracks: list[Track] = []
+    live: list[Track] = []
     per_frame = []
     for idx, frame_proposals in enumerate(proposals):
-        tracks = track_update(tracks, frame_proposals, idx, cfg)
-        per_frame.append([t.boxes[idx] for t in tracks
+        made = len(tracks)
+        live = track_update(live, frame_proposals, idx, cfg, made)
+        tracks += [t for t in live if t.track_id >= made]
+        per_frame.append([t.boxes[idx] for t in live
                           if t.state == CONFIRMED and idx in t.boxes])
     return tracks, per_frame
 

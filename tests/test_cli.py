@@ -332,6 +332,16 @@ def _exit_code(*argv):
          "run.cfg:1: vdd must be above V_T = 0.350 V, got 0.3"),
         ("dnn_energy = 0\nn_frames = 2\n", ["gen", "--kind", "noise"],
          "run.cfg:1: dnn_energy must be positive, got 0.0"),
+        # checks across keys name the key whose value is extreme
+        ("ref_vdd = 1e-300\nn_frames = 2\n", ["gen", "--kind", "noise"],
+         "run.cfg:1: ref_vdd must keep (vdd / ref_vdd)^2 finite at vdd = 0.7, got 1e-300"),
+        # vdd / ref_vdd itself overflows to inf, with no OverflowError
+        ("vdd = 1e150\nref_vdd = 1e-200\n", ["perf"],
+         "run.cfg:2: ref_vdd must keep (vdd / ref_vdd)^2 finite at vdd = 1e+150, got 1e-200"),
+        ("n_frames = 2\nvdd = 1e200\n", ["perf"],
+         "run.cfg:2: vdd: overdrive 1e+200 V is out of range"),
+        ("temperature = 1e300\n", ["perf"],
+         "run.cfg:1: temperature: overdrive 1e+297 V is out of range"),
     ],
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
@@ -351,7 +361,8 @@ def _exit_code(*argv):
          "perf-trials-set-twice", "gen-seed-flag-over-file", "characterize-vdd-nan",
          "characterize-vdd-inf", "gen-width-400", "simulate-v_trip-above-vdd", "perf-c_bl-0",
          "perf-gamma-1.5", "perf-confirm_hits-0", "perf-iou_match_threshold-0",
-         "simulate-vdd-below-v_t", "gen-noise-dnn_energy-0"],
+         "simulate-vdd-below-v_t", "gen-noise-dnn_energy-0", "gen-noise-ref_vdd-tiny",
+         "perf-ref_vdd-ratio-inf", "perf-vdd-huge", "perf-temperature-huge"],
 )
 def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, argv, expect):
     frames = tmp_path / "frames"   # a valid recording with mixed patches

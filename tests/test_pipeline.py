@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from imfsim import pipeline
 from imfsim.config import RunConfig
 from imfsim.errors import InvalidParamsError
 from imfsim.frames import BinaryFrame
@@ -165,7 +166,7 @@ def test_track_confirms_after_three_consecutive_hits():
     box = BoundingBox(8, 6, 16, 12)
     tracks = []
     for idx in range(3):
-        tracks = track_update(tracks, [box], idx, cfg)
+        tracks = track_update(tracks, [box], idx, cfg, len(tracks))
         assert [t.state for t in tracks] == [CONFIRMED if idx == 2 else TENTATIVE]
     (t,) = tracks
     assert t.consecutive_hits == 3 and t.boxes == {0: box, 1: box, 2: box}
@@ -175,44 +176,62 @@ def test_track_confirms_after_three_consecutive_hits():
 def test_track_dies_after_five_consecutive_misses():
     cfg = TrackerConfig()
     box = BoundingBox(0, 0, 16, 12)
-    tracks = []
+    live = []
     for idx in range(3):
-        tracks = track_update(tracks, [box], idx, cfg)
+        live = track_update(live, [box], idx, cfg, len(live))
+    (t,) = live
     for idx in range(3, 8):
-        tracks = track_update(tracks, [], idx, cfg)
-        (t,) = tracks
+        live = track_update(live, [], idx, cfg, 1)
         assert t.state == (DEAD if idx == 7 else CONFIRMED)
-    assert tracks[0].consecutive_misses == 5
-    tracks = track_update(tracks, [box], 8, cfg)
-    assert len(tracks) == 2 and tracks[1].state == TENTATIVE  # dead tracks stay dead
+        assert live == ([] if idx == 7 else [t])   # a dead track leaves the live list
+    assert t.consecutive_misses == 5
+    (spawn,) = track_update(live, [box], 8, cfg, 1)
+    assert t.state == DEAD and spawn.track_id == 1 and spawn.state == TENTATIVE
+    tracks, _ = track_proposals([[box]] * 3 + [[]] * 5 + [[box]], cfg)
+    assert [(t.track_id, t.state) for t in tracks] == [(0, DEAD), (1, TENTATIVE)]
 
 
 def test_track_miss_resets_confirmation_streak():
     cfg = TrackerConfig()
     box = BoundingBox(0, 0, 16, 12)
-    tracks = track_update([], [box], 0, cfg)
-    tracks = track_update(tracks, [box], 1, cfg)
-    tracks = track_update(tracks, [], 2, cfg)      # streak broken while tentative
-    tracks = track_update(tracks, [box], 3, cfg)
-    tracks = track_update(tracks, [box], 4, cfg)
+    tracks = track_update([], [box], 0, cfg, 0)
+    tracks = track_update(tracks, [box], 1, cfg, 1)
+    tracks = track_update(tracks, [], 2, cfg, 1)      # streak broken while tentative
+    tracks = track_update(tracks, [box], 3, cfg, 1)
+    tracks = track_update(tracks, [box], 4, cfg, 1)
     (t,) = tracks
     assert t.state == TENTATIVE and t.consecutive_hits == 2
-    tracks = track_update(tracks, [box], 5, cfg)
+    tracks = track_update(tracks, [box], 5, cfg, 1)
     assert tracks[0].state == CONFIRMED
 
 
 def test_track_ties_break_to_lower_track_id():
     cfg = TrackerConfig(confirm_hits=1)
     box = BoundingBox(0, 0, 16, 12)
-    for order in (1, -1):
-        tracks = track_update([], [box, BoundingBox(100, 100, 16, 12)], 0, cfg)
-        assert [t.track_id for t in tracks] == [0, 1]
-        # both live tracks overlap the single proposal equally; id 0 wins it,
-        # in whichever order the caller lists the tracks
-        tracks[1].boxes[0] = box
-        tracks = track_update(tracks[::order], [box], 1, cfg)
-        by_id = {t.track_id: t for t in tracks}
-        assert 1 in by_id[0].boxes and 1 not in by_id[1].boxes
+    live = track_update([], [box, BoundingBox(100, 100, 16, 12)], 0, cfg, 0)
+    assert [t.track_id for t in live] == [0, 1]
+    # both live tracks overlap the single proposal equally; id 0 wins it
+    live[1].boxes[0] = box
+    live = track_update(live, [box], 1, cfg, 2)
+    assert [t.track_id for t in live] == [0, 1]
+    assert 1 in live[0].boxes and 1 not in live[1].boxes
+
+
+def test_tracker_steps_over_live_tracks_only(monkeypatch):
+    # a box that lives 3 frames and misses 5, over and over: one track at a
+    # time is live, so no step sees more tracks late than early
+    sizes = []
+    step = pipeline.track_update
+
+    def recording(live, *args):
+        sizes.append(len(live))
+        return step(live, *args)
+
+    monkeypatch.setattr(pipeline, "track_update", recording)
+    box = BoundingBox(0, 0, 16, 12)
+    tracks, _ = track_proposals(([[box]] * 3 + [[]] * 5) * 1000, TrackerConfig())
+    assert len(tracks) == 1000 and len(sizes) == 8000
+    assert max(sizes) == max(sizes[:80])
 
 
 # a coarse grid, so equal boxes and equal IoUs are common

@@ -47,6 +47,7 @@ FIELD_RULES = {
     "sensor_height": (lambda v: 0 < v <= MAX_FRAME_HEIGHT, f"be in 1..{MAX_FRAME_HEIGHT}"),
     "n": (lambda v: v >= 3 and v % 2 == 1, "be odd and >= 3"),
     "delta_c": (lambda v: v > -1, "be > -1"),       # C_BLB = c_bl * (1 + delta_c) > 0
+    "temperature": (lambda v: v >= -273.15, "be >= -273.15"),   # degrees C, absolute zero
     "iou_match_threshold": (lambda v: 0 < v <= 1, "lie in (0, 1]"),
     "connectivity": (lambda v: v in (4, 8), "be 4 or 8"),
 }

@@ -111,7 +111,9 @@ def baseline_energy(
     try:
         scale = (vdd / constants.ref_vdd) ** 2 * constants.cap_ratio
     except OverflowError:
-        raise InvalidParamsError(f"vdd {vdd} / ref_vdd {constants.ref_vdd} overflows") from None
+        scale = math.inf
+    if not math.isfinite(scale):    # the division and the product overflow without raising
+        raise InvalidParamsError(f"vdd {vdd} / ref_vdd {constants.ref_vdd} overflows")
     return _formula(_ENERGY, "arch", arch)(params.pixels, params.n, constants, scale)
 
 

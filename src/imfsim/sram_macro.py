@@ -188,27 +188,18 @@ def init_macro(
     )
 
 
-def clear_memory(state: MacroState) -> int:
-    """Zero the array, strobing CLEAR_GROUP word lines per cycle; returns cycles spent."""
-    state.bits.fill(0)
-    cycles = -(-state.geometry.rows // CLEAR_GROUP)
-    state.cycle_count += cycles
-    return cycles
-
-
 def load_frame(state: MacroState, frame: BinaryFrame) -> int:
-    """clear_memory, then write the frame into the array at one cycle per on
-    pixel; returns the cycles spent on both."""
+    """Clear the array, strobing CLEAR_GROUP word lines per cycle, then write
+    the frame at one cycle per on pixel; returns the cycles spent on both."""
     if frame.height != state.geometry.rows or frame.width != state.geometry.cols:
         raise DimensionMismatchError(
             f"frame {frame.width}x{frame.height} does not fit array "
             f"{state.geometry.cols}x{state.geometry.rows}"
         )
-    cycles = clear_memory(state)
     state.bits[:] = frame.pixels
-    written = int(np.count_nonzero(frame.pixels))
-    state.cycle_count += written
-    return cycles + written
+    cycles = -(-state.geometry.rows // CLEAR_GROUP) + int(np.count_nonzero(frame.pixels))
+    state.cycle_count += cycles
+    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +494,9 @@ def ber_supply_sweep(
     trials: int = 8, patterns: Literal["all"] | int = 16,
     geometry: MacroGeometry = DEFAULT_GEOMETRY,
 ) -> list[list[BERStat]]:
-    """ber_pattern_sweep at every supply and every k, with the reference
+    """The k-ones pattern BER of every k at every supply, with the reference
     `variation` scaled to each supply: result[s][j] == ber_pattern_sweep(n,
-    ks[j], devices[s], variation_at_device(variation, devices[s])), bit for
-    bit.
+    ks[j], devices[s], variation), bit for bit.
 
     The lottery seed rng_seed + pattern_index * trials + trial depends on
     neither the supply nor k, so each lottery is drawn once, one ahead
@@ -573,19 +563,21 @@ def ber_pattern_sweep(
     """Fill every complete patch of the array with a k-ones pattern and measure
     unintended flips against the majority decision, resampling the mismatch
     lottery each trial (seed = rng_seed + pattern_index * trials + trial).
+    `variation` is the reference spread, scaled to the device here.
 
     `patterns` is "all" (every C(n^2, k) placement) or a sample size.  BER
     is unintended flips / (patches * trials), so a fully wrong patch
-    contributes n^2.  Each trial races a whole macro state.
+    contributes n^2.  The per-state form of ber_supply_sweep's one-supply
+    result, which characterize runs: each trial races a whole macro state.
     """
     groups, per_group = _sweep_grid(n, [k], trials, patterns, geometry)
     pids = _pattern_ids(n, k, patterns, variation.rng_seed)
-    flips = [0] * len(pids)
+    eff, flips = variation_at_device(variation, device), [0] * len(pids)
     for pi, pid in enumerate(pids):
         tile = np.tile(pattern_to_patch(pid, n), (groups, per_group))
         for t in range(trials):
             seed = variation.rng_seed + pi * trials + t
-            state = init_macro(geometry, device, replace(variation, rng_seed=seed))
+            state = init_macro(geometry, device, replace(eff, rng_seed=seed))
             state.bits[:, :per_group * n] = tile
             flips[pi] += filter_in_memory(state, n, device).flips_unintended
     return _ber_stat(n, k, groups * per_group, trials, pids, flips)

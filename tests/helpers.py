@@ -1,11 +1,15 @@
-"""Shared test utilities: random frames, on-disk fixtures, CLI invocation."""
+"""Shared test utilities: random frames, on-disk fixtures, CLI invocation,
+the macro kernel on a lottery stream of its own."""
 
+from contextlib import closing
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from imfsim.cli import main
 from imfsim.frames import BinaryFrame, write_pbm
+from imfsim.sram_macro import filter_in_memory_stack, lottery_stream
 
 
 def random_frame(rng, width, height, p=0.5) -> BinaryFrame:
@@ -30,3 +34,11 @@ def tree_bytes(root: Path) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def filter_stack(frames, first_seed, device, variation, n):
+    """filter_in_memory_stack, the simulate kernel, on a lottery stream of its
+    own, seeded first_seed: the (frames, rows, cols) stack filtered in place;
+    its report rows."""
+    with closing(lottery_stream(repeat(frames.shape[1:]), first_seed)) as lotteries:
+        return filter_in_memory_stack(frames, lotteries, device, variation, n)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import run_cli, tree_bytes
+from helpers import filter_stack, run_cli, tree_bytes
 from imfsim.filters import KernelSpec, nomf
 from imfsim.frames import BinaryFrame
 from imfsim.params import CALIBRATED_SIGMA_I_OVER_MU
@@ -29,15 +29,10 @@ from imfsim.perf_model import (
     throughput_efficiency,
 )
 from imfsim.sram_macro import (
-    DEFAULT_GEOMETRY,
     CellVariation,
     DeviceParams,
-    MacroGeometry,
-    ber_pattern_sweep,
+    ber_supply_sweep,
     calibrate_current_sigma,
-    clear_memory,
-    filter_in_memory,
-    init_macro,
     measure_image_ber,
     pattern_to_patch,
     patch_error_trials,
@@ -62,8 +57,10 @@ def test_criterion_1_latency_and_throughput():
     assert frame_time == pytest.approx(1.71e-6, rel=0.01)
     assert 1e-6 / frame_time == pytest.approx(0.583, rel=0.01)
 
-    state = init_macro(DEFAULT_GEOMETRY, DeviceParams(), NO_VARIATION)
-    assert clear_memory(state) == 15
+    # an empty 240 x 320 frame costs the clear and 2 cycles per row group
+    empty = np.zeros((1, 240, 320), dtype=np.uint8)
+    *_, cycles = filter_stack(empty, 0, DeviceParams(), NO_VARIATION, 3)[0]
+    assert cycles - 2 * 240 // 3 == 15
     print("criterion 1: PASS (134.4 GOPS, 51.3 TOPS/W, 4800x/3x, 1.71 us, 15-cycle clear)")
 
 
@@ -100,22 +97,22 @@ def test_criterion_3_functional_equivalence_without_variation():
     device = DeviceParams(vdd=0.7)
     spec = KernelSpec(3)
 
-    # exhaustive: every 3x3 patch content
-    state = init_macro(MacroGeometry(rows=3, cols=3), device, NO_VARIATION)
-    for pid in range(512):
-        patch = pattern_to_patch(pid, 3)
-        state.bits[:, :] = patch
-        filter_in_memory(state, 3, device)
-        assert np.array_equal(state.bits, nomf(BinaryFrame(patch), spec).pixels)
+    # exhaustive: every 3x3 patch content, as one stack
+    patches = np.stack([pattern_to_patch(pid, 3) for pid in range(512)])
+    raced = patches.copy()
+    filter_stack(raced, 0, device, NO_VARIATION, 3)
+    for patch, got in zip(patches, raced):
+        assert np.array_equal(got, nomf(BinaryFrame(patch), spec).pixels)
 
-    # bulk: 1000 random full-size frames, bit-exact
+    # bulk: 1000 random full-size frames in 16-frame chunks, bit-exact
     rng = np.random.default_rng(424242)
-    state = init_macro(MacroGeometry(rows=180, cols=240), device, NO_VARIATION)
-    for _ in range(1000):
-        px = (rng.random((180, 240)) < rng.random()).astype(np.uint8)
-        state.bits[:, :] = px
-        filter_in_memory(state, 3, device)
-        assert np.array_equal(state.bits, nomf(BinaryFrame(px), spec).pixels)
+    for first in range(0, 1000, 16):
+        frames = np.stack([(rng.random((180, 240)) < rng.random()).astype(np.uint8)
+                           for _ in range(min(16, 1000 - first))])
+        raced = frames.copy()
+        filter_stack(raced, first, device, NO_VARIATION, 3)
+        for px, got in zip(frames, raced):
+            assert np.array_equal(got, nomf(BinaryFrame(px), spec).pixels)
 
     # spot: random sizes against the per-tile oracle, both kernel sizes
     for n, seed in ((3, 31), (5, 32)):
@@ -185,8 +182,7 @@ def test_criterion_4_statistical_error_model_and_calibration():
     assert fit.sigma_i_over_mu == pytest.approx(CALIBRATED_SIGMA_I_OVER_MU, rel=0.05)
 
     # pattern-sweep band for the hardest pattern class
-    sweep = ber_pattern_sweep(3, 5, low, variation_at_device(default_var, low),
-                              trials=8, patterns=16)
+    sweep = ber_supply_sweep(3, [5], [low], default_var, trials=8, patterns=16)[0][0]
     assert 1e-3 <= sweep.ber <= 1e-2
 
     elapsed = time.monotonic() - t0

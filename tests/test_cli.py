@@ -342,6 +342,9 @@ def _exit_code(*argv):
          "run.cfg:2: vdd: overdrive 1e+200 V is out of range"),
         ("temperature = 1e300\n", ["perf"],
          "run.cfg:1: temperature: overdrive 1e+297 V is out of range"),
+        # below absolute zero is the temperature's own error, not a 300-digit V_T
+        ("temperature = -1e300\n", ["perf"],
+         "run.cfg:1: temperature must be >= -273.15, got -1e+300"),
     ],
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
@@ -362,7 +365,8 @@ def _exit_code(*argv):
          "characterize-vdd-inf", "gen-width-400", "simulate-v_trip-above-vdd", "perf-c_bl-0",
          "perf-gamma-1.5", "perf-confirm_hits-0", "perf-iou_match_threshold-0",
          "simulate-vdd-below-v_t", "gen-noise-dnn_energy-0", "gen-noise-ref_vdd-tiny",
-         "perf-ref_vdd-ratio-inf", "perf-vdd-huge", "perf-temperature-huge"],
+         "perf-ref_vdd-ratio-inf", "perf-vdd-huge", "perf-temperature-huge",
+         "perf-temperature-below-absolute-zero"],
 )
 def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, argv, expect):
     frames = tmp_path / "frames"   # a valid recording with mixed patches

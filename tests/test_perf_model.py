@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from imfsim.errors import DimensionMismatchError, InvalidParamsError
@@ -142,6 +144,15 @@ def test_baseline_energy_scales_with_supply_squared():
     )
     with pytest.raises(InvalidParamsError):
         baseline_energy("adiabatic", DEFAULTS, c, 0.7)
+
+
+@pytest.mark.parametrize("vdd, ref_vdd", [(1e200, 1.0), (1e150, 1e-200)],
+                         ids=["square-raises", "division-is-inf"])
+def test_baseline_energy_rejects_a_scale_that_overflows(vdd, ref_vdd):
+    # (1e200)^2 raises OverflowError; 1e150 / 1e-200 is inf with no error
+    with pytest.raises(InvalidParamsError,
+                       match=re.escape(f"vdd {vdd} / ref_vdd {ref_vdd} overflows")):
+        baseline_energy("mf", DEFAULTS, EnergyConstants(ref_vdd=ref_vdd), vdd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 import math
 import sys
 import threading
-from contextlib import closing
 from dataclasses import replace
-from itertools import repeat
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 import imfsim.sram_macro as sram_macro
 import oracles
+from helpers import filter_stack
 from imfsim.config import RunConfig
 from imfsim.errors import DimensionMismatchError, InvalidParamsError
 from imfsim.filters import KernelSpec, nomf
@@ -26,12 +26,9 @@ from imfsim.sram_macro import (
     ber_pattern_sweep,
     ber_supply_sweep,
     calibrate_current_sigma,
-    clear_memory,
     filter_in_memory,
-    filter_in_memory_stack,
     init_macro,
     load_frame,
-    lottery_stream,
     measure_image_ber,
     pattern_to_patch,
     patch_error_trials,
@@ -49,12 +46,6 @@ def uniform_lottery(device, n=3):
     cur = np.full((n, n), device.i_s_nominal)
     vtr = np.full((n, n), device.v_trip_nominal)
     return cur, vtr
-
-
-def filter_stack(frames, first_seed, device, variation, n):
-    """filter_in_memory_stack on a lottery stream of its own, seeded first_seed."""
-    with closing(lottery_stream(repeat(frames.shape[1:]), first_seed)) as lotteries:
-        return filter_in_memory_stack(frames, lotteries, device, variation, n)
 
 
 def race_patch(patch, cur, vtr, device):
@@ -195,16 +186,16 @@ def test_lottery_positive_under_huge_spread():
 # array operations
 # ---------------------------------------------------------------------------
 
-def test_clear_memory_cycles_and_effect():
+def test_loading_an_empty_frame_costs_the_clear_and_clears():
     d = DeviceParams()
     state = init_macro(DEFAULT_GEOMETRY, d, NO_VARIATION)
     state.bits[:] = 1
-    assert clear_memory(state) == 15  # ceil(240 / 16)
+    assert load_frame(state, BinaryFrame.zeros(320, 240)) == 15  # ceil(240 / 16)
     assert not state.bits.any()
     st180 = init_macro(MacroGeometry(rows=180, cols=240), d, NO_VARIATION)
-    assert clear_memory(st180) == 12
+    assert load_frame(st180, BinaryFrame.zeros(240, 180)) == 12
     st17 = init_macro(MacroGeometry(rows=17, cols=8), d, NO_VARIATION)
-    assert clear_memory(st17) == 2
+    assert load_frame(st17, BinaryFrame.zeros(8, 17)) == 2
 
 
 def test_load_frame_round_trip_and_cycle_invariant():
@@ -495,6 +486,28 @@ def test_measure_image_ber_zero_variation_is_zero():
         measure_image_ber([], d, NO_VARIATION)
 
 
+def test_measure_image_ber_matches_the_oracle():
+    d, v = DeviceParams(vdd=0.8, delta_c=0.03), CellVariation(0.2, 0.02, rng_seed=11)
+    eff = variation_at_device(v, d)
+    rng = np.random.default_rng(4)
+    pixels = [(rng.random(shape) < 0.45).astype(np.uint8)
+              for shape in [(30, 31), (24, 17), (30, 31)]]
+    flips = 0
+    for i, px in enumerate(pixels):
+        cur, vtr = oracles.lottery_naive(px.shape, d.i_s_nominal, eff.sigma_i_over_mu,
+                                         d.v_trip_nominal, eff.sigma_vtrip, 11 + i)
+        flips += oracles.filter_in_memory_naive(px, cur, vtr, 3, d.c_bl, d.delta_c)[2]
+    assert flips > 0
+    assert measure_image_ber([BinaryFrame(px) for px in pixels], d, v, 3) == flips / sum(
+        px.size for px in pixels)
+
+    # a later frame whose rows are not a multiple of n raises, and leaves no thread
+    before = threading.active_count()
+    with pytest.raises(DimensionMismatchError, match="rows 20 not divisible by n=3") as raised:
+        measure_image_ber([BinaryFrame(pixels[0]), BinaryFrame.zeros(9, 20)], d, v, 3)
+    assert threading.active_count() == before   # joined while the traceback holds the frame
+
+
 def test_calibrate_rejects_bad_bounds(monkeypatch):
     d = DeviceParams(vdd=0.7)
     frames = [BinaryFrame.zeros(6, 6)]
@@ -738,7 +751,7 @@ def raced(monkeypatch):
 def test_supply_sweep_race_paths_agree(raced, supplies, ref, direct):
     for case in (SWEEP_CASES[0], SWEEP_CASES[2]):
         _check_supply_sweep(*case, supplies, ref)
-    raced.clear()       # ber_pattern_sweep races every patch directly
+    raced.clear()       # the per-state ber_pattern_sweep of the checks races every patch
     ber_supply_sweep(3, [3, 4, 5], supplies, ref, trials=3, patterns=4,
                      geometry=MacroGeometry(rows=9, cols=14))
     assert tuple(d in raced for d in supplies) == direct
@@ -753,7 +766,7 @@ def _check_supply_sweep(n, rows, cols, runs, supplies, ref):
         for d, per_k in zip(supplies, got):
             var = variation_at_device(ref, d)
             for k, stat in zip(ks, per_k):
-                assert stat == ber_pattern_sweep(n, k, d, var, trials=3, patterns=patterns,
+                assert stat == ber_pattern_sweep(n, k, d, ref, trials=3, patterns=patterns,
                                                  geometry=geom)
                 ids = [ps.pattern_id for ps in stat.pattern_stats]
                 want = oracles.pattern_sweep_naive(
@@ -1064,9 +1077,9 @@ def test_closed_forms_equal_the_direct_race(i_s, v_trip, delta_c, trip_spread, s
                                       sigma_bounds=bounds, iters=8)
         assert (fit.sigma_i_over_mu, fit.ber_low_vdd, fit.ber_high_vdd) == _direct_fit(
             frames, *supplies, ref, target, bounds, 8)
-    geom = MacroGeometry(rows=9, cols=14)
-    got = ber_supply_sweep(3, [3, 4, 5], supplies, ref, trials=2, patterns=3, geometry=geom)
-    for d, per_k in zip(supplies, got):
-        for k, stat in zip([3, 4, 5], per_k):
-            assert stat == ber_pattern_sweep(3, k, d, variation_at_device(ref, d), trials=2,
-                                             patterns=3, geometry=geom)
+    sweep = partial(ber_supply_sweep, 3, [3, 4, 5], supplies, ref, trials=2, patterns=3,
+                    geometry=MacroGeometry(rows=9, cols=14))
+    got = sweep()
+    with pytest.MonkeyPatch.context() as m:     # every race direct
+        m.setattr(sram_macro, "_closed_form_holds", lambda *args: False)
+        assert got == sweep()

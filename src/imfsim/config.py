@@ -1,8 +1,8 @@
 """Flat key = value run configuration shared by all CLI commands.
 
 Files hold one `key = value` per line; '#' starts a comment; unknown keys are
-rejected by name.  Every key mirrors a parameter object field and has the
-package default, so an empty config is valid.
+rejected by name.  Every key has a default, so an empty config is valid; a key
+that mirrors a parameter object field takes its type and default from it.
 """
 
 from __future__ import annotations
@@ -15,61 +15,35 @@ from pathlib import Path
 from typing import Union
 
 from .errors import InvalidParamsError, shown
-from .params import (CALIBRATED_SIGMA_I_OVER_MU, DEFAULT_SIGMA_VTRIP, CellVariation,
-                     DeviceParams, EnergyConstants, FrameConfig, KernelSpec, TrackerConfig,
-                     WorkloadParams, check_fields)
+from .params import (CellVariation, DeviceParams, EnergyConstants, FrameConfig, KernelSpec,
+                     TrackerConfig, WorkloadParams, check_fields)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    # frame accumulation
-    t_f: int = 66_000
-    width: int = 240
-    height: int = 180
-    # kernel
-    n: int = 3
-    # device operating point
-    vdd: float = 0.7
-    temperature: float = 27.0
-    corner: str = "TT"
-    c_bl: float = 140e-15
-    c_wl: float = 330e-15
-    delta_c: float = 0.0
-    v_trip: float | None = None
-    i_s: float | None = None
-    # mismatch
-    sigma_i_over_mu: float = CALIBRATED_SIGMA_I_OVER_MU
-    sigma_vtrip: float = DEFAULT_SIGMA_VTRIP
-    # workload model
-    alpha: float = 0.015
-    beta_t: int = 16
-    gamma: float = 0.127
-    empty_frame_fraction: float = 0.51
-    # energy model
-    e_read: float = 0.916e-12
-    e_write: float = 6.0e-12
-    ref_vdd: float = 1.0
-    cap_ratio: float = 89.0 / 140.0
-    e_imc_pixel: float = 39e-15
-    dnn_energy: float = 1076.6e-9
+# Only their fields are read; a docstring spares dataclass a slow inspect.signature.
+@dataclass(init=False, repr=False, eq=False)
+class _PerfKeys:
+    """perf's keys that no parameter object holds."""
     frequency: float = 70e6
     rho_lambda_mean: float = 1.01
-    # proposals and tracking
-    iou_match_threshold: float = 0.3
-    confirm_hits: int = 3
-    kill_misses: int = 5
+
+
+@dataclass(init=False, repr=False, eq=False)
+class _RunKeys:
+    """Proposal, characterization and generation keys no parameter object holds."""
     rescale_a: int = 8
     rescale_b: int = 6
     min_area: int = 2
     connectivity: int = 8
-    # characterization
     trials: int = 8
     patterns: int = 16
-    # synthetic generation
     n_frames: int = 500
     salt_p: float = 0.01
     max_objects: int = 3
+
+
+class _Builders:
+    """A run's configuration: every key, checked at load, and the parameter
+    objects built from it."""
 
     def __post_init__(self):
         """Check every key at load, whichever command reads it: first each key
@@ -126,8 +100,24 @@ class RunConfig:
 # parameter fields fed by a config key of another name
 _RENAMED = {"v_trip_nominal": "v_trip", "i_s_nominal": "i_s", "rng_seed": "seed",
             "sensor_width": "width", "sensor_height": "height"}
+
+
+def _keys(*sources) -> dict:
+    """Config key -> the field it mirrors, the first of a shared key; seed leads."""
+    keys = {}
+    for cls in sources:
+        for f in dataclasses.fields(cls):
+            keys.setdefault(_RENAMED.get(f.name, f.name), f)
+    return {"seed": keys.pop("seed")} | keys
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", [(key, f.type, dataclasses.field(default=f.default)) for key, f in _keys(
+        FrameConfig, KernelSpec, DeviceParams, CellVariation, WorkloadParams, EnergyConstants,
+        _PerfKeys, TrackerConfig, _RunKeys).items()],
+    bases=(_Builders,), frozen=True,     # make_dataclass(module=) needs Python 3.12
+    namespace={"__module__": __name__, "__doc__": _Builders.__doc__})
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_OPTIONAL_FLOATS = {"v_trip", "i_s"}
 
 
 # A number as the config and the CLI spell it: an optional minus, then digits
@@ -155,9 +145,9 @@ def parse_float(text: str) -> float:
 
 def _coerce(key: str, raw: str, where: str):
     raw = raw.strip()
-    if key in _OPTIONAL_FLOATS and raw.lower() in ("", "none"):
+    ftype, _, optional = _FIELDS[key].type.partition(" | ")    # "float | None": optional
+    if optional and raw.lower() in ("", "none"):
         return None
-    ftype = "float" if key in _OPTIONAL_FLOATS else _FIELDS[key].type
     try:
         # a minus sign is left to the key's own check
         return {"int": parse_int, "float": parse_float}.get(ftype, str)(raw)

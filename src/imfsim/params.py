@@ -11,7 +11,8 @@ operating point call variation_at_device to get the effective spread.  Trip
 points are 0.3 * vdd nominal, so beta = 1 - v_trip/vdd = 0.7 by construction.
 
 FIELD_RULES holds the one rule of each field that is checked alone, by field
-name; RunConfig's keys are checked from the same table.  check_fields applies
+name; RunConfig, whose mirrored keys take their types and defaults from the
+fields here, is checked from the same table.  check_fields applies
 it, and only the checks across fields (vdd above V_T, v_trip_nominal inside
 (0, vdd), the range of the derived i_s and the corner) are written by hand.
 """

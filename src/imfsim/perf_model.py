@@ -169,7 +169,7 @@ def system_energy_per_frame(
 
 def report(cfg: "RunConfig") -> tuple[list[tuple[str, float]], list[str]]:
     """The `perf` report of a run configuration: (metric, value) rows and
-    readable summary lines."""
+    readable summary lines; InvalidParamsError if a metric is not finite."""
     params, constants, f, vdd = cfg.workload(), cfg.energy_constants(), cfg.frequency, cfg.vdd
     rows = [(f"ops.{method}.{k}", v) for method in FILTER_METHODS
             for k, v in asdict(op_counts(method, params)).items()]
@@ -200,6 +200,9 @@ def report(cfg: "RunConfig") -> tuple[list[tuple[str, float]], list[str]]:
     # the baseline is dnn_energy, a configured constant, so it gets no row
     rows += [(f"system.{label}.{k}", v) for label, s in system.items()
              for k, v in asdict(s).items() if k != "baseline"]
+    for name, value in rows:    # extreme finite keys, such as frequency = 1e308, overflow
+        if not math.isfinite(value):
+            raise InvalidParamsError(f"perf metric {name} is not finite, got {value}")
 
     imf_us = cycles["imf"] / f * 1e6
     lines = [

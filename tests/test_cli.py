@@ -28,6 +28,7 @@ import imfsim.frames
 import imfsim.sram_macro
 from helpers import run_cli, tree_bytes
 from imfsim.config import RunConfig
+from imfsim.errors import shown
 from imfsim.frames import BinaryFrame, parse_event_stream, read_pbm, write_pbm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -345,6 +346,10 @@ def _exit_code(*argv):
         # below absolute zero is the temperature's own error, not a 300-digit V_T
         ("temperature = -1e300\n", ["perf"],
          "run.cfg:1: temperature must be >= -273.15, got -1e+300"),
+        # finite keys whose metrics overflow
+        ("frequency = 1e308\n", ["perf"], "perf metric throughput.gops is not finite, got inf"),
+        ("e_imc_pixel = 1e308\n", ["perf"],
+         "perf metric energy.imc_nomf is not finite, got inf"),
     ],
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
@@ -366,7 +371,8 @@ def _exit_code(*argv):
          "perf-gamma-1.5", "perf-confirm_hits-0", "perf-iou_match_threshold-0",
          "simulate-vdd-below-v_t", "gen-noise-dnn_energy-0", "gen-noise-ref_vdd-tiny",
          "perf-ref_vdd-ratio-inf", "perf-vdd-huge", "perf-temperature-huge",
-         "perf-temperature-below-absolute-zero"],
+         "perf-temperature-below-absolute-zero", "perf-frequency-huge",
+         "perf-e_imc_pixel-huge"],
 )
 def test_bad_parameters_exit_2_without_a_traceback(tmp_path, capsys, cfg_text, argv, expect):
     frames = tmp_path / "frames"   # a valid recording with mixed patches
@@ -402,6 +408,11 @@ def test_a_huge_rejected_value_is_cut_in_the_error(tmp_path, capsys, cfg_text, a
     lines = capsys.readouterr().err.replace(str(tmp_path), "").splitlines()
     assert any(where in line and "(5000 characters)" in line for line in lines)
     assert max(map(len, lines)) < 200
+
+
+def test_a_rejected_value_is_cut_past_40_characters():
+    assert shown("X" * 40) == repr("X" * 40)
+    assert shown("X" * 41) == repr("X" * 40) + "... (41 characters)"
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
@@ -605,6 +616,22 @@ def test_a_recording_past_the_frame_limit_is_rejected(tmp_path, capsys, monkeypa
     events.write_text("0,1,1,1\n6599999,3,3,1\n")     # window 99 is the last allowed
     assert run_cli(command, "--events", events, "--out", out) == 0
     assert len(written) == 100
+
+
+def test_gen_events_reaches_exactly_the_frame_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(imfsim.frames, "MAX_RECORDING_FRAMES", 40)
+    cfg = write_cfg(tmp_path, "n_frames = 40\nwidth = 24\nheight = 18\nsalt_p = 0.2\n")
+    data = tmp_path / "data"
+    assert run_cli("gen", "--kind", "noise", "--events", "--config", cfg, "--out", data) == 0
+    out = tmp_path / "denoised"
+    assert run_cli("denoise", "--events", data / "events.txt", "--filter", "nomf",
+                   "--config", cfg, "--out", out) == 0
+    assert len(read_csv(out / "report.csv")) == 40
+    cfg.write_text("n_frames = 41\nwidth = 24\nheight = 18\n")
+    assert run_cli("gen", "--kind", "noise", "--events", "--config", cfg,
+                   "--out", tmp_path / "past") == 2
+    assert "n_frames = 41 with --events is past the 40-frame limit" in capsys.readouterr().err
+    assert not (tmp_path / "past").exists()
 
 
 def test_a_sweep_past_the_pattern_limit_is_rejected(tmp_path, capsys, monkeypatch):

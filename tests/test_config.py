@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +163,39 @@ def test_a_bad_value_of_any_key_names_the_key_and_its_line(tmp_path, key):
         load_config(path)
     assert str(raised.value).startswith(f"{path}:2: {key} must ")
     assert raised.value.key == key
+
+
+def _readme_default(text: str):
+    """A default as README's key table writes it: none, a ratio such as
+    89/140, an integer, a float or a word."""
+    if text == "none":
+        return None
+    if "/" in text:
+        num, den = text.split("/")
+        return int(num) / int(den)
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def test_readme_key_table_matches_run_config():
+    """README's Configuration table names every key once, in field order, with
+    RunConfig's default; a row such as `width`, `height` | 240, 180 is one row
+    per key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("| `")]
+    rows = []
+    for line in table:
+        keys, defaults = line.split("|")[1:3]
+        keys, defaults = re.findall(r"`(\w+)`", keys), defaults.strip().split(", ")
+        assert len(keys) == len(defaults), line
+        rows += zip(keys, map(_readme_default, defaults))
+    assert [key for key, _ in rows] == [f.name for f in fields(RunConfig)]
+    want = RunConfig()
+    for key, value in rows:
+        default = getattr(want, key)
+        assert (type(value), value) == (type(default), default), key

@@ -8,7 +8,7 @@ with microsecond integer timestamps (non-decreasing), pixel coordinates, and
 polarity encoded as 0 (off, parsed to -1) or 1 (on, parsed to +1).  Lines whose
 first non-blank character is '#' are comments; blank lines are skipped.
 Anything else either parses or raises an error that names the 1-based line.
-A parsed stream is an EventArray: one numpy column per field.
+A parsed stream is a 1-d array of EVENT_DTYPE, one record per event.
 
 Frames are binary images stored as (height, width) uint8 arrays of {0,1} and
 serialized as binary PBM (P4): rows packed MSB-first, each row padded to a
@@ -47,56 +47,10 @@ from .params import MAX_FRAME_HEIGHT, MAX_FRAME_WIDTH, FrameConfig
 FRAME_CHUNK = 16    # frames per chunk of a streamed recording
 EVENT_BATCH = 1 << 13   # events write_event_stream formats and writes at a time
 MAX_RECORDING_FRAMES = 1 << 17  # windows an event recording may span: 2.4 h at t_f = 66 ms
-
-
-class EventArray:
-    """An event stream as four equal-length int64 columns.
-
-    `t` is the timestamp in microseconds, `x` and `y` the pixel, `polarity`
-    -1 (off) or +1 (on).  Index i across the columns is the i-th event in
-    stream order.
-    """
-
-    __slots__ = ("t", "x", "y", "polarity")
-
-    def __init__(self, t, x, y, polarity):
-        cols = [_int_column(name, values) for name, values in
-                (("t", t), ("x", x), ("y", y), ("polarity", polarity))]
-        if len({c.size for c in cols}) > 1:
-            raise InvalidParamsError(
-                f"event columns differ in length: {[c.size for c in cols]}"
-            )
-        self.t, self.x, self.y, self.polarity = cols
-        if (self.t < 0).any() or (self.x < 0).any() or (self.y < 0).any():
-            raise InvalidParamsError("negative event field")
-        if (np.abs(self.polarity) != 1).any():
-            raise InvalidParamsError("polarity must be -1 or +1")
-
-    def __len__(self) -> int:
-        return self.t.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventArray):
-            return NotImplemented
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip((self.t, self.x, self.y, self.polarity),
-                            (other.t, other.x, other.y, other.polarity))
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"EventArray({len(self)} events)"
-
-
-def _int_column(name: str, values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-        raise InvalidParamsError(
-            f"event column {name} must be 1-d integers, got {arr.dtype} shape {arr.shape}"
-        )
-    return arr.astype(np.int64, copy=False)
+# An event stream: timestamp in microseconds, pixel, and polarity -1 (off) or
+# +1 (on); index i is the i-th event in stream order.
+EVENT_DTYPE = np.dtype([("t", np.int64), ("x", np.int64), ("y", np.int64),
+                        ("polarity", np.int64)])
 
 
 class BinaryFrame:
@@ -162,19 +116,17 @@ _READ_BLOCK = 1 << 18     # bytes of event text read per block
 _INT_SPACE = " \t\n\r\x0b\x0c"
 
 
-def parse_event_stream(source: Union[str, Path, TextIO, Iterable[str]]) -> EventArray:
-    """Parse an event text stream; every line yields an event or a located error.
-    A path is read in blocks (_event_blocks); a TextIO or iterable of lines
-    goes through the line-by-line parser."""
+def parse_event_stream(source: Union[str, Path, TextIO, Iterable[str]]) -> np.ndarray:
+    """Parse an event text stream into an EVENT_DTYPE array; every line yields an event
+    or a located error.  A path is read in blocks (_event_blocks); a TextIO or iterable
+    of lines goes through the line-by-line parser."""
     if isinstance(source, (str, Path)):
-        blocks = list(_event_blocks(source)) or [EventArray([], [], [], [])]
-        return EventArray(*map(np.concatenate,
-                               zip(*((b.t, b.x, b.y, b.polarity) for b in blocks))))
+        return np.concatenate([np.empty(0, EVENT_DTYPE), *_event_blocks(source)])
     return _parse_lines(source)
 
 
-def _event_blocks(path: Union[str, Path]) -> Iterator[EventArray]:
-    """The events of a file, one EventArray per block of about _READ_BLOCK
+def _event_blocks(path: Union[str, Path]) -> Iterator[np.ndarray]:
+    """The events of a file, one EVENT_DTYPE array per block of about _READ_BLOCK
     bytes cut after a line end (a final CR may be half a CRLF, so not there).
 
     A block is copied once out of the read buffer and dropped once parsed; the
@@ -191,7 +143,7 @@ def _event_blocks(path: Union[str, Path]) -> Iterator[EventArray]:
             if cut:
                 events, lines = _parse_block(_pop_front(text, cut), line_no, last_t)
                 if len(events):
-                    last_t = int(events.t[-1])
+                    last_t = int(events["t"][-1])
                 line_no += lines
                 yield events
             if eof:
@@ -205,7 +157,7 @@ def _pop_front(buf: bytearray, n: int) -> bytes:
     return head
 
 
-def _parse_block(block: bytes, line_no: int, last_t: int) -> tuple[EventArray, int]:
+def _parse_block(block: bytes, line_no: int, last_t: int) -> tuple[np.ndarray, int]:
     """The events of a block of whole lines, numbered from line_no and
     following last_t, and its line count.
 
@@ -214,7 +166,7 @@ def _parse_block(block: bytes, line_no: int, last_t: int) -> tuple[EventArray, i
     through the line-by-line parser, which alone raises the located errors.
     """
     events = _parse_canonical(block)
-    if events is not None and events.t[0] >= last_t:
+    if events is not None and events["t"][0] >= last_t:
         return events, len(events)  # one event per canonical line
     decoded = io.StringIO(block.decode("ascii", "surrogateescape"), newline=None)
     lines = block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
@@ -229,8 +181,9 @@ def _uint(field: str) -> int:
     return int(field)
 
 
-def _parse_canonical(data: bytes) -> EventArray | None:
-    """The events of a canonical, valid block of lines; None for anything else."""
+def _parse_canonical(data: bytes) -> np.ndarray | None:
+    """The events of a canonical, valid block of lines, as records over the
+    parsed numbers' own buffer; None for anything else."""
     seps = data.translate(None, b"0123456789")
     # the separators alone must read ",,,\n" per line; this also rejects every other byte
     if not data.endswith(b"\n") or seps != b",,,\n" * (len(seps) // 4):
@@ -241,15 +194,18 @@ def _parse_canonical(data: bytes) -> EventArray | None:
     values = np.fromstring(fields, dtype=np.int64, sep=",")
     if values.size != len(seps) or (values == _INT64_MAX).any():
         return None
-    t, x, y, p = values.reshape(-1, 4).T
-    if (p > 1).any() or (np.diff(t) < 0).any():
+    events = values.view(EVENT_DTYPE)
+    p = events["polarity"]
+    if (p > 1).any() or (np.diff(events["t"]) < 0).any():
         return None
-    return EventArray(t, x, y, 2 * p - 1)
+    p *= 2
+    p -= 1
+    return events
 
 
-def _parse_lines(lines: Iterable[str], first_line: int = 1, last_t: int = -1) -> EventArray:
+def _parse_lines(lines: Iterable[str], first_line: int = 1, last_t: int = -1) -> np.ndarray:
     """The events of `lines`, numbered from first_line and following last_t."""
-    columns = tuple(array("q") for _ in range(4))
+    values = array("q")     # t, x, y, polarity of each event in turn
     for line_no, raw in enumerate(lines, start=first_line):
         if not raw.isascii():
             raise MalformedLineError(line_no, "non-ASCII character")
@@ -269,30 +225,44 @@ def _parse_lines(lines: Iterable[str], first_line: int = 1, last_t: int = -1) ->
             raise NonMonotonicTimestampError(line_no)
         last_t = t
         try:
-            for col, value in zip(columns, (t, x, y, 1 if pol else -1)):
-                col.append(value)
+            values.extend((t, x, y, 1 if pol else -1))
         except OverflowError:
             raise MalformedLineError(line_no, "field exceeds 64 bits") from None
-    return EventArray(*(np.frombuffer(col, dtype=np.int64) for col in columns))
+    return np.frombuffer(values, dtype=EVENT_DTYPE)
 
 
 def write_event_stream(events, dest: Union[str, Path, BinaryIO]) -> None:
-    """Write an EventArray, or each of an iterable of them in turn, in the
-    canonical text format parse_event_stream reads, to a new file at a path
-    or on to the end of an open binary file."""
+    """Write an EVENT_DTYPE array, or each of an iterable of them in turn, in
+    the canonical text format parse_event_stream reads, to a new file at a
+    path or on to the end of an open binary file.  An array that is not valid
+    events raises InvalidParamsError before any of its lines is written."""
     with open(dest, "wb") if isinstance(dest, (str, Path)) else contextlib.nullcontext(dest) as fh:
-        for batch in [events] if isinstance(events, EventArray) else events:
+        for batch in [events] if isinstance(events, np.ndarray) else events:
+            _check_events(batch)
             for lo in range(0, len(batch), EVENT_BATCH):
-                fh.write(_format_rows(batch, slice(lo, lo + EVENT_BATCH)))
+                fh.write(_format_rows(batch[lo : lo + EVENT_BATCH]))
 
 
-def _format_rows(events: EventArray, rows: slice) -> bytes:
-    """One `t,x,y,p` line per selected event, built as one byte matrix.
+def _check_events(events) -> None:
+    """Raise InvalidParamsError unless events is a 1-d EVENT_DTYPE array of
+    non-negative t, x and y and polarity -1 or +1."""
+    if not isinstance(events, np.ndarray) or events.dtype != EVENT_DTYPE or events.ndim != 1:
+        got = (f"{events.dtype} shape {events.shape}" if isinstance(events, np.ndarray)
+               else type(events).__name__)
+        raise InvalidParamsError(f"events must be a 1-d frames.EVENT_DTYPE array, got {got}")
+    if (events["t"] < 0).any() or (events["x"] < 0).any() or (events["y"] < 0).any():
+        raise InvalidParamsError("negative event field")
+    if (np.abs(events["polarity"]) != 1).any():
+        raise InvalidParamsError("polarity must be -1 or +1")
+
+
+def _format_rows(events: np.ndarray) -> bytes:
+    """One `t,x,y,p` line per event, built as one byte matrix.
 
     Each number is written right-aligned in a field as wide as the column's
     widest value; the leading pad bytes are 0 and are dropped at the end.
     """
-    numbers = [events.t[rows], events.x[rows], events.y[rows]]
+    numbers = [events["t"], events["x"], events["y"]]
     widths = [len(str(int(col.max()))) for col in numbers]
     buf = np.zeros((numbers[0].size, sum(widths) + 5), dtype=np.uint8)
     start = 0
@@ -300,7 +270,7 @@ def _format_rows(events: EventArray, rows: slice) -> bytes:
         _put_digits(buf[:, start : start + width], col)
         buf[:, start + width] = ord(",")
         start += width + 1
-    buf[:, start] = ord("0") + (events.polarity[rows] > 0)
+    buf[:, start] = ord("0") + (events["polarity"] > 0)
     buf[:, start + 1] = ord("\n")
     return buf[buf != 0].tobytes()
 
@@ -336,7 +306,7 @@ def iter_recording(source: Union[str, Path],
     return _accumulate(_event_blocks(source), cfg)
 
 
-def _accumulate(blocks: Iterable[EventArray], cfg: FrameConfig) -> Iterator[tuple[int, np.ndarray]]:
+def _accumulate(blocks: Iterable[np.ndarray], cfg: FrameConfig) -> Iterator[tuple[int, np.ndarray]]:
     """OR-accumulate the blocks of a non-decreasing event stream into t_f
     windows, FRAME_CHUNK at a time, up to the last event's window (below
     MAX_RECORDING_FRAMES, checked before a block yields any chunk)."""
@@ -345,18 +315,17 @@ def _accumulate(blocks: Iterable[EventArray], cfg: FrameConfig) -> Iterator[tupl
     for events in blocks:
         if not len(events):
             continue
-        outside = (events.x >= cfg.sensor_width) | (events.y >= cfg.sensor_height)
+        t, x, y = events["t"], events["x"], events["y"]
+        outside = (x >= cfg.sensor_width) | (y >= cfg.sensor_height)
         if outside.any():
             i = int(np.argmax(outside))
-            raise OutOfBoundsError(
-                f"event t={events.t[i]},x={events.x[i]},y={events.y[i]} outside "
-                f"{cfg.sensor_width}x{cfg.sensor_height} sensor"
-            )
-        t0 = int(events.t[0]) if t0 is None else t0
-        k = (events.t - t0) // cfg.t_f
+            raise OutOfBoundsError(f"event t={t[i]},x={x[i]},y={y[i]} outside "
+                                   f"{cfg.sensor_width}x{cfg.sensor_height} sensor")
+        t0 = int(t[0]) if t0 is None else t0
+        k = (t - t0) // cfg.t_f
         if k[-1] >= MAX_RECORDING_FRAMES:
             i = int(np.argmax(k >= MAX_RECORDING_FRAMES))
-            raise InvalidParamsError(f"event t={events.t[i]} falls in window {k[i]}, past the "
+            raise InvalidParamsError(f"event t={t[i]} falls in window {k[i]}, past the "
                                      f"{MAX_RECORDING_FRAMES}-frame limit of a recording")
         edges = [0, *(np.flatnonzero(np.diff(k // FRAME_CHUNK)) + 1).tolist(), len(k)]
         for a, b in zip(edges, edges[1:]):
@@ -364,21 +333,24 @@ def _accumulate(blocks: Iterable[EventArray], cfg: FrameConfig) -> Iterator[tupl
                 yield lo, np.zeros(shape, dtype=np.uint8) if buf is None else buf
                 lo, buf = lo + FRAME_CHUNK, None
             buf = np.zeros(shape, dtype=np.uint8) if buf is None else buf
-            buf[k[a:b] - lo, events.y[a:b], events.x[a:b]] = 1
+            buf[k[a:b] - lo, y[a:b], x[a:b]] = 1
         last = int(k[-1])
     if buf is not None:
         yield lo, buf[: last - lo + 1]
 
 
-def aggregate_frames(events: EventArray, cfg: FrameConfig) -> list[BinaryFrame]:
-    """OR-accumulate events into t_f windows anchored at the first event.
+def aggregate_frames(events: np.ndarray, cfg: FrameConfig) -> list[BinaryFrame]:
+    """OR-accumulate an EVENT_DTYPE array into t_f windows anchored at the
+    first event.
 
     Both polarities mark the pixel.  An event exactly on a window boundary
-    belongs to the later window.  Raises NonMonotonicTimestampError, naming
-    the 1-based event index, if a timestamp decreases, and OutOfBoundsError
-    if an event lies outside the configured sensor.
+    belongs to the later window.  Raises InvalidParamsError if the array is
+    not valid events, NonMonotonicTimestampError, naming the 1-based event
+    index, if a timestamp decreases, and OutOfBoundsError if an event lies
+    outside the configured sensor.
     """
-    decreasing = events.t[1:] < events.t[:-1]
+    _check_events(events)
+    decreasing = events["t"][1:] < events["t"][:-1]
     if decreasing.any():
         raise NonMonotonicTimestampError(int(np.argmax(decreasing)) + 2, "event")
     return [BinaryFrame(px) for _, chunk in _accumulate([events], cfg) for px in chunk]

@@ -21,7 +21,7 @@ import numpy as np
 from . import frames as _frames
 from .config import RunConfig
 from .errors import DimensionMismatchError, InvalidParamsError
-from .frames import BinaryFrame, EventArray, _uint
+from .frames import EVENT_DTYPE, BinaryFrame, _uint
 
 # (height, width) per class, near/mid/far distance bands
 OBJECT_SIZES: dict[str, tuple[tuple[int, int], ...]] = {
@@ -215,9 +215,9 @@ def read_box_csv(path: Union[str, Path]) -> list[GroundTruthBox]:
     return out
 
 
-def frames_to_events(stack: np.ndarray, t_f: int = 66_000, t0: int = 0) -> EventArray:
-    """One +1 event per on pixel of a (frames, height, width) stack at its
-    frame's epoch, t0 + index * t_f, frame by frame in row-major order.
+def frames_to_events(stack: np.ndarray, t_f: int = 66_000, t0: int = 0) -> np.ndarray:
+    """An EVENT_DTYPE array of one +1 event per on pixel of a (frames, height, width)
+    stack at its frame's epoch, t0 + index * t_f, frame by frame in row-major order.
 
     Re-accumulating with the same t_f reproduces the frames exactly when the
     first and last frames are nonempty (the accumulator anchors at the first
@@ -227,5 +227,7 @@ def frames_to_events(stack: np.ndarray, t_f: int = 66_000, t0: int = 0) -> Event
         raise DimensionMismatchError(
             f"frames_to_events takes a (frames, height, width) stack, got shape {np.shape(stack)}")
     ks, ys, xs = np.nonzero(stack)
-    return EventArray(t0 + ks * t_f, xs, ys, np.ones_like(ks))
+    events = np.empty(ks.size, EVENT_DTYPE)
+    events["t"], events["x"], events["y"], events["polarity"] = t0 + ks * t_f, xs, ys, 1
+    return events
 

@@ -1,5 +1,5 @@
-"""Shared test utilities: random frames, on-disk fixtures, CLI invocation,
-the macro kernel on a lottery stream of its own."""
+"""Shared test utilities: random frames, event arrays from columns, on-disk
+fixtures, CLI invocation, the macro kernel on a lottery stream of its own."""
 
 from contextlib import closing
 from itertools import repeat
@@ -8,12 +8,19 @@ from pathlib import Path
 import numpy as np
 
 from imfsim.cli import main
-from imfsim.frames import BinaryFrame, write_pbm
+from imfsim.frames import EVENT_DTYPE, BinaryFrame, write_pbm
 from imfsim.sram_macro import filter_in_memory_stack, lottery_stream
 
 
 def random_frame(rng, width, height, p=0.5) -> BinaryFrame:
     return BinaryFrame((rng.random((height, width)) < p).astype(np.uint8))
+
+
+def event_array(t, x, y, polarity) -> np.ndarray:
+    """An EVENT_DTYPE array from its four columns."""
+    events = np.empty(len(t), EVENT_DTYPE)
+    events["t"], events["x"], events["y"], events["polarity"] = t, x, y, polarity
+    return events
 
 
 def write_frames_dir(frames, directory: Path) -> Path:

@@ -688,7 +688,7 @@ def test_gen_traffic_outputs(traffic_dir):
 
 def test_gen_events_round_trip_to_frames(traffic_dir, tmp_path):
     events = parse_event_stream(traffic_dir / "events.txt")
-    assert events
+    assert len(events)
     rc = run_cli("denoise", "--events", traffic_dir / "events.txt",
                  "--filter", "nomf", "--out", tmp_path / "from_events")
     assert rc == 0

@@ -1,4 +1,5 @@
 import io
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from helpers import random_frame
+from helpers import event_array, random_frame
 from imfsim import frames as frames_module
 from imfsim.errors import (
     DimensionMismatchError,
@@ -19,9 +20,9 @@ from imfsim.errors import (
     OutOfBoundsError,
 )
 from imfsim.frames import (
+    EVENT_DTYPE,
     FRAME_CHUNK,
     BinaryFrame,
-    EventArray,
     FrameConfig,
     aggregate_frames,
     iter_recording,
@@ -35,14 +36,15 @@ INT64_MAX = 2**63 - 1
 
 
 def events(*rows):
-    """EventArray from (t, x, y, polarity) rows."""
-    return EventArray(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+    """An EVENT_DTYPE array from (t, x, y, polarity) rows."""
+    return np.array(list(rows), dtype=EVENT_DTYPE)
 
 
 def outcome(source):
-    """What parse_event_stream makes of a source: its events, or the located error."""
+    """What parse_event_stream makes of a source: its events as (t, x, y,
+    polarity) tuples, or the located error."""
     try:
-        return parse_event_stream(source)
+        return parse_event_stream(source).tolist()
     except (MalformedLineError, NonMonotonicTimestampError) as exc:
         return type(exc), exc.line_no
 
@@ -52,11 +54,12 @@ def outcome(source):
 # ---------------------------------------------------------------------------
 
 def test_parse_single_line():
-    assert parse_event_stream(["1000,5,7,1"]) == events((1000, 5, 7, 1))
+    parsed = parse_event_stream(["1000,5,7,1"])
+    assert parsed.dtype == EVENT_DTYPE and np.array_equal(parsed, events((1000, 5, 7, 1)))
 
 
 def test_parse_polarity_zero_maps_to_minus_one():
-    assert parse_event_stream(["42,1,2,0"]).polarity[0] == -1
+    assert parse_event_stream(["42,1,2,0"])["polarity"][0] == -1
 
 
 def test_parse_skips_comments_and_blanks_but_counts_physical_lines():
@@ -74,7 +77,7 @@ def test_parse_non_monotonic_names_offending_line():
 
 
 def test_fields_keep_the_whitespace_int_skips():
-    assert parse_event_stream([" 5 ,\t0,0\x0b, 1\x0c\r\n"]) == events((5, 0, 0, 1))
+    assert np.array_equal(parse_event_stream([" 5 ,\t0,0\x0b, 1\x0c\r\n"]), events((5, 0, 0, 1)))
 
 
 def test_parse_equal_timestamps_allowed():
@@ -93,21 +96,40 @@ def test_parse_rejects_malformed(line):
 
 
 def test_event_validation():
-    with pytest.raises(InvalidParamsError):
-        events((-1, 0, 0, 1))
-    with pytest.raises(InvalidParamsError):
-        events((0, 0, 0, 0))
-    with pytest.raises(InvalidParamsError):
-        EventArray([0, 1], [0], [0], [1])  # columns of different lengths
-    with pytest.raises(InvalidParamsError):
-        EventArray([0.5], [0], [0], [1])  # not integers
-    assert len(EventArray([], [], [], [])) == 0
+    # the two entry points that take events from a caller check them first
+    entries = (lambda ev: write_event_stream(ev, io.BytesIO()),
+               lambda ev: aggregate_frames(ev, FrameConfig()))
+    narrow = np.dtype([(f, np.int32) for f in EVENT_DTYPE.names])
+    bad = [(events((-1, 0, 0, 1)), "negative event field"),
+           (events((0, -1, 0, 1)), "negative event field"),
+           (events((0, 0, -1, 1)), "negative event field"),
+           (events((0, 0, 0, 1), (1, 0, 0, 0)), "polarity must be -1 or +1"),
+           (np.array([[0, 0, 0, 1]]), "1-d frames.EVENT_DTYPE array, got int64 shape (1, 4)"),
+           (events((0, 0, 0, 1))[None], f"EVENT_DTYPE array, got {EVENT_DTYPE} shape (1, 1)"),
+           (events((0, 0, 0, 1)).astype(narrow), f"EVENT_DTYPE array, got {narrow} shape (1,)")]
+    for entry in entries:
+        for ev, message in bad:
+            with pytest.raises(InvalidParamsError, match=re.escape(message)):
+                entry(ev)
+        entry(events())
+    with pytest.raises(InvalidParamsError, match="EVENT_DTYPE array, got list$"):
+        aggregate_frames([(0, 0, 0, 1)], FrameConfig())
+    dest = io.BytesIO()
+    with pytest.raises(InvalidParamsError, match=re.escape("polarity must be -1 or +1")):
+        write_event_stream(events((0, 1, 2, 1), (3, 4, 5, 2)), dest)
+    assert dest.getvalue() == b""   # checked before any line is written
+
+
+def test_aggregate_refuses_a_negative_x_rather_than_wrap_it_to_the_far_column():
+    cfg = FrameConfig(t_f=100, sensor_width=4, sensor_height=4)
+    with pytest.raises(InvalidParamsError, match="negative event field"):
+        aggregate_frames(events((0, 1, 1, 1), (10, -1, 2, 1)), cfg)
 
 
 def test_event_stream_round_trip_10k(tmp_path):
     rng = np.random.default_rng(99)
     n = 10_000
-    stream = EventArray(
+    stream = event_array(
         np.cumsum(rng.integers(0, 50, size=n)),
         rng.integers(0, 240, size=n),
         rng.integers(0, 180, size=n),
@@ -115,7 +137,7 @@ def test_event_stream_round_trip_10k(tmp_path):
     )
     path = tmp_path / "events.txt"
     write_event_stream(stream, path)
-    assert parse_event_stream(path) == stream
+    assert np.array_equal(parse_event_stream(path), stream)
 
 
 def test_canonical_file_is_parsed_as_columns(tmp_path, monkeypatch):
@@ -128,9 +150,10 @@ def test_canonical_file_is_parsed_as_columns(tmp_path, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(frames_module, "_parse_lines", no_line_loop)
-        assert parse_event_stream(path) == want
+        parsed = parse_event_stream(path)
+        assert parsed.dtype == EVENT_DTYPE and np.array_equal(parsed, want)
     path.write_bytes(b"# comment\n0,1,2,1\n0,3,4,0\n70,5,6,1\n")
-    assert parse_event_stream(path) == want
+    assert np.array_equal(parse_event_stream(path), want)
 
 
 def test_path_and_lines_agree_on_errors(tmp_path):
@@ -166,7 +189,7 @@ def test_non_ascii_byte_is_a_located_error(tmp_path):
 def test_int64_range_of_event_fields(tmp_path):
     path = tmp_path / "events.txt"
     path.write_text(f"0,0,0,1\n{INT64_MAX},1,2,0\n")
-    assert parse_event_stream(path) == events((0, 0, 0, 1), (INT64_MAX, 1, 2, -1))
+    assert np.array_equal(parse_event_stream(path), events((0, 0, 0, 1), (INT64_MAX, 1, 2, -1)))
     path.write_text(f"0,0,0,1\n{INT64_MAX + 1},1,2,0\n")
     assert outcome(path) == (MalformedLineError, 2)
 
@@ -220,12 +243,10 @@ def test_write_event_stream_matches_naive_writer(rows):
         fast, naive = Path(tmp) / "fast.txt", Path(tmp) / "naive.txt"
         write_event_stream(stream, fast)
         oracles.write_events_naive(
-            stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.polarity.tolist(),
-            naive,
-        )
+            *(stream[f].tolist() for f in EVENT_DTYPE.names), naive)
         assert fast.read_bytes() == naive.read_bytes()
-        assert parse_event_stream(fast) == parse_event_stream(fast.read_text().splitlines(True))
-        assert parse_event_stream(fast) == stream
+        assert outcome(fast) == outcome(fast.read_text().splitlines(True))
+        assert np.array_equal(parse_event_stream(fast), stream)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +335,7 @@ def test_aggregate_matches_scatter_oracle():
     n = 1000
     ts = np.sort(rng.integers(50, 50 + 3 * 700 - 1, size=n))
     xs, ys = rng.integers(0, 32, size=n), rng.integers(0, 24, size=n)
-    frames = aggregate_frames(EventArray(ts, xs, ys, np.ones(n, dtype=np.int64)), cfg)
+    frames = aggregate_frames(event_array(ts, xs, ys, np.ones(n, dtype=np.int64)), cfg)
     ref = oracles.aggregate_naive(ts, xs, ys, cfg.t_f, 32, 24)
     assert len(frames) == len(ref)
     for got, want in zip(frames, ref):
@@ -325,13 +346,13 @@ def test_aggregate_matches_scatter_oracle():
 def test_aggregate_frame_count_and_window_popcounts(offsets, t_f):
     ts = np.cumsum(np.asarray(offsets, dtype=np.int64))
     idx = np.arange(len(ts))
-    stream = EventArray(ts, (idx * 7) % 16, (idx * 3) % 12, np.ones_like(idx))
+    stream = event_array(ts, (idx * 7) % 16, (idx * 3) % 12, np.ones_like(idx))
     cfg = FrameConfig(t_f=t_f, sensor_width=16, sensor_height=12)
     frames = aggregate_frames(stream, cfg)
     span = int(ts[-1] - ts[0]) + 1
     assert len(frames) == -(-span // t_f)  # ceil(span / t_f)
     per_window = {}
-    for t, x, y in zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist()):
+    for t, x, y, _ in stream.tolist():
         per_window.setdefault((t - int(ts[0])) // t_f, set()).add((x, y))
     for k, fr in enumerate(frames):
         assert fr.popcount() == len(per_window.get(k, ()))
@@ -499,7 +520,7 @@ def _whole(path, cfg):
             ev = parse_event_stream(fh)
         except (MalformedLineError, NonMonotonicTimestampError) as exc:
             return type(exc), str(exc)
-    return oracles.aggregate_naive(ev.t, ev.x, ev.y, cfg.t_f, cfg.sensor_width,
+    return oracles.aggregate_naive(ev["t"], ev["x"], ev["y"], cfg.t_f, cfg.sensor_width,
                                    cfg.sensor_height)
 
 
@@ -540,7 +561,7 @@ def test_streamed_recording_equals_the_whole_file(lines, final_newline, block, c
 
 def test_late_bad_line_is_located_as_in_the_whole_file(tmp_path, monkeypatch):
     n = 30_000
-    stream = EventArray(np.arange(n) // 7, np.arange(n) % 5, np.arange(n) % 4, np.ones(n, int))
+    stream = event_array(np.arange(n) // 7, np.arange(n) % 5, np.arange(n) % 4, np.ones(n, int))
     good = tmp_path / "good.txt"
     write_event_stream(stream, good)
     lines = good.read_bytes().splitlines(True)
@@ -609,8 +630,8 @@ def test_event_blocks_peak_does_not_grow_with_the_file(tmp_path, monkeypatch):
 
     def peak(n):
         path = tmp_path / f"events{n}.txt"
-        write_event_stream(EventArray(np.arange(n) // 7, np.arange(n) % 240,
-                                      np.arange(n) % 180, np.ones(n, int)), path)
+        write_event_stream(event_array(np.arange(n) // 7, np.arange(n) % 240,
+                                       np.arange(n) % 180, np.ones(n, int)), path)
         tracemalloc.start()
         try:
             count = sum(len(block) for block in frames_module._event_blocks(path))

@@ -26,3 +26,13 @@ def test_default_rng_streams_match_the_pinned_numpy():
         f"numpy {np.__version__} draws other default_rng(0) values than numpy {PINNED_NUMPY}, "
         "whose streams every golden digest was recorded on; run the tests with numpy "
         f"{PINNED_NUMPY}, as CI does")
+
+
+def test_a_one_plane_normal_draw_is_the_first_plane_of_a_two_plane_draw():
+    # a lottery's current plane is a prefix of its (2, h, w) draw, so a draw
+    # of the current plane alone leaves every bit of it unchanged
+    for seed in (0, 5, 17, 2**32 + 3):
+        for h, w in ((1, 1), (3, 5), (9, 14), (180, 240)):
+            one = np.random.default_rng(seed).standard_normal((1, h, w))[0]
+            two = np.random.default_rng(seed).standard_normal((2, h, w))
+            assert np.array_equal(one, two[0]), (seed, h, w)

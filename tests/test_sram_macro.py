@@ -1083,3 +1083,24 @@ def test_closed_forms_equal_the_direct_race(i_s, v_trip, delta_c, trip_spread, s
     with pytest.MonkeyPatch.context() as m:     # every race direct
         m.setattr(sram_macro, "_closed_form_holds", lambda *args: False)
         assert got == sweep()
+
+
+def test_closed_form_holds_up_to_the_linear_spread_limit():
+    # at the default device the current-floor clause alone holds to s = 0.249,
+    # so these two spreads are decided by _LINEAR_MAX_SPREAD alone
+    device, trips = DeviceParams(), (-4.0, 4.0)
+    assert sram_macro._closed_form_holds(device, 0.24, 0.0, trips)
+    assert not sram_macro._closed_form_holds(device, 0.2401, 0.0, trips)
+    assert device.i_s_nominal - 4.0 * (0.2401 * device.i_s_nominal) > sram_macro._CURRENT_FLOOR
+
+
+@pytest.mark.parametrize("trips", [(-1.0, 4.0), (-4.0, 1.0)])
+def test_closed_form_declines_a_trip_spread_past_0_96_of_nominal(trips):
+    device = DeviceParams()
+    v_nom = device.v_trip_nominal
+    reach = max(-trips[0], trips[1])
+    for past, holds in ((-1e-9, True), (1e-9, False)):
+        sigma_vtrip = 0.96 * v_nom * (1 + past) / reach
+        # every trip point stays above its floor: only the spread clause can decline
+        assert trips[0] * sigma_vtrip + v_nom > sram_macro._VTRIP_FLOOR
+        assert sram_macro._closed_form_holds(device, 0.1, sigma_vtrip, trips) is holds

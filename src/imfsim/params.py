@@ -153,10 +153,6 @@ class DeviceParams:
     def overdrive(self) -> float:
         return self.vdd - threshold_voltage(self.temperature, self.corner)
 
-    @property
-    def beta(self) -> float:
-        return 1.0 - self.v_trip_nominal / self.vdd
-
 
 @dataclass(frozen=True)
 class CellVariation:

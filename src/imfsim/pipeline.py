@@ -41,10 +41,6 @@ class BoundingBox:
         if self.w <= 0 or self.h <= 0:
             raise InvalidParamsError(f"box sides must be positive: {self}")
 
-    @property
-    def area(self) -> int:
-        return self.w * self.h
-
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"

@@ -126,27 +126,38 @@ class CalibrationResult:
 # lottery sampling and state construction
 # ---------------------------------------------------------------------------
 
-def _standard_draws(shape: tuple[int, ...], seed: int) -> np.ndarray:
+def _standard_draws(
+    shape: tuple[int, ...], seed: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Standard-normal current draws, clipped to +/-4, then trip-point draws,
-    from default_rng(seed), as one (2, *shape) array."""
-    z = np.random.default_rng(seed).standard_normal((2, *shape))
-    np.clip(z[0], -4.0, 4.0, out=z[0])
-    return z
+    from default_rng(seed), as one (2, *shape) array: written into `out` if
+    it has that shape, else into a new array."""
+    if out is None or out.shape != (2, *shape):
+        out = np.empty((2, *shape))
+    np.random.default_rng(seed).standard_normal(out=out)
+    np.clip(out[0], -4.0, 4.0, out=out[0])
+    return out
 
 
 def lottery_stream(shapes: Iterable[tuple[int, ...]], first_seed: int) -> Iterator[np.ndarray]:
     """The _standard_draws of seed first_seed + i for the i-th of `shapes`.
-    One worker thread draws the next while the caller uses the current one; it
-    calls only this private helper, as bench/spans.py's tracer is not
-    thread-safe.  Closing the generator joins the worker, also when the caller
-    raises."""
+
+    A yielded lottery may be read, and scaled in place, until the caller asks
+    for the next one; then its buffer takes the lottery after the next.  One
+    worker thread draws the next lottery into the other buffer while the
+    caller uses the current one, so at most two exist at once; a buffer is
+    replaced only when the shape changes.  The worker calls only this private
+    helper, as bench/spans.py's tracer is not thread-safe.  Closing the
+    generator joins the worker, also when the caller raises."""
     from concurrent.futures import ThreadPoolExecutor  # only here, so startup stays lean
     with ThreadPoolExecutor(1) as pool:
-        ahead = None
+        ahead = released = None
         for seed, shape in enumerate(shapes, first_seed):
-            current, ahead = ahead, pool.submit(_standard_draws, shape, seed)
+            current = None if ahead is None else ahead.result()
+            ahead = pool.submit(_standard_draws, shape, seed, released)
             if current is not None:
-                yield current.result()
+                yield current
+                released = current
         if ahead is not None:
             yield ahead.result()
 

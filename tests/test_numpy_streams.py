@@ -36,3 +36,16 @@ def test_a_one_plane_normal_draw_is_the_first_plane_of_a_two_plane_draw():
             one = np.random.default_rng(seed).standard_normal((1, h, w))[0]
             two = np.random.default_rng(seed).standard_normal((2, h, w))
             assert np.array_equal(one, two[0]), (seed, h, w)
+
+
+def test_a_normal_draw_into_a_used_buffer_writes_the_bits_of_a_fresh_draw():
+    # a lottery stream draws each lottery into the buffer of one two earlier,
+    # which still holds that lottery's draws
+    shapes = ((1, 1), (3, 5), (9, 14), (180, 240), (240, 320))
+    buffers = {shape: np.random.default_rng(99).standard_normal((2, *shape)) for shape in shapes}
+    for seed in (0, 5, 17, 2**32 + 3):
+        for h, w in shapes:
+            buf = buffers[h, w]
+            fresh = np.random.default_rng(seed).standard_normal((2, h, w))
+            assert np.random.default_rng(seed).standard_normal(out=buf) is buf
+            assert np.array_equal(buf.view(np.uint64), fresh.view(np.uint64)), (seed, h, w)

@@ -1,8 +1,10 @@
 import math
 import sys
 import threading
+from contextlib import closing
 from dataclasses import replace
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -74,12 +76,12 @@ def test_device_derives_overdrive_scaled_nominals():
     d = DeviceParams(vdd=0.7)
     assert d.overdrive == pytest.approx(0.35)
     assert d.v_trip_nominal == pytest.approx(0.21)
-    assert d.beta == pytest.approx(0.7)
+    assert d.v_trip_nominal == pytest.approx((1 - 0.7) * d.vdd)    # beta = 0.7
     assert d.i_s_nominal == pytest.approx(50e-6 * (0.35 / 0.65) ** 2)
     d12 = DeviceParams(vdd=1.2)
     assert d12.i_s_nominal == pytest.approx(50e-6 * (0.85 / 0.65) ** 2)
     explicit = DeviceParams(vdd=0.7, i_s_nominal=1e-5, v_trip_nominal=0.3)
-    assert explicit.i_s_nominal == 1e-5 and explicit.beta == pytest.approx(1 - 0.3 / 0.7)
+    assert explicit.i_s_nominal == 1e-5 and explicit.v_trip_nominal == 0.3
 
 
 def test_device_validation():
@@ -635,6 +637,25 @@ def test_filter_stack_loses_no_frame_with_more_threads_than_cores():
     assert np.array_equal(got, want)
 
 
+def test_lottery_stream_draws_into_two_buffers_per_shape():
+    # each lottery holds its seed's draws when it is yielded, though its
+    # buffer held the lottery two earlier, scaled in place as callers may
+    shapes = [(6, 9)] * 7 + [(9, 12)] * 5
+    got = []
+    with closing(sram_macro.lottery_stream(iter(shapes), 4)) as lotteries:
+        for i, (shape, z) in enumerate(zip(shapes, lotteries)):
+            assert np.array_equal(z, sram_macro._standard_draws(shape, 4 + i)), i
+            z *= 1e3
+            got.append(z)
+    assert len(got) == len(shapes)
+    assert len({id(z) for z in got[:7]}) == 2       # all still referenced, so ids are distinct
+    assert len({id(z) for z in got}) == 4           # a new pair only for the new shape
+
+    with closing(sram_macro.lottery_stream(repeat((3, 4), 40), 0)) as lotteries:
+        got = list(lotteries)
+    assert len(got) == 40 and len({id(z) for z in got}) == 2
+
+
 def test_filter_stack_joins_its_draw_thread(monkeypatch):
     rng = np.random.default_rng(4)
     frames = (rng.random((5, 12, 20)) < 0.5).astype(np.uint8)
@@ -783,9 +804,9 @@ def test_supply_sweep_draws_each_lottery_once(monkeypatch):
     draws = []
     standard_draws = sram_macro._standard_draws
 
-    def counted(shape, seed):
+    def counted(shape, seed, out=None):
         draws.append(seed)
-        return standard_draws(shape, seed)
+        return standard_draws(shape, seed, out)
 
     monkeypatch.setattr(sram_macro, "_standard_draws", counted)
     supplies = [DeviceParams(vdd=0.7), DeviceParams(vdd=1.2)]
@@ -939,9 +960,9 @@ def test_calibration_draws_each_frame_once(monkeypatch):
     draws = []
     standard_draws = sram_macro._standard_draws
 
-    def counted(shape, seed):
+    def counted(shape, seed, out=None):
         draws.append(seed)
-        return standard_draws(shape, seed)
+        return standard_draws(shape, seed, out)
 
     monkeypatch.setattr(sram_macro, "_standard_draws", counted)
     calibrate_current_sigma(frames, DeviceParams(vdd=0.7), DeviceParams(vdd=1.2),

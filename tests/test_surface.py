@@ -4,8 +4,11 @@ A top-level public function or class in `src/imfsim/*.py` must be named
 somewhere else: in another statement of the package (imports in
 `__init__.py` do not count), anywhere in `bench/` (a string constant equal
 to the name counts, as in a tracing table), or in the acceptance tests.
-A helper that only its own unit tests call fails this test; delete it or
-move it to `tests/oracles.py`.
+A public method or property of a public top-level class must be named in
+the same places; in the package only an attribute (`x.name`) outside its
+own definition counts, as a bare name there is some other variable.  A
+helper that only its own unit tests call fails this test; delete it or move
+it to `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -32,12 +35,17 @@ def _names(node: ast.AST, strings: bool = False) -> set[str]:
     return out
 
 
+def _attributes(node: ast.AST) -> set[str]:
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def unused_public_names(root: Path = ROOT) -> list[str]:
-    """Public top-level names of root/src/imfsim that nothing else names."""
+    """Public top-level names of root/src/imfsim, and public members
+    (Class.member) of its public top-level classes, that nothing else names."""
     used: set[str] = set()
     for path in sorted((root / "bench").rglob("*.py")):
         used |= _names(_parse(path), strings=True)
@@ -56,6 +64,15 @@ def unused_public_names(root: Path = ROOT) -> list[str]:
     names = {id(stmt): _names(stmt) for stmt in statements}
     unused = [own.name for own in defined if own.name not in used and not any(
         own.name in names[id(stmt)] for stmt in statements if stmt is not own)]
+
+    for cls in (own for own in defined if isinstance(own, ast.ClassDef)):
+        outside = used.union(*(_attributes(stmt) for stmt in statements if stmt is not cls))
+        for member in cls.body:
+            if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not member.name.startswith("_")
+                    and member.name not in outside.union(
+                        *(_attributes(stmt) for stmt in cls.body if stmt is not member))):
+                unused.append(f"{cls.name}.{member.name}")
     return sorted(unused)
 
 
@@ -65,16 +82,20 @@ def test_every_public_name_is_used_outside_unit_tests():
 
 
 def test_surface_check_names_an_unused_helper(tmp_path):
-    """A copy of the package with one extra public function fails, by name."""
+    """A copy of the package with an extra public function, class and
+    property fails, by name."""
     package = tmp_path / "src" / "imfsim"
     package.mkdir(parents=True)
     for path in (ROOT / "src" / "imfsim").glob("*.py"):
         (package / path.name).write_bytes(path.read_bytes())
     with open(package / "metrics.py", "a", encoding="utf-8") as fh:
-        fh.write("\n\ndef only_tests_call_this():\n    return only_tests_call_this\n")
+        fh.write("\n\ndef only_tests_call_this():\n    return only_tests_call_this\n"
+                 "\n\nclass OnlyTestsUseThis:\n    @property\n"
+                 "    def only_tests_read_this(self):\n        return self.only_tests_read_this\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_acceptance.py").write_bytes(
         (ROOT / "tests" / "test_acceptance.py").read_bytes())
     (tmp_path / "bench").symlink_to(ROOT / "bench")
     assert unused_public_names(tmp_path) == sorted(
-        unused_public_names() + ["only_tests_call_this"])
+        unused_public_names() + ["OnlyTestsUseThis", "OnlyTestsUseThis.only_tests_read_this",
+                                 "only_tests_call_this"])

@@ -66,8 +66,9 @@ def _write_frames(frames, out: Path, start: int) -> None:
 
 def cmd_denoise(cfg, args, out: Path) -> None:
     from .frames import iter_recording
+    from .params import FrameConfig
     chunks = iter_recording(args.frames) if args.frames else iter_recording(
-        args.events, cfg.frame_config())
+        args.events, cfg.build(FrameConfig))
     rows = [["frame_index", "input_ones", "output_ones", "valid_frame"]]
     if args.filter == "imc":
         from .sram_macro import simulate
@@ -101,10 +102,11 @@ def cmd_perf(cfg, args, out: Path) -> None:
 def cmd_track_eval(cfg, args, out: Path) -> None:
     from .frames import iter_recording
     from .pipeline import track_eval
-    from .synth import write_box_csv
+    from .synth import box_writer
     results, summary = track_eval(cfg, iter_recording(args.frames), args.gt)
     for filt, (rows, curve, _) in results.items():
-        write_box_csv(rows, out / f"tracks_{filt}.csv")
+        with open(out / f"tracks_{filt}.csv", "w", encoding="ascii", newline="") as fh:
+            box_writer(fh)(rows)
         _write_csv(out / f"f1_curve_{filt}.csv", [("thr", "weighted_f1"), *curve])
     _write_csv(out / "summary.csv", [("metric", "value"), *summary.items()])
     (out / "summary.txt").write_text("auc omf = {:.6g}\nauc nomf = {:.6g}\nabs diff = {:.6g}\n"

@@ -2,7 +2,8 @@
 
 Files hold one `key = value` per line; '#' starts a comment; unknown keys are
 rejected by name.  Every key has a default, so an empty config is valid; a key
-that mirrors a parameter object field takes its type and default from it.
+that mirrors a parameter object field takes its type and default from it, and
+RunConfig.build(cls) makes each parameter object from those keys.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ class _Builders:
         accept its fields, and perf's energy scale (vdd / ref_vdd)^2 must be
         finite.  An error of one key or field carries its name."""
         check_fields(self)
-        for build in (self.device, self.variation, self.frame_config, self.kernel,
-                      self.workload, self.energy_constants, self.tracker_config):
-            build()
+        for cls in (DeviceParams, CellVariation, FrameConfig, KernelSpec, WorkloadParams,
+                    EnergyConstants, TrackerConfig):
+            self.build(cls)
         try:
             finite = math.isfinite((self.vdd / self.ref_vdd) ** 2)
         except OverflowError:
@@ -62,39 +63,17 @@ class _Builders:
             raise InvalidParamsError(f"ref_vdd must keep (vdd / ref_vdd)^2 finite at vdd = "
                                      f"{self.vdd}, got {self.ref_vdd}", "ref_vdd")
 
-    def _build(self, cls, **given):
+    def build(self, cls, **given):
         """cls with every field not given read from the config key of the same
-        name, or of its _RENAMED name."""
+        name, or of its _RENAMED name.
+
+        A device's trip point and current left unset in the config are derived
+        at the supply actually used, so build(DeviceParams, vdd=1.2) equals
+        DeviceParams(vdd=1.2) under the defaults.
+        """
         fields = {f.name: getattr(self, _RENAMED.get(f.name, f.name))
                   for f in dataclasses.fields(cls)}
         return cls(**fields | given)
-
-    def device(self, vdd: float | None = None) -> DeviceParams:
-        """The configured operating point, optionally at another supply.
-
-        Trip point and current left unset in the config are derived at the
-        supply actually used, so device(vdd=1.2) equals DeviceParams(vdd=1.2)
-        under the defaults.
-        """
-        return self._build(DeviceParams, vdd=self.vdd if vdd is None else vdd)
-
-    def variation(self) -> CellVariation:
-        return self._build(CellVariation)
-
-    def frame_config(self) -> FrameConfig:
-        return self._build(FrameConfig)
-
-    def kernel(self) -> KernelSpec:
-        return self._build(KernelSpec)
-
-    def workload(self) -> WorkloadParams:
-        return self._build(WorkloadParams)
-
-    def energy_constants(self) -> EnergyConstants:
-        return self._build(EnergyConstants)
-
-    def tracker_config(self) -> TrackerConfig:
-        return self._build(TrackerConfig)
 
 
 # parameter fields fed by a config key of another name

@@ -91,9 +91,6 @@ class BinaryFrame:
     def popcount(self) -> int:
         return int(self.pixels.sum())
 
-    def copy(self) -> "BinaryFrame":
-        return BinaryFrame(self.pixels.copy())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryFrame):
             return NotImplemented

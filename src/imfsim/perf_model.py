@@ -170,7 +170,8 @@ def system_energy_per_frame(
 def report(cfg: "RunConfig") -> tuple[list[tuple[str, float]], list[str]]:
     """The `perf` report of a run configuration: (metric, value) rows and
     readable summary lines; InvalidParamsError if a metric is not finite."""
-    params, constants, f, vdd = cfg.workload(), cfg.energy_constants(), cfg.frequency, cfg.vdd
+    params, constants = cfg.build(WorkloadParams), cfg.build(EnergyConstants)
+    f, vdd = cfg.frequency, cfg.vdd
     rows = [(f"ops.{method}.{k}", v) for method in FILTER_METHODS
             for k, v in asdict(op_counts(method, params)).items()]
 
@@ -184,7 +185,7 @@ def report(cfg: "RunConfig") -> tuple[list[tuple[str, float]], list[str]]:
     rows += [("energy.ratio_mf_imc", e_mf / e_imc), ("energy.ratio_mfrb_imc", e_mfrb / e_imc)]
 
     # supply current at the characterized point: full array width, 1.2 V, 48 MHz
-    char_device = cfg.device(vdd=1.2)
+    char_device = cfg.build(DeviceParams, vdd=1.2)
     char_params = WorkloadParams(width=DEFAULT_GEOMETRY.cols, height=DEFAULT_GEOMETRY.rows,
                                  n=params.n)
     cur = imc_current(char_params, char_device, 48e6, cfg.rho_lambda_mean)

@@ -67,11 +67,11 @@ def downscale_or_stack(stack: np.ndarray, a: int, b: int) -> np.ndarray:
         raise InvalidParamsError(f"rescale factors must be >= 1, got ({a}, {b})")
     _, h, w = stack.shape
     cols = np.zeros((len(stack), h, -(-w // a)), dtype=np.uint8)
-    for j in range(a):
+    for j in range(min(a, w)):     # a slice past the frame is empty
         part = stack[:, :, j::a]
         cols[:, :, : part.shape[2]] |= part
     out = np.zeros((len(stack), -(-h // b), cols.shape[2]), dtype=np.uint8)
-    for i in range(b):
+    for i in range(min(b, h)):
         part = cols[:, i::b]
         out[:, : part.shape[1]] |= part
     return out
@@ -240,7 +240,7 @@ def track_eval(cfg: "RunConfig", chunks: Iterable[tuple[int, np.ndarray]],
     n_tracks, gts = len({row.track_id for row in gt_rows}), sum(map(len, gt))
     results = {}
     for filt, filt_proposals in proposals.items():
-        tracks, per_frame = track_proposals(filt_proposals, cfg.tracker_config())
+        tracks, per_frame = track_proposals(filt_proposals, cfg.build(TrackerConfig))
         rows = sorted((GroundTruthBox(fi, t.track_id, "object", bx.x, bx.y, bx.w, bx.h)
                        for t in tracks if t.state != TENTATIVE
                        for fi, bx in t.boxes.items()),

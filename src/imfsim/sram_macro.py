@@ -377,8 +377,8 @@ def simulate(cfg: RunConfig, chunks: Iterable[tuple[int, np.ndarray]]) -> Iterat
     filtered in place by filter_in_memory_stack, as (first, stack, report.csv
     rows).  It opens the run's lottery stream, seeded cfg.seed, on the first
     chunk, and closes it, joining its worker, when closed or when `chunks` raises."""
-    device, lotteries = cfg.device(), None
-    variation = variation_at_device(cfg.variation(), device)
+    device, lotteries = cfg.build(DeviceParams), None
+    variation = variation_at_device(cfg.build(CellVariation), device)
     try:
         for first, chunk in chunks:
             if lotteries is None:
@@ -560,7 +560,8 @@ def characterize(cfg: RunConfig, vdds: Sequence[float], ks: Sequence[int],
                  trials: int | None = None, patterns=None) -> list[tuple]:
     """The characterize command's rows, one per pattern: ber_supply_sweep over
     `vdds` and `ks`, with the config's trials and patterns unless given."""
-    stats = ber_supply_sweep(cfg.n, ks, [cfg.device(vdd=v) for v in vdds], cfg.variation(),
+    stats = ber_supply_sweep(cfg.n, ks, [cfg.build(DeviceParams, vdd=v) for v in vdds],
+                             cfg.build(CellVariation),
                              trials=cfg.trials if trials is None else trials,
                              patterns=cfg.patterns if patterns is None else patterns)
     return [(vdd, cfg.temperature, cfg.corner, cfg.n, stat.k, ps.pattern_id, ps.trials, ps.ber)
@@ -612,12 +613,11 @@ def patch_error_trials(
     spec = KernelSpec(n)
     k = int(patch.sum())
     expected = 1 if k >= spec.threshold else 0
-    cur, vtr = sample_cell_lottery(
-        (trials, n, n), device, variation, variation.rng_seed if seed is None else seed
-    )
-    ones = patch.astype(bool)
     if k == 0 or k == n * n:
         return np.zeros(trials, dtype=bool)
+    cur, vtr = _scale_lottery(*_standard_draws(
+        (trials, n, n), variation.rng_seed if seed is None else seed), device, variation)
+    ones = patch.astype(bool)
     outcome, _ = race(
         n, k, cur[:, ~ones].sum(axis=1), cur[:, ones].sum(axis=1),
         vtr[:, ones].sum(axis=1), vtr[:, ~ones].sum(axis=1), device,

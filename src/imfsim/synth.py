@@ -159,10 +159,15 @@ def traffic_dataset(
 def generate(cfg: RunConfig, kind: str, events: bool = False) -> Iterator[tuple]:
     """The gen command: a "traffic" or "noise" recording as (first index, stack,
     boxes, lazy frames_to_events of each frame) chunks.  With `events`, a
-    recording past its readers' window limit raises at the call, before any chunk."""
+    recording past its readers' window limit, or whose last epoch passes int64,
+    raises at the call, before any chunk."""
     if events and cfg.n_frames > _frames.MAX_RECORDING_FRAMES:
         raise InvalidParamsError(f"n_frames = {cfg.n_frames} with --events is past the "
                                  f"{_frames.MAX_RECORDING_FRAMES}-frame limit of a recording")
+    last = (cfg.n_frames - 1) * cfg.t_f     # the last frame's epoch
+    if events and last >= 2**63:
+        raise InvalidParamsError(f"t_f = {cfg.t_f} with --events puts frame {cfg.n_frames - 1}"
+                                 f" at t = {last}, past int64")
     chunks = (noise_chunks(cfg.n_frames, cfg.width, cfg.height, cfg.salt_p, cfg.seed)
               if kind == "noise" else traffic_chunks(cfg.n_frames, cfg.width, cfg.height,
                                                      cfg.salt_p, cfg.max_objects, cfg.seed))
@@ -180,14 +185,8 @@ def box_writer(fh: TextIO) -> Callable[[Iterable[GroundTruthBox]], None]:
         (r.frame_index, r.track_id, r.label, r.x, r.y, r.w, r.h) for r in rows)
 
 
-def write_box_csv(rows: Iterable[GroundTruthBox], path: Union[str, Path]) -> None:
-    """Ground-truth / track box table: frame_index,track_id,class,x,y,w,h."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        box_writer(fh)(rows)
-
-
 def read_box_csv(path: Union[str, Path]) -> list[GroundTruthBox]:
-    """The boxes of a file write_box_csv wrote; a malformed line raises an
+    """The boxes of a file box_writer wrote; a malformed line raises an
     InvalidParamsError naming <path>:<line>."""
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)

@@ -261,6 +261,10 @@ def _exit_code(*argv):
         # its own readers refuse a recording past their window limit
         ("n_frames = 131073\n", ["gen", "--events"],
          "n_frames = 131073 with --events is past the 131072-frame limit"),
+        # the last frame's epoch, (n_frames - 1) * t_f, must fit the events' int64 times
+        ("n_frames = 3\nt_f = 4611686018427387904\n", ["gen", "--kind", "noise", "--events"],
+         "t_f = 4611686018427387904 with --events puts frame 2 at t = 9223372036854775808, "
+         "past int64"),
         # keys the command never reads are checked too, when the config loads
         ("temperature = nan\n", ["simulate", "--frames", "FRAMES"],
          "run.cfg:1: temperature must be finite, got nan"),
@@ -354,6 +358,7 @@ def _exit_code(*argv):
     ids=["perf-frequency-0", "perf-frequency-inf", "config-non-ascii", "characterize-vdd",
          "characterize-k", "characterize-patterns", "characterize-patterns-0",
          "characterize-trials-0", "gen-events-t_f-0", "gen-events-n_frames-past-limit",
+         "gen-events-last-epoch-past-int64",
          "simulate-temperature-nan", "gen-noise-n-4", "gen-noise-vdd-nan", "perf-e_imc_pixel-0",
          "perf-ref_vdd-0",
          "perf-rho_lambda_mean-negative", "gen-salt_p-2", "gen-max_objects-negative",
@@ -634,6 +639,18 @@ def test_gen_events_reaches_exactly_the_frame_limit(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "past").exists()
 
 
+def test_gen_events_reaches_the_last_int64_epoch(tmp_path):
+    cfg = write_cfg(tmp_path, f"n_frames = 2\nt_f = {2**63 - 1}\nwidth = 24\nheight = 18\n"
+                              "salt_p = 0.2\n")
+    data = tmp_path / "data"
+    assert run_cli("gen", "--kind", "noise", "--events", "--config", cfg, "--out", data) == 0
+    assert (data / "events.txt").read_text().splitlines()[-1].startswith(f"{2**63 - 1},")
+    out = tmp_path / "denoised"
+    assert run_cli("denoise", "--events", data / "events.txt", "--filter", "nomf",
+                   "--config", cfg, "--out", out) == 0
+    assert len(read_csv(out / "report.csv")) == 2
+
+
 def test_a_sweep_past_the_pattern_limit_is_rejected(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setattr(imfsim.sram_macro, "MAX_SWEEP_PATTERNS", 126)
@@ -816,6 +833,21 @@ def test_filters_of_a_kernel_past_the_frame_finish(tmp_path):
     assert [f.popcount() >= 216 for f in frames] == [False, True]
 
 
+def test_track_eval_of_rescale_factors_past_the_frame_finishes(tmp_path):
+    # downscale_or_stack loops over the frame's sides, not over the factors: in a
+    # subprocess with a timeout, so a loop over 10**9 + 1 fails the test.
+    gen = write_cfg(tmp_path, "n_frames = 3\nwidth = 24\nheight = 18\n", "gen.cfg")
+    assert run_cli("gen", "--config", gen, "--out", tmp_path / "data") == 0
+    cfg = write_cfg(tmp_path, f"rescale_a = {10**9 + 1}\nrescale_b = {10**9 + 1}\nmin_area = 1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", "import sys; from imfsim.cli import main; "
+                    "sys.exit(main(sys.argv[1:]))", "track-eval", "--frames",
+                    tmp_path / "data" / "frames", "--gt", tmp_path / "data" / "gt.csv",
+                    "--config", cfg, "--out", tmp_path / "out"], env=env, check=True, timeout=60)
+    assert (tmp_path / "out" / "summary.csv").exists()
+
+
 def test_simulate_matches_denoise_imc_filter(traffic_dir, tmp_path, capsys):
     cfg = write_cfg(tmp_path, "seed = 3\n")
     a, b = tmp_path / "sim", tmp_path / "imc"
@@ -943,6 +975,7 @@ def test_perf_report_values(tmp_path):
 def test_perf_current_uses_the_configured_device_at_1v2(tmp_path, monkeypatch):
     import imfsim.perf_model as perf_model
     from imfsim.config import load_config
+    from imfsim.params import DeviceParams
 
     devices = []
 
@@ -954,7 +987,7 @@ def test_perf_current_uses_the_configured_device_at_1v2(tmp_path, monkeypatch):
     monkeypatch.setattr(perf_model, "imc_current", spy)
     cfg = write_cfg(tmp_path, "i_s = 2e-5\nv_trip = 0.3\nc_wl = 3e-13\n")
     assert run_cli("perf", "--config", cfg, "--out", tmp_path / "out") == 0
-    want = load_config(cfg).device(vdd=1.2)
+    want = load_config(cfg).build(DeviceParams, vdd=1.2)
     assert (want.vdd, want.i_s_nominal, want.v_trip_nominal, want.c_wl) == (1.2, 2e-5, 0.3, 3e-13)
     assert devices == [want, want]
 

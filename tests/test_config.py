@@ -86,39 +86,35 @@ def test_keyword_overrides_beat_file(tmp_path):
 
 def test_builders_wire_through():
     cfg = load_config(None, seed=4, vdd=0.8, n=5, t_f=1000, width=48, height=30)
-    assert cfg.device().vdd == 0.8
-    assert cfg.variation().rng_seed == 4
-    assert cfg.kernel().n == 5
-    fc = cfg.frame_config()
+    assert cfg.build(DeviceParams).vdd == 0.8
+    assert cfg.build(CellVariation).rng_seed == 4
+    assert cfg.build(KernelSpec).n == 5
+    fc = cfg.build(FrameConfig)
     assert (fc.t_f, fc.sensor_width, fc.sensor_height) == (1000, 48, 30)
-    assert cfg.workload().pixels == 48 * 30
-    assert cfg.energy_constants().dnn_energy == pytest.approx(1076.6e-9)
-    assert cfg.tracker_config().confirm_hits == 3
+    assert cfg.build(WorkloadParams).pixels == 48 * 30
+    assert cfg.build(EnergyConstants).dnn_energy == pytest.approx(1076.6e-9)
+    assert cfg.build(TrackerConfig).confirm_hits == 3
 
 
 def test_default_config_builds_each_class_default():
     cfg = RunConfig()
-    assert cfg.device() == DeviceParams()
-    assert cfg.variation() == CellVariation()
-    assert cfg.frame_config() == FrameConfig()
-    assert cfg.kernel() == KernelSpec()
-    assert cfg.workload() == WorkloadParams()
-    assert cfg.energy_constants() == EnergyConstants()
-    assert cfg.tracker_config() == TrackerConfig()
+    for cls in (DeviceParams, CellVariation, FrameConfig, KernelSpec, WorkloadParams,
+                EnergyConstants, TrackerConfig):
+        assert cfg.build(cls) == cls()
 
 
 def test_device_at_another_supply_derives_its_own_nominals():
     cfg = RunConfig()
-    high = cfg.device(vdd=1.2)
+    high = cfg.build(DeviceParams, vdd=1.2)
     assert high == DeviceParams(vdd=1.2)
     assert high.v_trip_nominal == pytest.approx(0.36)
     assert high.i_s_nominal == pytest.approx(8.55e-5, rel=1e-3)
     # replace() on the 0.7 V device would keep the 0.7 V derived nominals
-    stale = replace(cfg.device(), vdd=1.2)
+    stale = replace(cfg.build(DeviceParams), vdd=1.2)
     assert stale.v_trip_nominal == pytest.approx(0.21) and stale != high
-    assert cfg.device() == cfg.device(vdd=cfg.vdd) == DeviceParams(vdd=0.7)
+    assert cfg.build(DeviceParams) == cfg.build(DeviceParams, vdd=0.7) == DeviceParams(vdd=0.7)
     # values set in the config are kept at every supply
-    pinned = RunConfig(v_trip=0.3, i_s=2e-5).device(vdd=1.2)
+    pinned = RunConfig(v_trip=0.3, i_s=2e-5).build(DeviceParams, vdd=1.2)
     assert pinned.v_trip_nominal == 0.3 and pinned.i_s_nominal == 2e-5
 
 
@@ -138,6 +134,13 @@ def test_load_time_check_accepts_the_range_ends():
     for key, value in [("salt_p", 0.0), ("salt_p", 1.0), ("max_objects", 1), ("seed", 0),
                        ("connectivity", 4), ("rescale_a", 1), ("patterns", 1), ("min_area", 1)]:
         assert getattr(RunConfig(**{key: value}), key) == value
+
+
+def test_the_device_is_checked_before_the_frame_window():
+    # width's rule belongs to FrameConfig and vdd's to DeviceParams, which is built first
+    with pytest.raises(InvalidParamsError, match=r"^vdd must be above V_T") as raised:
+        RunConfig(width=400, vdd=0.2)
+    assert raised.value.key == "vdd"
 
 
 # a value of each config key that breaks its own rule or a check across keys;

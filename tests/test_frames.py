@@ -274,7 +274,7 @@ def test_binary_frame_validation():
     fr = BinaryFrame(np.array([[True, False]]))
     assert fr.pixels.dtype == np.uint8 and fr.width == 2 and fr.height == 1
     assert BinaryFrame.zeros(4, 3).popcount() == 0
-    other = fr.copy()
+    other = BinaryFrame(fr.pixels.copy())
     assert other == fr
     other.pixels[0, 1] = 1
     assert other != fr and other.popcount() == 2

@@ -30,7 +30,7 @@ from imfsim.pipeline import (
     track_proposals,
     track_update,
 )
-from imfsim.synth import GroundTruthBox, write_box_csv
+from imfsim.synth import GroundTruthBox, box_writer
 
 
 def boxes_as_tuples(boxes):
@@ -416,8 +416,8 @@ def test_track_eval_weights_the_f1_by_the_track_count(tmp_path):
     stack = np.zeros((6, 36, 72), dtype=np.uint8)
     stack[:, 12:24, 24:48] = 1
     gt = [GroundTruthBox(fi, 0, "car", 24, 12, 24, 12) for fi in range(6)]
-    write_box_csv(gt + [GroundTruthBox(9, tid, "car", 0, 0, 4, 4) for tid in (1, 2)],
-                  tmp_path / "gt.csv")
+    with open(tmp_path / "gt.csv", "w", encoding="ascii", newline="") as fh:
+        box_writer(fh)(gt + [GroundTruthBox(9, tid, "car", 0, 0, 4, 4) for tid in (1, 2)])
     f1 = rates(4, 4, 6)[2]
     assert 3 * f1 / 3 != f1
     results, summary = track_eval(RunConfig(), [(0, stack)], tmp_path / "gt.csv")

@@ -9,13 +9,13 @@ from imfsim.frames import EVENT_DTYPE, BinaryFrame, FrameConfig, aggregate_frame
 from imfsim.synth import (
     OBJECT_SIZES,
     GroundTruthBox,
+    box_writer,
     frames_to_events,
     noise_chunks,
     noise_frames,
     read_box_csv,
     traffic_chunks,
     traffic_dataset,
-    write_box_csv,
 )
 
 
@@ -62,7 +62,8 @@ def test_box_csv_round_trip(tmp_path):
         GroundTruthBox(1, 1, "bus", 50, 60, 40, 18),
     ]
     path = tmp_path / "gt.csv"
-    write_box_csv(rows, path)
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        box_writer(fh)(rows)
     assert read_box_csv(path) == rows
     text = path.read_text()
     assert text.splitlines()[0] == "frame_index,track_id,class,x,y,w,h"

@@ -50,9 +50,14 @@ class _Parser(argparse.ArgumentParser):
         return args
 
 
-def _write_csv(path: Path, rows) -> None:
+@contextlib.contextmanager
+def _table(path: Path, header):
+    """Open the CSV table at `path` and write its header; yield a function that
+    appends rows to it, floats as .12g, in ASCII with \\n line ends."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        yield lambda rows: writer.writerows(
             [f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
@@ -69,60 +74,63 @@ def cmd_denoise(cfg, args, out: Path) -> None:
     from .params import FrameConfig
     chunks = iter_recording(args.frames) if args.frames else iter_recording(
         args.events, cfg.build(FrameConfig))
-    rows = [["frame_index", "input_ones", "output_ones", "valid_frame"]]
+    header = ["frame_index", "input_ones", "output_ones", "valid_frame"]
     if args.filter == "imc":
         from .sram_macro import simulate
         run = simulate(cfg, chunks)
-        rows[0] += ["flips_intended", "flips_unintended", "ber", "cycles"]
+        header += ["flips_intended", "flips_unintended", "ber", "cycles"]
     else:
         from .filters import denoise
         run = denoise(chunks, args.filter, cfg.n)
-    with contextlib.closing(run):   # closing simulate's run joins its lottery worker
-        for first, frames, chunk_rows in run:   # each chunk is written before the next is read
+    # closing simulate's run joins its lottery worker
+    with contextlib.closing(run), _table(out / "report.csv", header) as add_rows:
+        for first, frames, rows in run:     # each chunk is written before the next is read
             _write_frames(frames, out / "frames", first)
-            rows += chunk_rows
+            add_rows(rows)
             del frames      # else it stays alive while simulate races the next chunk
-    _write_csv(out / "report.csv", rows)
 
 
 def cmd_characterize(cfg, args, out: Path) -> None:
     from .sram_macro import characterize
-    _write_csv(out / "characterize.csv", [
-        ("vdd", "temp_c", "corner", "n", "k", "pattern_id", "trials", "ber"),
-        *characterize(cfg, args.vdd, args.k, args.trials, args.patterns)])
+    rows = characterize(cfg, args.vdd, args.k, args.trials, args.patterns)
+    with _table(out / "characterize.csv", ("vdd", "temp_c", "corner", "n", "k", "pattern_id",
+                                           "trials", "ber")) as add_rows:
+        add_rows(rows)
 
 
 def cmd_perf(cfg, args, out: Path) -> None:
     from .perf_model import report
     rows, lines = report(cfg)
-    _write_csv(out / "perf.csv", [("metric", "value"), *rows])
+    with _table(out / "perf.csv", ("metric", "value")) as add_rows:
+        add_rows(rows)
     (out / "perf.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def cmd_track_eval(cfg, args, out: Path) -> None:
     from .frames import iter_recording
     from .pipeline import track_eval
-    from .synth import box_writer
+    from .synth import BOX_HEADER
     results, summary = track_eval(cfg, iter_recording(args.frames), args.gt)
     for filt, (rows, curve, _) in results.items():
-        with open(out / f"tracks_{filt}.csv", "w", encoding="ascii", newline="") as fh:
-            box_writer(fh)(rows)
-        _write_csv(out / f"f1_curve_{filt}.csv", [("thr", "weighted_f1"), *curve])
-    _write_csv(out / "summary.csv", [("metric", "value"), *summary.items()])
+        with _table(out / f"tracks_{filt}.csv", BOX_HEADER) as add_rows:
+            add_rows(rows)
+        with _table(out / f"f1_curve_{filt}.csv", ("thr", "weighted_f1")) as add_rows:
+            add_rows(curve)
+    with _table(out / "summary.csv", ("metric", "value")) as add_rows:
+        add_rows(summary.items())
     (out / "summary.txt").write_text("auc omf = {:.6g}\nauc nomf = {:.6g}\nabs diff = {:.6g}\n"
                                      .format(*summary.values()), encoding="ascii")
 
 
 def cmd_gen(cfg, args, out: Path) -> None:
     from .frames import write_event_stream
-    from .synth import box_writer, generate
+    from .synth import BOX_HEADER, generate
     run = generate(cfg, args.kind, args.events)     # refuses a bad n_frames before any file
-    with contextlib.closing(run), open(out / "gt.csv", "w", encoding="ascii", newline="") as gt, \
+    with contextlib.closing(run), _table(out / "gt.csv", BOX_HEADER) as add_boxes, \
             open(out / "events.txt", "wb") if args.events else contextlib.nullcontext() as events:
-        write_boxes = box_writer(gt)
         for first, frames, boxes, frame_events in run:  # each chunk is written before the next
             _write_frames(frames, out / "frames", first)
-            write_boxes(boxes)
+            add_boxes(boxes)
             if events:
                 write_event_stream(frame_events, events)
 

@@ -26,12 +26,12 @@ chunks of at most FRAME_CHUNK frames, so memory is bounded by a chunk.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import os
+import re
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, TextIO, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -113,13 +113,10 @@ _READ_BLOCK = 1 << 18     # bytes of event text read per block
 _INT_SPACE = " \t\n\r\x0b\x0c"
 
 
-def parse_event_stream(source: Union[str, Path, TextIO, Iterable[str]]) -> np.ndarray:
-    """Parse an event text stream into an EVENT_DTYPE array; every line yields an event
-    or a located error.  A path is read in blocks (_event_blocks); a TextIO or iterable
-    of lines goes through the line-by-line parser."""
-    if isinstance(source, (str, Path)):
-        return np.concatenate([np.empty(0, EVENT_DTYPE), *_event_blocks(source)])
-    return _parse_lines(source)
+def parse_event_stream(path: Union[str, Path]) -> np.ndarray:
+    """The events of the event file at `path` as one EVENT_DTYPE array, read in
+    blocks (_event_blocks); every line yields an event or a located error."""
+    return np.concatenate([np.empty(0, EVENT_DTYPE), *_event_blocks(path)])
 
 
 def _event_blocks(path: Union[str, Path]) -> Iterator[np.ndarray]:
@@ -200,7 +197,7 @@ def _parse_canonical(data: bytes) -> np.ndarray | None:
     return events
 
 
-def _parse_lines(lines: Iterable[str], first_line: int = 1, last_t: int = -1) -> np.ndarray:
+def _parse_lines(lines: Iterable[str], first_line: int, last_t: int) -> np.ndarray:
     """The events of `lines`, numbered from first_line and following last_t."""
     values = array("q")     # t, x, y, polarity of each event in turn
     for line_no, raw in enumerate(lines, start=first_line):
@@ -228,16 +225,15 @@ def _parse_lines(lines: Iterable[str], first_line: int = 1, last_t: int = -1) ->
     return np.frombuffer(values, dtype=EVENT_DTYPE)
 
 
-def write_event_stream(events, dest: Union[str, Path, BinaryIO]) -> None:
-    """Write an EVENT_DTYPE array, or each of an iterable of them in turn, in
-    the canonical text format parse_event_stream reads, to a new file at a
-    path or on to the end of an open binary file.  An array that is not valid
-    events raises InvalidParamsError before any of its lines is written."""
-    with open(dest, "wb") if isinstance(dest, (str, Path)) else contextlib.nullcontext(dest) as fh:
-        for batch in [events] if isinstance(events, np.ndarray) else events:
-            _check_events(batch)
-            for lo in range(0, len(batch), EVENT_BATCH):
-                fh.write(_format_rows(batch[lo : lo + EVENT_BATCH]))
+def write_event_stream(batches: Iterable[np.ndarray], fh: BinaryIO) -> None:
+    """Write each EVENT_DTYPE array of `batches` in turn, in the canonical text
+    format parse_event_stream reads, on to the end of the open binary file fh.
+    An array that is not valid events raises InvalidParamsError before any of
+    its lines is written."""
+    for batch in batches:
+        _check_events(batch)
+        for lo in range(0, len(batch), EVENT_BATCH):
+            fh.write(_format_rows(batch[lo : lo + EVENT_BATCH]))
 
 
 def _check_events(events) -> None:
@@ -295,7 +291,8 @@ def iter_recording(source: Union[str, Path],
 
     With cfg, source is an event file accumulated into cfg's windows, and
     the empty windows of a gap come out as zero chunks.  Without, source is a
-    directory of *.pbm frames read in name order; a frame whose size differs
+    directory of *.pbm frames read in name order, with runs of digits compared
+    as numbers and ties broken by the plain name; a frame whose size differs
     from the first file's raises DimensionMismatchError naming it.
     """
     if cfg is None:
@@ -413,7 +410,8 @@ def read_pbm(path: Union[str, Path]) -> BinaryFrame:
 
 
 def _pbm_chunks(directory: Path) -> Iterator[tuple[int, np.ndarray]]:
-    paths = sorted(directory.glob("*.pbm"))
+    paths = sorted(directory.glob("*.pbm"), key=lambda p: (  # frame_100000 after frame_99999
+        [int(s) if i % 2 else s for i, s in enumerate(re.split(r"(\d+)", p.name))], p.name))
     if not paths:
         raise InvalidParamsError(f"no .pbm frames under {directory}")
     shape = None

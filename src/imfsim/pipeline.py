@@ -2,11 +2,11 @@
 
 Frames are OR-downscaled by (a, b), connected components of the small image
 become proposals (tiny specks dropped), proposal boxes are mapped back to
-sensor coordinates by multiplying by (a, b), and a greedy IoU tracker links
-them over time.  Tracks confirm after a run of consecutive hits and die after
-a run of consecutive misses.  Downscaling, labelling and proposals are
-kernels over an (N, H, W) stack of frames; the per-frame functions call them
-on a stack of one.
+sensor coordinates by multiplying by (a, b) and clipped to the frame, and a
+greedy IoU tracker links them over time.  Tracks confirm after a run of
+consecutive hits and die after a run of consecutive misses.  Downscaling,
+labelling and proposals are kernels over an (N, H, W) stack of frames; the
+per-frame functions call them on a stack of one.
 """
 
 from __future__ import annotations
@@ -138,11 +138,13 @@ def region_proposals_stack(
     connectivity: int = 8,
 ) -> list[list[BoundingBox]]:
     """Per frame of an (N, H, W) stack: downscale, label, drop specks below
-    min_area (downscaled px), map back by (a, b)."""
+    min_area (downscaled px), map back by (a, b) and clip to the frame."""
     boxes = connected_components_stack(downscale_or_stack(stack, a, b), connectivity)
-    out: list[list[BoundingBox]] = [[] for _ in range(len(stack))]
+    n_frames, height, width = stack.shape
+    out: list[list[BoundingBox]] = [[] for _ in range(n_frames)]
     for frame, x, y, w, h in boxes[boxes[:, 3] * boxes[:, 4] >= min_area].tolist():
-        out[frame].append(BoundingBox(x=x * a, y=y * b, w=w * a, h=h * b))
+        x, y = x * a, y * b     # inside the frame: x < ceil(width / a)
+        out[frame].append(BoundingBox(x, y, min(w * a, width - x), min(h * b, height - y)))
     return out
 
 

@@ -81,7 +81,6 @@ _VTRIP_FLOOR = 1e-9          # V
 @dataclass
 class MacroState:
     geometry: MacroGeometry
-    device: DeviceParams
     bits: np.ndarray            # (rows, cols) uint8
     cell_current: np.ndarray    # (rows, cols) float64, amperes
     cell_vtrip: np.ndarray      # (rows, cols) float64, volts
@@ -90,7 +89,6 @@ class MacroState:
 
 @dataclass
 class FilterReport:
-    n: int
     flips_intended: int
     flips_unintended: int
     cycles: int                 # cycles spent by this filter pass
@@ -192,7 +190,6 @@ def init_macro(
     currents, vtrips = sample_cell_lottery(shape, device, variation, variation.rng_seed)
     return MacroState(
         geometry=geometry,
-        device=device,
         bits=np.zeros(shape, dtype=np.uint8),
         cell_current=currents,
         cell_vtrip=vtrips,
@@ -342,7 +339,7 @@ def filter_in_memory(state: MacroState, n: int, device: DeviceParams) -> FilterR
         state.bits, state.cell_current, state.cell_vtrip, n, device)
     cycles = 2 * (state.geometry.rows // n)
     state.cycle_count += cycles
-    return FilterReport(n, flips_intended, flips_unintended, cycles, int(state.bits.any()))
+    return FilterReport(flips_intended, flips_unintended, cycles, int(state.bits.any()))
 
 
 def filter_in_memory_stack(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -33,8 +33,8 @@ OBJECT_SIZES: dict[str, tuple[tuple[int, int], ...]] = {
 BOX_HEADER = ["frame_index", "track_id", "class", "x", "y", "w", "h"]
 
 
-@dataclass(frozen=True)
-class GroundTruthBox:
+class GroundTruthBox(NamedTuple):
+    """One row of the box table: BOX_HEADER's columns in field order."""
     frame_index: int
     track_id: int
     label: str
@@ -176,17 +176,8 @@ def generate(cfg: RunConfig, kind: str, events: bool = False) -> Iterator[tuple]
             for first, chunk, boxes in chunks)
 
 
-def box_writer(fh: TextIO) -> Callable[[Iterable[GroundTruthBox]], None]:
-    """Write the box table header to the text file fh; return a function that
-    appends boxes to it as rows."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(BOX_HEADER)
-    return lambda rows: writer.writerows(
-        (r.frame_index, r.track_id, r.label, r.x, r.y, r.w, r.h) for r in rows)
-
-
 def read_box_csv(path: Union[str, Path]) -> list[GroundTruthBox]:
-    """The boxes of a file box_writer wrote; a malformed line raises an
+    """The boxes of a BOX_HEADER table; a malformed line raises an
     InvalidParamsError naming <path>:<line>."""
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)

@@ -732,6 +732,29 @@ def test_gen_streams_in_bounded_memory(tmp_path):
     assert large <= small + 65536
 
 
+def test_denoise_writes_each_chunks_rows_before_it_reads_the_next(tmp_path, monkeypatch):
+    # two events a long gap apart on a 3 x 3 sensor, one window per microsecond
+    monkeypatch.setattr(imfsim.cli, "_write_frames", lambda frames, out, first: None)
+    cfg = write_cfg(tmp_path, "t_f = 1\nwidth = 3\nheight = 3\n")
+
+    def peak(windows):
+        events = tmp_path / f"events{windows}.txt"
+        events.write_text(f"0,0,0,1\n{windows - 1},2,2,1\n")
+        tracemalloc.start()
+        try:
+            assert run_cli("denoise", "--events", events, "--config", cfg,
+                           "--out", tmp_path / f"out{windows}") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # first-call allocations, kept apart
+    small, large = peak(1000), peak(10_000)
+    assert len(read_csv(tmp_path / "out10000" / "report.csv")) == 10_000
+    # the 9,000 more rows, held until the end of the run, took about 0.9 MB
+    assert large <= small + 100_000
+
+
 @pytest.fixture(scope="module")
 def long_recording(tmp_path_factory):
     """A 96-frame traffic recording: six 16-frame chunks."""
@@ -795,6 +818,18 @@ def test_gen_noise_kind(tmp_path):
 # ---------------------------------------------------------------------------
 # denoise / simulate
 # ---------------------------------------------------------------------------
+
+def test_frames_past_99999_are_read_in_number_order(tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for ones, index in enumerate((10000, 10001, 100000), 1):
+        px = np.zeros((3, 3), dtype=np.uint8)
+        px.flat[:ones] = 1
+        write_pbm(BinaryFrame(px), frames / f"frame_{index:05d}.pbm")
+    assert run_cli("denoise", "--frames", frames, "--out", tmp_path / "out") == 0
+    rows = read_csv(tmp_path / "out" / "report.csv")
+    assert [row["input_ones"] for row in rows] == ["1", "2", "3"]
+
 
 def test_denoise_report_schema_and_frames(traffic_dir, tmp_path):
     out = tmp_path / "out"

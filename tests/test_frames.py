@@ -40,48 +40,68 @@ def events(*rows):
     return np.array(list(rows), dtype=EVENT_DTYPE)
 
 
-def outcome(source):
-    """What parse_event_stream makes of a source: its events as (t, x, y,
+def parse_lines(path):
+    """The line-by-line parser alone over the whole file at path, as
+    _parse_block runs it on a block that is not canonical."""
+    with open(path, encoding="ascii", errors="surrogateescape", newline=None) as fh:
+        return frames_module._parse_lines(fh, 1, -1)
+
+
+def outcome(path, parse=parse_event_stream):
+    """What `parse` makes of the file at path: its events as (t, x, y,
     polarity) tuples, or the located error."""
     try:
-        return parse_event_stream(source).tolist()
+        return parse(path).tolist()
     except (MalformedLineError, NonMonotonicTimestampError) as exc:
         return type(exc), exc.line_no
+
+
+def parse_text(tmp_path, text):
+    """parse_event_stream of a file holding `text`."""
+    path = tmp_path / "events.txt"
+    path.write_bytes(text.encode("ascii"))
+    return parse_event_stream(path)
+
+
+def write_events(stream, path):
+    """Write one EVENT_DTYPE array as a new event file at path."""
+    with open(path, "wb") as fh:
+        write_event_stream([stream], fh)
 
 
 # ---------------------------------------------------------------------------
 # event parsing
 # ---------------------------------------------------------------------------
 
-def test_parse_single_line():
-    parsed = parse_event_stream(["1000,5,7,1"])
+def test_parse_single_line(tmp_path):
+    parsed = parse_text(tmp_path, "1000,5,7,1")
     assert parsed.dtype == EVENT_DTYPE and np.array_equal(parsed, events((1000, 5, 7, 1)))
 
 
-def test_parse_polarity_zero_maps_to_minus_one():
-    assert parse_event_stream(["42,1,2,0"])["polarity"][0] == -1
+def test_parse_polarity_zero_maps_to_minus_one(tmp_path):
+    assert parse_text(tmp_path, "42,1,2,0\n")["polarity"][0] == -1
 
 
-def test_parse_skips_comments_and_blanks_but_counts_physical_lines():
+def test_parse_skips_comments_and_blanks_but_counts_physical_lines(tmp_path):
     text = "# header\n\n1000,1,1,1\nbroken\n"
     with pytest.raises(MalformedLineError) as exc:
-        parse_event_stream(io.StringIO(text))
+        parse_text(tmp_path, text)
     assert exc.value.line_no == 4
     assert "line 4" in str(exc.value)
 
 
-def test_parse_non_monotonic_names_offending_line():
+def test_parse_non_monotonic_names_offending_line(tmp_path):
     with pytest.raises(NonMonotonicTimestampError) as exc:
-        parse_event_stream(["1000,5,7,1", "999,0,0,0"])
+        parse_text(tmp_path, "1000,5,7,1\n999,0,0,0\n")
     assert exc.value.line_no == 2
 
 
-def test_fields_keep_the_whitespace_int_skips():
-    assert np.array_equal(parse_event_stream([" 5 ,\t0,0\x0b, 1\x0c\r\n"]), events((5, 0, 0, 1)))
+def test_fields_keep_the_whitespace_int_skips(tmp_path):
+    assert np.array_equal(parse_text(tmp_path, " 5 ,\t0,0\x0b, 1\x0c\r\n"), events((5, 0, 0, 1)))
 
 
-def test_parse_equal_timestamps_allowed():
-    assert len(parse_event_stream(["5,0,0,1", "5,1,0,1"])) == 2
+def test_parse_equal_timestamps_allowed(tmp_path):
+    assert len(parse_text(tmp_path, "5,0,0,1\n5,1,0,1\n")) == 2
 
 
 @pytest.mark.parametrize(
@@ -89,15 +109,15 @@ def test_parse_equal_timestamps_allowed():
     ["1,2,3", "1,2,3,4,5", "a,2,3,1", "1.5,2,3,1", "-1,2,3,1", "1,-2,3,1", "1,2,3,2",
      "1_000,2,3,1", "+5,2,3,1", "1,2,3,+1", "1,2, -3,1", "1,\x1c2,3,1"],
 )
-def test_parse_rejects_malformed(line):
+def test_parse_rejects_malformed(tmp_path, line):
     with pytest.raises(MalformedLineError) as exc:
-        parse_event_stream([line])
+        parse_text(tmp_path, line)
     assert exc.value.line_no == 1
 
 
 def test_event_validation():
     # the two entry points that take events from a caller check them first
-    entries = (lambda ev: write_event_stream(ev, io.BytesIO()),
+    entries = (lambda ev: write_event_stream([ev], io.BytesIO()),
                lambda ev: aggregate_frames(ev, FrameConfig()))
     narrow = np.dtype([(f, np.int32) for f in EVENT_DTYPE.names])
     bad = [(events((-1, 0, 0, 1)), "negative event field"),
@@ -116,7 +136,7 @@ def test_event_validation():
         aggregate_frames([(0, 0, 0, 1)], FrameConfig())
     dest = io.BytesIO()
     with pytest.raises(InvalidParamsError, match=re.escape("polarity must be -1 or +1")):
-        write_event_stream(events((0, 1, 2, 1), (3, 4, 5, 2)), dest)
+        write_event_stream([events((0, 1, 2, 1), (3, 4, 5, 2))], dest)
     assert dest.getvalue() == b""   # checked before any line is written
 
 
@@ -136,7 +156,7 @@ def test_event_stream_round_trip_10k(tmp_path):
         np.where(rng.random(n) < 0.5, 1, -1),
     )
     path = tmp_path / "events.txt"
-    write_event_stream(stream, path)
+    write_events(stream, path)
     assert np.array_equal(parse_event_stream(path), stream)
 
 
@@ -171,7 +191,7 @@ def test_path_and_lines_agree_on_errors(tmp_path):
     ):
         path.write_text(text)
         assert outcome(path) == (err, line_no)
-        assert outcome(path.read_text().splitlines(True)) == (err, line_no)
+        assert outcome(path, parse_lines) == (err, line_no)
 
 
 def test_non_ascii_byte_is_a_located_error(tmp_path):
@@ -222,7 +242,7 @@ def test_path_and_lines_agree_on_any_file(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.txt"
         path.write_bytes(text.encode("ascii"))
-        assert outcome(path) == outcome(path.read_text().splitlines(True))
+        assert outcome(path) == outcome(path, parse_lines)
 
 
 @given(
@@ -241,11 +261,11 @@ def test_write_event_stream_matches_naive_writer(rows):
     stream = events(*rows)
     with tempfile.TemporaryDirectory() as tmp:
         fast, naive = Path(tmp) / "fast.txt", Path(tmp) / "naive.txt"
-        write_event_stream(stream, fast)
+        write_events(stream, fast)
         oracles.write_events_naive(
             *(stream[f].tolist() for f in EVENT_DTYPE.names), naive)
         assert fast.read_bytes() == naive.read_bytes()
-        assert outcome(fast) == outcome(fast.read_text().splitlines(True))
+        assert outcome(fast) == outcome(fast, parse_lines)
         assert np.array_equal(parse_event_stream(fast), stream)
 
 
@@ -515,11 +535,10 @@ def _streamed(path, cfg, block, chunk):
 
 def _whole(path, cfg):
     """The whole-file line parser and the per-event oracle, or the located error."""
-    with open(path, encoding="ascii", errors="surrogateescape", newline=None) as fh:
-        try:
-            ev = parse_event_stream(fh)
-        except (MalformedLineError, NonMonotonicTimestampError) as exc:
-            return type(exc), str(exc)
+    try:
+        ev = parse_lines(path)
+    except (MalformedLineError, NonMonotonicTimestampError) as exc:
+        return type(exc), str(exc)
     return oracles.aggregate_naive(ev["t"], ev["x"], ev["y"], cfg.t_f, cfg.sensor_width,
                                    cfg.sensor_height)
 
@@ -546,8 +565,7 @@ def test_streamed_recording_equals_the_whole_file(lines, final_newline, block, c
         path.write_bytes(_event_text(lines, final_newline).encode("latin-1"))
         want = _whole(path, cfg)
         got, parsed = _streamed(path, cfg, block, chunk)
-        with open(path, encoding="ascii", errors="surrogateescape", newline=None) as fh:
-            assert parsed == outcome(fh)
+        assert parsed == outcome(path, parse_lines)
         if isinstance(want, tuple):
             assert got == want
             return
@@ -563,7 +581,7 @@ def test_late_bad_line_is_located_as_in_the_whole_file(tmp_path, monkeypatch):
     n = 30_000
     stream = event_array(np.arange(n) // 7, np.arange(n) % 5, np.arange(n) % 4, np.ones(n, int))
     good = tmp_path / "good.txt"
-    write_event_stream(stream, good)
+    write_events(stream, good)
     lines = good.read_bytes().splitlines(True)
     monkeypatch.setattr(frames_module, "_READ_BLOCK", 1 << 12)
     assert sum(map(len, lines[:25_000])) > 50 * frames_module._READ_BLOCK
@@ -572,7 +590,7 @@ def test_late_bad_line_is_located_as_in_the_whole_file(tmp_path, monkeypatch):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"".join(lines[:25_000] + [bad] + lines[25_000:]))
         with pytest.raises(err) as whole:
-            parse_event_stream(path.read_text().splitlines(True))
+            parse_lines(path)
         assert whole.value.line_no == 25_001
         with pytest.raises(err) as streamed:
             list(iter_recording(path, _SENSOR))
@@ -630,8 +648,8 @@ def test_event_blocks_peak_does_not_grow_with_the_file(tmp_path, monkeypatch):
 
     def peak(n):
         path = tmp_path / f"events{n}.txt"
-        write_event_stream(event_array(np.arange(n) // 7, np.arange(n) % 240,
-                                       np.arange(n) % 180, np.ones(n, int)), path)
+        write_events(event_array(np.arange(n) // 7, np.arange(n) % 240,
+                                 np.arange(n) % 180, np.ones(n, int)), path)
         tracemalloc.start()
         try:
             count = sum(len(block) for block in frames_module._event_blocks(path))
@@ -644,6 +662,16 @@ def test_event_blocks_peak_does_not_grow_with_the_file(tmp_path, monkeypatch):
     assert peak_large <= peak_small + 4096
     # a block's bytes, its parsed columns and the previous block's columns
     assert peak_large <= 11 * frames_module._READ_BLOCK
+
+
+def test_pbm_directory_is_read_with_digit_runs_as_numbers(tmp_path):
+    # f01 and f1 tie as numbers, so the plain names order them
+    for ones, name in enumerate(("f01", "f1", "f2", "f10", "g"), 1):
+        px = np.zeros((2, 3), dtype=np.uint8)
+        px.flat[:ones] = 1
+        write_pbm(BinaryFrame(px), tmp_path / f"{name}.pbm")
+    ((first, chunk),) = iter_recording(tmp_path)
+    assert first == 0 and chunk.sum(axis=(1, 2)).tolist() == [1, 2, 3, 4, 5]
 
 
 def test_empty_event_file_is_an_empty_recording(tmp_path):

@@ -1,13 +1,16 @@
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
 from imfsim import pipeline
+from imfsim.cli import _table
 from imfsim.config import RunConfig
 from imfsim.errors import InvalidParamsError
 from imfsim.frames import BinaryFrame
@@ -30,7 +33,7 @@ from imfsim.pipeline import (
     track_proposals,
     track_update,
 )
-from imfsim.synth import GroundTruthBox, box_writer
+from imfsim.synth import BOX_HEADER, GroundTruthBox
 
 
 def boxes_as_tuples(boxes):
@@ -400,6 +403,40 @@ def test_region_proposals_stack_is_per_frame_proposals(stack, a, b, min_area, co
                    for px in stack]
 
 
+@st.composite
+def framed_rectangles(draw):
+    """Frame sides, rescale factors from 1 to past each side, and solid rectangles."""
+    width, height = draw(st.integers(1, 320)), draw(st.integers(1, 240))
+    a, b = draw(st.integers(1, width + 9)), draw(st.integers(1, height + 9))
+    rects = draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, height - 1),
+                                    st.integers(1, width), st.integers(1, height)),
+                          min_size=1, max_size=4))
+    return width, height, a, b, rects
+
+
+@given(framed_rectangles())
+@example((60, 40, 8, 6, [(50, 30, 10, 10)]))   # the last block column and row are partial
+@settings(max_examples=25)
+def test_proposal_and_track_boxes_stay_inside_the_frame(case):
+    width, height, a, b, rects = case
+    stack = np.zeros((4, height, width), dtype=np.uint8)   # still, so tracks confirm
+    for x, y, w, h in rects:
+        stack[:, y : y + h, x : x + w] = 1
+
+    def inside(box):
+        return 0 <= box.x and 0 <= box.y and box.x + box.w <= width and box.y + box.h <= height
+
+    proposals = region_proposals_stack(stack, a, b, 1)
+    assert all(proposals) and all(inside(box) for frame in proposals for box in frame)
+    with tempfile.TemporaryDirectory() as tmp:
+        gt = Path(tmp) / "gt.csv"
+        gt.write_text(",".join(BOX_HEADER) + "\n")     # no ground truth
+        results, _ = track_eval(RunConfig(rescale_a=a, rescale_b=b, min_area=1),
+                                [(0, stack)], gt)
+    for rows, _, _ in results.values():    # the rows of tracks_omf.csv and tracks_nomf.csv
+        assert all(inside(row) for row in rows)
+
+
 def test_stack_kernels_validate_parameters():
     stack = np.zeros((2, 4, 4), dtype=np.uint8)
     with pytest.raises(InvalidParamsError):
@@ -416,8 +453,8 @@ def test_track_eval_weights_the_f1_by_the_track_count(tmp_path):
     stack = np.zeros((6, 36, 72), dtype=np.uint8)
     stack[:, 12:24, 24:48] = 1
     gt = [GroundTruthBox(fi, 0, "car", 24, 12, 24, 12) for fi in range(6)]
-    with open(tmp_path / "gt.csv", "w", encoding="ascii", newline="") as fh:
-        box_writer(fh)(gt + [GroundTruthBox(9, tid, "car", 0, 0, 4, 4) for tid in (1, 2)])
+    with _table(tmp_path / "gt.csv", BOX_HEADER) as add_rows:
+        add_rows(gt + [GroundTruthBox(9, tid, "car", 0, 0, 4, 4) for tid in (1, 2)])
     f1 = rates(4, 4, 6)[2]
     assert 3 * f1 / 3 != f1
     results, summary = track_eval(RunConfig(), [(0, stack)], tmp_path / "gt.csv")

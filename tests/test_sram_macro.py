@@ -209,7 +209,7 @@ def test_load_frame_round_trip_and_cycle_invariant():
     cycles = load_frame(state, fr)
     assert np.array_equal(state.bits, px)
     assert cycles == math.ceil(24 / 16) + int(px.sum())
-    filter_in_memory(state, 3, state.device)
+    filter_in_memory(state, 3, DeviceParams(vdd=0.7))
     assert state.cycle_count == math.ceil(24 / 16) + int(px.sum()) + 2 * 24 // 3
     # a second frame loaded over the first leaves exactly the second frame
     before = state.cycle_count

@@ -6,10 +6,11 @@ from helpers import event_array
 from imfsim import frames as frames_module
 from imfsim.errors import DimensionMismatchError, InvalidParamsError
 from imfsim.frames import EVENT_DTYPE, BinaryFrame, FrameConfig, aggregate_frames
+from imfsim.cli import _table
 from imfsim.synth import (
+    BOX_HEADER,
     OBJECT_SIZES,
     GroundTruthBox,
-    box_writer,
     frames_to_events,
     noise_chunks,
     noise_frames,
@@ -62,8 +63,8 @@ def test_box_csv_round_trip(tmp_path):
         GroundTruthBox(1, 1, "bus", 50, 60, 40, 18),
     ]
     path = tmp_path / "gt.csv"
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        box_writer(fh)(rows)
+    with _table(path, BOX_HEADER) as add_rows:   # a box is its own row
+        add_rows(rows)
     assert read_box_csv(path) == rows
     text = path.read_text()
     assert text.splitlines()[0] == "frame_index,track_id,class,x,y,w,h"
